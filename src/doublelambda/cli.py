@@ -8,9 +8,8 @@ verify      cross-check suite (oracle equivalence, dissipation order,
             optimality-structure residuals, dominance) -> JSON, exit code
 search      direct profile search -> JSON + profile table
 
-All outputs are deterministic functions of the configuration and seed; the
-thread count affects wall time only.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+All outputs are deterministic functions of the configuration and seed.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .bloch_steady import Rates
 from .efficiency import (
+    closed_efficiency,
     constant_efficiency_closed,
     numerical_efficiency,
     optimal_efficiency_closed,
@@ -109,14 +108,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _closed_efficiency(kind: str, alpha: float) -> float | None:
-    if kind == "optimal":
-        return optimal_efficiency_closed(alpha)
-    if kind == "constant":
-        return constant_efficiency_closed(alpha)
-    return None
-
-
 def cmd_efficiency(args) -> int:
     if args.alpha:
         alphas = [float(a) for a in args.alpha]
@@ -131,26 +122,24 @@ def cmd_efficiency(args) -> int:
     protocols = args.protocol or ["optimal", "constant"]
     opts = _integrator(args)
 
-    def one(job):
-        kind, alpha = job
-        eta_closed = _closed_efficiency(kind, alpha) if args.method in ("closed", "both") else None
-        eta_numeric = None
-        if args.method in ("numeric", "both"):
-            spec = ProtocolSpec(kind=kind, alpha=alpha,
-                                zeta0=args.zeta0 if args.zeta0 is not None else alpha / 2.0,
-                                zbar=args.zbar)
-            eta_numeric = numerical_efficiency(spec, opts).eta_numeric
-        return kind, alpha, eta_closed, eta_numeric
-
-    jobs = [(kind, alpha) for kind in sorted(protocols) for alpha in sorted(alphas)]
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(pool.map(one, jobs))
+    rows = []
+    for kind in sorted(protocols):
+        for alpha in sorted(alphas):
+            eta_closed = None
+            if args.method in ("closed", "both"):
+                eta_closed = closed_efficiency(kind, alpha)
+            eta_numeric = None
+            if args.method in ("numeric", "both"):
+                spec = ProtocolSpec(kind=kind, alpha=alpha,
+                                    zeta0=args.zeta0 if args.zeta0 is not None else alpha / 2.0,
+                                    zbar=args.zbar)
+                eta_numeric = numerical_efficiency(spec, opts).eta_numeric
+            rows.append([_fmt(alpha), kind, _fmt(eta_closed), _fmt(eta_numeric)])
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alpha", "protocol", "eta_closed", "eta_numeric"])
-        for kind, alpha, ec, en in rows:
-            writer.writerow([_fmt(alpha), kind, _fmt(ec), _fmt(en)])
+        writer.writerows(rows)
     return 0
 
 
@@ -188,7 +177,7 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
         )
         record(f"oracle_equivalence_{kind}", diff, 1e-8)
 
-        eta_closed = _closed_efficiency(kind, alpha)
+        eta_closed = closed_efficiency(kind, alpha)
         if eta_closed is not None:
             record(f"closed_vs_numeric_{kind}",
                    abs(eta_closed - tr_reduced.efficiency), 1e-6,
@@ -223,9 +212,7 @@ def cmd_verify(args) -> int:
     for a in alphas:
         if a <= 0:
             raise InvalidAlpha(f"optical density must be positive, got {a}")
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        per_alpha = list(pool.map(lambda a: _verify_one_alpha(a, args), alphas))
-    checks = [c for group in per_alpha for c in group]
+    checks = [c for a in alphas for c in _verify_one_alpha(a, args)]
     passed = all(c["status"] != "fail" for c in checks)
     report = {
         "alphas": alphas,
@@ -301,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seeded=False):
         p.add_argument("--steps-per-unit", type=float, default=10.0,
                        help="RK4 steps per unit optical density (default 10)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (affects wall time only)")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
 

@@ -83,21 +83,25 @@ def constant_efficiency_closed(alpha: float) -> float:
     return math.exp(-0.5 * alpha) * bracket**2
 
 
+def closed_efficiency(kind: str, alpha: float) -> float | None:
+    """Closed-form efficiency of a protocol kind; None where none exists."""
+    if kind == "optimal":
+        return optimal_efficiency_closed(alpha)
+    if kind == "constant":
+        return constant_efficiency_closed(alpha)
+    return None
+
+
 def numerical_efficiency(
     spec: ProtocolSpec, opts: IntegratorOptions = DEFAULT_OPTIONS
 ) -> EfficiencyReport:
     """Efficiency from integrating the reduced propagation for a protocol."""
     profile = build_profile(spec)
     traj = propagate_reduced(profile, initial=FieldState(1.0, 0.0), opts=opts)
-    eta_closed = None
-    if spec.kind == "optimal":
-        eta_closed = optimal_efficiency_closed(spec.alpha)
-    elif spec.kind == "constant":
-        eta_closed = constant_efficiency_closed(spec.alpha)
     return EfficiencyReport(
         alpha=spec.alpha,
         protocol=spec.kind,
-        eta_closed=eta_closed,
+        eta_closed=closed_efficiency(spec.kind, spec.alpha),
         eta_numeric=traj.efficiency,
         step_count=opts.resolve_steps(spec.alpha),
     )

@@ -27,6 +27,8 @@ from scipy.optimize import minimize
 
 from .propagation import (
     IntegratorOptions,
+    _rk4_linear,
+    _slope_matrices,
     propagate_adiabatic,
     schedule_from_profile,
     segment_step,
@@ -143,35 +145,19 @@ def integrate_adjoint_along_arc(arc: AdjointState, direction: str = "backward") 
     starts at the exit end and integrates against the lossy mode, which is
     numerically stable for any ``alpha``.
     """
-    z, u = arc.zeta, arc.u_s
     if direction == "forward":
-        order = range(z.size - 1)
-        ly, lx = arc.lambda_y[0], arc.lambda_x[0]
+        order = slice(None)
     elif direction == "backward":
-        order = range(z.size - 2, -1, -1)
-        ly, lx = arc.lambda_y[-1], arc.lambda_x[-1]
+        order = slice(None, None, -1)
     else:
         raise ValueError(f"unknown direction '{direction}'")
-
-    def rhs(ly_, lx_):
-        return -u * lx_, u * ly_ + 0.5 * lx_
-
-    err = 0.0
-    for i in order:
-        if direction == "forward":
-            hh = z[i + 1] - z[i]
-            target = i + 1
-        else:
-            hh = z[i] - z[i + 1]
-            target = i
-        k1y, k1x = rhs(ly, lx)
-        k2y, k2x = rhs(ly + 0.5 * hh * k1y, lx + 0.5 * hh * k1x)
-        k3y, k3x = rhs(ly + 0.5 * hh * k2y, lx + 0.5 * hh * k2x)
-        k4y, k4x = rhs(ly + hh * k3y, lx + hh * k3x)
-        ly += (hh / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        lx += (hh / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        err = max(err, abs(lx - arc.lambda_x[target]), abs(ly - arc.lambda_y[target]))
-    return float(err)
+    # (lambda_y, lambda_x)' = [[0, -u], [u, 1/2]] (lambda_y, lambda_x)
+    z = arc.zeta[order]
+    exact = np.column_stack([arc.lambda_y, arc.lambda_x])[order]
+    lam = _rk4_linear(
+        lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5), z, exact[0]
+    )
+    return float(np.max(np.abs(lam - exact[1:]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

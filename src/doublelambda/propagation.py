@@ -12,8 +12,10 @@ Three routes integrate the same physics at different levels of reduction:
 * :func:`propagate_exact` -- the field equations closed microscopically
   through the exact steady-state coherence solve, for general decay rates.
 
-All integrators use fixed-step classical fourth-order Runge-Kutta, split at
-profile breakpoints so the right-hand side is smooth within every step;
+Each route is the linear system ``dv/dzeta = A(zeta) v`` with a 2x2 matrix
+``A`` and supplies only that matrix to one shared fixed-step classical
+fourth-order Runge-Kutta kernel, run per segment between profile
+breakpoints so the right-hand side is smooth within every step;
 deterministic output is preferred over adaptivity.  For piecewise-linear
 angle profiles (constant control slope per segment) the rotated-frame system
 has a closed-form matrix exponential, exposed as :func:`segment_step` /
@@ -29,21 +31,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bloch_steady import DriveFields, Rates, steady_coherences
-from .errors import ProfileDomainMismatch
+from .bloch_steady import DriveFields, Rates, projector_matrix, steady_coherences
+from .errors import NonFinite, ProfileDomainMismatch
 from .protocols import ThetaProfile
 
 
 @dataclass(frozen=True)
 class FieldState:
-    """Real probe/signal amplitudes in units of the input amplitude."""
+    """Probe/signal amplitudes in units of the input amplitude.
 
-    omega_p: float
-    omega_s: float
+    Real on the reduced route; complex on the microscopic route, whose
+    controls may carry phases.
+    """
+
+    omega_p: complex
+    omega_s: complex
 
     @property
     def norm_sq(self) -> float:
-        return self.omega_p**2 + self.omega_s**2
+        return abs(self.omega_p) ** 2 + abs(self.omega_s) ** 2
 
 
 @dataclass(frozen=True)
@@ -63,23 +69,17 @@ class IntegratorOptions:
     """Fixed-step RK4 configuration.
 
     ``step_count`` overrides the resolution directly; otherwise the step
-    count is ``ceil(alpha * steps_per_unit)``.  ``tolerance`` is the relative
-    step-halving tolerance used by convergence diagnostics, not by the
-    integrator itself.
+    count is ``ceil(alpha * steps_per_unit)``.
     """
 
     step_count: int | None = None
     steps_per_unit: float = 10.0
-    scheme: str = "rk4"
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.step_count is not None and self.step_count < 2:
             raise ValueError("step_count must be at least 2")
         if self.steps_per_unit <= 0:
             raise ValueError("steps_per_unit must be positive")
-        if self.scheme != "rk4":
-            raise ValueError(f"unknown scheme '{self.scheme}'")
 
     def resolve_steps(self, alpha: float) -> int:
         if self.step_count is not None:
@@ -101,7 +101,7 @@ class Trajectory:
 
     @property
     def final_state(self) -> FieldState:
-        return FieldState(float(np.real(self.omega_p[-1])), float(np.real(self.omega_s[-1])))
+        return FieldState(self.omega_p[-1].item(), self.omega_s[-1].item())
 
     @property
     def norm_sq(self) -> np.ndarray:
@@ -205,6 +205,76 @@ def _validate_alpha(profile_alpha: float, alpha: float | None) -> float:
     return profile_alpha
 
 
+#: Steps whose RK4 step matrices are built at once; bounds the kernel's
+#: working memory independently of the grid length.
+_BLOCK = 1024
+
+
+def _rk4_linear(
+    matrices: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, v0: np.ndarray
+) -> np.ndarray:
+    """Classical RK4 for the linear system ``dv/dzeta = A(zeta) v`` on one grid.
+
+    ``matrices(z)`` returns ``A`` at the points ``z`` as an ``(n, 2, 2)``
+    array; it is evaluated on the grid and at the step midpoints.  Linearity
+    folds the four stages of a step into one matrix
+    ``R = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` with ``K1 = A(zeta)``,
+    ``K2 = A(zeta + h/2) (I + h/2 K1)``, ``K3 = A(zeta + h/2) (I + h/2 K2)``
+    and ``K4 = A(zeta + h) (I + h K3)``, built with numpy for a block of
+    steps at a time.  The steps are applied in order, carrying one state, so
+    rounding accumulates as in a stage-by-stage integration.  Returns the
+    ``(len(grid) - 1, 2)`` states after each step.
+    """
+    eye = np.eye(2)
+    v = np.asarray(v0)
+    blocks = []
+    for lo in range(0, grid.size - 1, _BLOCK):
+        z = grid[lo : lo + _BLOCK + 1]
+        h = np.diff(z)[:, None, None]
+        a = matrices(z)
+        a_half = matrices(0.5 * (z[:-1] + z[1:]))
+        k = a[:-1]
+        r = k.copy()
+        for a_stage, frac, weight in ((a_half, 0.5, 2.0), (a_half, 0.5, 2.0), (a[1:], 1.0, 1.0)):
+            k = a_stage @ (eye + frac * h * k)
+            r += weight * k
+        r *= h / 6.0
+        r += eye
+        out = np.empty((r.shape[0], 2), dtype=np.result_type(r, v))
+        for i in range(r.shape[0]):
+            v = out[i] = r[i] @ v
+        blocks.append(out)
+    return np.concatenate(blocks)
+
+
+def _propagate(
+    systems: Sequence[Callable[[np.ndarray], np.ndarray]],
+    grids: list[np.ndarray],
+    v0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rk4_linear` over consecutive segment grids, carrying the state.
+
+    ``systems[k]`` is the ``matrices`` callable of segment ``k``.  Returns the
+    sample positions and the ``(samples, 2)`` states, starting at ``v0``.
+    """
+    zs = [np.zeros(1)]
+    vs = [np.asarray(v0)[None, :]]
+    for matrices, grid in zip(systems, grids):
+        vs.append(_rk4_linear(matrices, grid, vs[-1][-1]))
+        zs.append(grid[1:])
+    return np.concatenate(zs), np.concatenate(vs)
+
+
+def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
+    """``[[0, -u], [u, decay]]`` for every slope in ``u``, acting on ``(y, x)``."""
+    u = np.asarray(u, dtype=float)
+    m = np.zeros(u.shape + (2, 2))
+    m[..., 0, 1] = -u
+    m[..., 1, 0] = u
+    m[..., 1, 1] = decay
+    return m
+
+
 def propagate_reduced(
     profile: ThetaProfile,
     alpha: float | None = None,
@@ -218,62 +288,27 @@ def propagate_reduced(
     trajectory is continuous there by construction.
     """
     alpha = _validate_alpha(profile.alpha, alpha)
-    n_steps = opts.resolve_steps(alpha)
-    p, s = float(initial.omega_p), float(initial.omega_s)
+    grids = _segment_grid(alpha, profile.breakpoints, opts.resolve_steps(alpha))
+    theta_fns = profile.segment_interiors
+    if theta_fns is None:
+        theta_fns = [profile.interior] * len(grids)
 
-    zs = [np.array([0.0])]
-    ps = [np.array([p])]
-    ss = [np.array([s])]
-    for k, grid in enumerate(_segment_grid(alpha, profile.breakpoints, n_steps)):
-        theta_fn = profile.interior
-        if profile.segment_interiors is not None:
-            theta_fn = profile.segment_interiors[k]
-        half = 0.5 * (grid[:-1] + grid[1:])
-        th0 = np.asarray(theta_fn(grid[:-1]), dtype=float)
-        thh = np.asarray(theta_fn(half), dtype=float)
-        th1 = np.asarray(theta_fn(grid[1:]), dtype=float)
-        c0, s0 = np.cos(th0), np.sin(th0)
-        cm, sm = np.cos(thh), np.sin(thh)
-        c1, s1 = np.cos(th1), np.sin(th1)
-        seg_p = np.empty(grid.size - 1)
-        seg_s = np.empty(grid.size - 1)
-        for i in range(grid.size - 1):
-            h = grid[i + 1] - grid[i]
-            p, s = _rk4_reduced_step(p, s, h, c0[i], s0[i], cm[i], sm[i], c1[i], s1[i])
-            seg_p[i] = p
-            seg_s[i] = s
-        zs.append(grid[1:])
-        ps.append(seg_p)
-        ss.append(seg_s)
+    def lab_matrices(theta_fn):
+        # -1/2 P(theta), with P the rank-one projector of the mixing angle
+        return lambda z: -0.5 * np.moveaxis(
+            projector_matrix(np.asarray(theta_fn(z), dtype=float)), -1, 0
+        )
 
-    zeta = np.concatenate(zs)
-    traj = Trajectory(
-        zeta=zeta,
-        omega_p=np.concatenate(ps),
-        omega_s=np.concatenate(ss),
-        theta=np.asarray(profile.interior(zeta), dtype=float),
+    zeta, v = _propagate(
+        [lab_matrices(fn) for fn in theta_fns],
+        grids,
+        np.array([float(initial.omega_p), float(initial.omega_s)]),
     )
-    return traj
-
-
-def _rk4_reduced_step(p, s, h, c0, s0, cm, sm, c1, s1):
-    # dOmega/dzeta = -1/2 P(theta) Omega with P the rank-one projector: the
-    # derivative is -(x/2) (cos, -sin) with x the lossy-mode amplitude.
-    # (c, s) pairs are cos/sin of theta at the step start, midpoint and end.
-    x1 = p * c0 - s * s0
-    k1p, k1s = -0.5 * c0 * x1, 0.5 * s0 * x1
-    pt, st = p + 0.5 * h * k1p, s + 0.5 * h * k1s
-    x2 = pt * cm - st * sm
-    k2p, k2s = -0.5 * cm * x2, 0.5 * sm * x2
-    pt, st = p + 0.5 * h * k2p, s + 0.5 * h * k2s
-    x3 = pt * cm - st * sm
-    k3p, k3s = -0.5 * cm * x3, 0.5 * sm * x3
-    pt, st = p + h * k3p, s + h * k3s
-    x4 = pt * c1 - st * s1
-    k4p, k4s = -0.5 * c1 * x4, 0.5 * s1 * x4
-    return (
-        p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-        s + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
+    return Trajectory(
+        zeta=zeta,
+        omega_p=v[:, 0],
+        omega_s=v[:, 1],
+        theta=np.asarray(profile.interior(zeta), dtype=float),
     )
 
 
@@ -294,51 +329,19 @@ def propagate_adiabatic(
     ``final_state`` is the state after the exit rotation.  With ``u == 0``
     the ``y`` component is exactly conserved and ``x`` decays at rate 1/2.
     """
-    alpha = schedule.alpha
-    n_steps = opts.resolve_steps(alpha)
-    y, x = _rotate(float(initial.y), float(initial.x), schedule.entry_rotation)
-
-    zs = [np.array([0.0])]
-    xs = [np.array([x])]
-    ys = [np.array([y])]
-    for grid in _segment_grid(alpha, schedule.breakpoints, n_steps):
-        half = 0.5 * (grid[:-1] + grid[1:])
-        u0 = np.asarray(schedule.u(grid[:-1]), dtype=float)
-        uh = np.asarray(schedule.u(half), dtype=float)
-        u1 = np.asarray(schedule.u(grid[1:]), dtype=float)
-        seg_x = np.empty(grid.size - 1)
-        seg_y = np.empty(grid.size - 1)
-        for i in range(grid.size - 1):
-            h = grid[i + 1] - grid[i]
-            y, x = _rk4_adiabatic_step(y, x, h, u0[i], uh[i], u1[i])
-            seg_x[i] = x
-            seg_y[i] = y
-        zs.append(grid[1:])
-        xs.append(seg_x)
-        ys.append(seg_y)
-
-    y_out, x_out = _rotate(y, x, schedule.exit_rotation)
+    grids = _segment_grid(schedule.alpha, schedule.breakpoints, opts.resolve_steps(schedule.alpha))
+    zeta, v = _propagate(
+        [lambda z: _slope_matrices(schedule.u(z), -0.5)] * len(grids),
+        grids,
+        np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation)),
+    )
+    y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
     return AdiabaticTrajectory(
-        zeta=np.concatenate(zs),
-        x=np.concatenate(xs),
-        y=np.concatenate(ys),
+        zeta=zeta,
+        x=v[:, 1],
+        y=v[:, 0],
         initial_state=initial,
         final_state=AdiabaticState(x=x_out, y=y_out),
-    )
-
-
-def _rk4_adiabatic_step(y, x, h, u0, uh, u1):
-    # dy/dzeta = -u x ; dx/dzeta = u y - x/2
-    k1y, k1x = -u0 * x, u0 * y - 0.5 * x
-    ya, xa = y + 0.5 * h * k1y, x + 0.5 * h * k1x
-    k2y, k2x = -uh * xa, uh * ya - 0.5 * xa
-    ya, xa = y + 0.5 * h * k2y, x + 0.5 * h * k2x
-    k3y, k3x = -uh * xa, uh * ya - 0.5 * xa
-    ya, xa = y + h * k3y, x + h * k3x
-    k4y, k4x = -u1 * xa, u1 * ya - 0.5 * xa
-    return (
-        y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
     )
 
 
@@ -353,52 +356,33 @@ def propagate_exact(
     """Integrate the field equations closed by the exact coherence solve.
 
     ``controls`` maps ``zeta`` to the complex pair ``(Omega_c, Omega_d)``.
-    Each Runge-Kutta stage solves the steady-state coherences at the local
-    fields and feeds ``i gamma/2 rho`` back into the field derivatives.
-    Under the reduction assumptions (equal decay rates, no dephasing, real
-    controls) this reproduces :func:`propagate_reduced` stage for stage.
+    The steady coherences are linear in the weak fields, so the columns of
+    the system matrix are ``i gamma/2 rho`` from the steady-state solve at
+    unit probe and at unit signal, taken at the local controls.  Under the
+    reduction assumptions (equal decay rates, no dephasing, real controls)
+    the matrix is ``-1/2 P(theta)`` and this reproduces
+    :func:`propagate_reduced` to rounding.
     """
     if alpha < 0:
         raise ProfileDomainMismatch("alpha must be non-negative")
-    n_steps = opts.resolve_steps(alpha)
     g31, g41 = rates.gamma31, rates.gamma41
 
-    def rhs(p, s, oc, od):
-        sol = steady_coherences(
-            DriveFields(omega_p=p, omega_s=s, omega_c=oc, omega_d=od), rates
-        )
-        return 0.5j * g31 * sol.rho31, 0.5j * g41 * sol.rho41
+    def matrices(z):
+        a = np.empty((len(z), 2, 2), dtype=complex)
+        for i, zi in enumerate(z):
+            oc, od = controls(zi)
+            for j, (p, s) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+                sol = steady_coherences(DriveFields(p, s, oc, od), rates)
+                a[i, 0, j] = 0.5j * g31 * sol.rho31
+                a[i, 1, j] = 0.5j * g41 * sol.rho41
+        return a
 
-    p, s = complex(initial.omega_p), complex(initial.omega_s)
-    zs = [np.array([0.0])]
-    ps = [np.array([p])]
-    ss = [np.array([s])]
-    for grid in _segment_grid(alpha, breakpoints, n_steps):
-        half = 0.5 * (grid[:-1] + grid[1:])
-        ctrl0 = [controls(z) for z in grid[:-1]]
-        ctrlh = [controls(z) for z in half]
-        ctrl1 = [controls(z) for z in grid[1:]]
-        seg_p = np.empty(grid.size - 1, dtype=complex)
-        seg_s = np.empty(grid.size - 1, dtype=complex)
-        for i in range(grid.size - 1):
-            h = grid[i + 1] - grid[i]
-            k1p, k1s = rhs(p, s, *ctrl0[i])
-            k2p, k2s = rhs(p + 0.5 * h * k1p, s + 0.5 * h * k1s, *ctrlh[i])
-            k3p, k3s = rhs(p + 0.5 * h * k2p, s + 0.5 * h * k2s, *ctrlh[i])
-            k4p, k4s = rhs(p + h * k3p, s + h * k3s, *ctrl1[i])
-            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            s = s + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-            seg_p[i] = p
-            seg_s[i] = s
-        zs.append(grid[1:])
-        ps.append(seg_p)
-        ss.append(seg_s)
-
-    return Trajectory(
-        zeta=np.concatenate(zs),
-        omega_p=np.concatenate(ps),
-        omega_s=np.concatenate(ss),
-    )
+    v0 = np.array([initial.omega_p, initial.omega_s], dtype=complex)
+    if not np.all(np.isfinite(v0)):
+        raise NonFinite("input fields are not finite")
+    grids = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
+    zeta, v = _propagate([matrices] * len(grids), grids, v0)
+    return Trajectory(zeta=zeta, omega_p=v[:, 0], omega_s=v[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +396,28 @@ def segment_step(y: float, x: float, u: float, dzeta: float) -> tuple[float, flo
     exponential ``exp(-dz/4) [cosh(k dz) I + sinh(k dz)/k B]`` with
     ``B = A + I/4`` and ``k^2 = 1/16 - u^2``; for ``u > 1/4`` the hyperbolic
     pair continues to a trigonometric one, and at ``k = 0`` to its limit.
+    On the hyperbolic branch the damping is folded into the exponentials,
+    ``exp(-dz/4) cosh(k dz) = (e^{(k-1/4) dz} + e^{(-k-1/4) dz}) / 2`` with
+    ``k <= 1/4``, so long segments cannot overflow.
     """
     k2 = 0.0625 - u * u
     if k2 > 1e-14:
         k = math.sqrt(k2)
-        kc = math.cosh(k * dzeta)
-        ks = math.sinh(k * dzeta) / k
+        grow = math.exp((k - 0.25) * dzeta)
+        m = -math.expm1(-2.0 * k * dzeta)  # 1 - exp(-2 k dz)
+        ec = grow * (1.0 - 0.5 * m)
+        es = grow * m / (2.0 * k)
     elif k2 < -1e-14:
         w = math.sqrt(-k2)
-        kc = math.cos(w * dzeta)
-        ks = math.sin(w * dzeta) / w
+        e = math.exp(-0.25 * dzeta)
+        ec = e * math.cos(w * dzeta)
+        es = e * math.sin(w * dzeta) / w
     else:
-        kc = 1.0
-        ks = dzeta
-    e = math.exp(-0.25 * dzeta)
+        ec = math.exp(-0.25 * dzeta)
+        es = ec * dzeta
     return (
-        e * ((kc + 0.25 * ks) * y - ks * u * x),
-        e * (ks * u * y + (kc - 0.25 * ks) * x),
+        (ec + 0.25 * es) * y - es * u * x,
+        es * u * y + (ec - 0.25 * es) * x,
     )
 
 

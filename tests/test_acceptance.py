@@ -184,7 +184,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert main(["simulate", "--protocol", "optimal", "--alpha", "50",
                      "--out", str(sim)]) == 0
         assert main(["efficiency", "--alpha-min", "1", "--alpha-max", "50",
-                     "--alpha-steps", "20", "--threads", "3", "--out", str(eff)]) == 0
+                     "--alpha-steps", "20", "--out", str(eff)]) == 0
         assert main(["search", "--alpha", "20", "--segments", "6", "--budget", "3000",
                      "--seed", "123", "--out", str(sea), "--profile-out", str(pro)]) == 0
         outputs.append((sim.read_bytes(), eff.read_bytes(), pro.read_bytes(),

@@ -5,6 +5,7 @@ hand-integrable constant-angle cases, the closed-form segment propagator,
 and the microscopically closed integration.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -13,12 +14,14 @@ import pytest
 from doublelambda import (
     AdiabaticState,
     ControlSchedule,
+    DriveFields,
     FieldState,
     IntegratorOptions,
     ProfileDomainMismatch,
     Rates,
     ThetaProfile,
     adiabatic_protocol,
+    constant_efficiency_closed,
     constant_protocol,
     dissipation_order,
     dissipation_residual,
@@ -30,6 +33,7 @@ from doublelambda import (
     propagate_reduced,
     schedule_from_profile,
     segment_step,
+    steady_coherences,
     tabulated_protocol,
     to_adiabatic,
 )
@@ -345,11 +349,75 @@ def test_exact_route_propagates_singular_system():
         propagate_exact(lambda z: (0.0, 0.0), alpha=1.0, rates=Rates(1.0, 1.0, 0.0))
 
 
+def test_exact_route_rejects_non_finite_fields():
+    from doublelambda import NonFinite
+
+    prof = constant_protocol(1.0)
+    with pytest.raises(NonFinite):
+        propagate_exact(controls_of(prof), 1.0, initial=FieldState(math.inf, 0.0))
+
+
 def test_exact_route_with_dephasing_loses_more():
     prof = constant_protocol(10.0)
     clean = propagate_exact(controls_of(prof), 10.0, Rates(1.0, 1.0, 0.0))
     noisy = propagate_exact(controls_of(prof), 10.0, Rates(1.0, 1.0, 0.2))
     assert abs(noisy.omega_s[-1]) < abs(clean.omega_s[-1])
+
+
+def test_exact_route_general_rates_matches_staged_rk4():
+    # Unequal decay rates, ground dephasing, a complex control phase,
+    # interior breakpoints and a non-unit input, against RK4 written out
+    # stage by stage with the steady solve at the actual stage fields.
+    rates = Rates(1.3, 0.7, 0.2)
+    prof = tabulated_protocol([0.0, 2.0, 5.5, 8.0], [1.4, 1.0, 0.6, 0.2])
+    phase = cmath.exp(0.7j)
+
+    def ctrl(z):
+        th = float(prof.theta(z))
+        return phase * math.sin(th), math.cos(th)
+
+    def rhs(f, z):
+        oc, od = ctrl(z)
+        sol = steady_coherences(DriveFields(f[0], f[1], oc, od), rates)
+        return 0.5j * np.array([rates.gamma31 * sol.rho31, rates.gamma41 * sol.rho41])
+
+    f = np.array([0.8, -0.3], dtype=complex)
+    zs, fs = [0.0], [f]
+    for a, b, n in ((0.0, 2.0, 20), (2.0, 5.5, 35), (5.5, 8.0, 25)):
+        z = np.linspace(a, b, n + 1)
+        for z0, z1 in zip(z[:-1], z[1:]):
+            h, zh = z1 - z0, 0.5 * (z0 + z1)
+            k1 = rhs(f, z0)
+            k2 = rhs(f + 0.5 * h * k1, zh)
+            k3 = rhs(f + 0.5 * h * k2, zh)
+            k4 = rhs(f + h * k3, z1)
+            f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            zs.append(z1)
+            fs.append(f)
+    ref = np.array(fs)
+
+    traj = propagate_exact(ctrl, 8.0, rates, initial=FieldState(0.8, -0.3),
+                           breakpoints=prof.breakpoints)
+    assert np.array_equal(traj.zeta, zs)
+    assert np.max(np.abs(traj.omega_p - ref[:, 0])) <= 1e-12
+    assert np.max(np.abs(traj.omega_s - ref[:, 1])) <= 1e-12
+
+
+def test_final_state_keeps_complex_amplitudes():
+    # A phase on the control pair rephases the converted signal.
+    prof = constant_protocol(10.0)
+
+    def ctrl(z):
+        th = float(prof.theta(z))
+        return 1j * math.sin(th), math.cos(th)
+
+    traj = propagate_exact(ctrl, 10.0, Rates())
+    fs = traj.final_state
+    assert fs.omega_s == traj.omega_s[-1]
+    assert fs.omega_s.imag == pytest.approx(-0.654, abs=1e-3)
+    assert abs(fs.omega_s) ** 2 == pytest.approx(
+        constant_efficiency_closed(10.0), abs=1e-6)
+    assert fs.norm_sq == pytest.approx(traj.norm_sq[-1], rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +459,13 @@ def test_piecewise_exact_matches_fine_rk4():
         assert exact.omega_s == pytest.approx(rk.omega_s, abs=1e-7)
 
 
+def test_piecewise_exact_long_segment_does_not_overflow():
+    # One constant-slope segment of length 1e4: cosh/sinh(k dz) alone would
+    # overflow, the damped combination does not.
+    fs = propagate_piecewise_exact(constant_protocol(1e4))
+    assert fs.omega_s**2 == pytest.approx(constant_efficiency_closed(1e4), rel=1e-12)
+
+
 def test_piecewise_exact_requires_knots():
     with pytest.raises(ProfileDomainMismatch):
         propagate_piecewise_exact(adiabatic_protocol(10.0, 5.0, 2.0))
@@ -405,8 +480,6 @@ def test_integrator_options_validation():
         IntegratorOptions(step_count=1)
     with pytest.raises(ValueError):
         IntegratorOptions(steps_per_unit=0.0)
-    with pytest.raises(ValueError):
-        IntegratorOptions(scheme="euler")
     assert IntegratorOptions().resolve_steps(0.01) == 2  # floor of two steps
 
 
