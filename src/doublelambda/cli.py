@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -278,7 +279,9 @@ def cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="doublelambda",
         description="Probe-to-signal conversion protocols in double-lambda media",
@@ -302,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="two-column zeta/theta table for --protocol custom")
     p_sim.add_argument("--out", required=True)
     common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_eff = sub.add_parser("efficiency", help="efficiency curves -> CSV")
     p_eff.add_argument("--protocol", choices=PROTOCOLS[:3], action="append",
@@ -317,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eff.add_argument("--zbar", type=float, default=5.0)
     p_eff.add_argument("--out", required=True)
     common(p_eff)
-    p_eff.set_defaults(func=cmd_efficiency)
 
     p_ver = sub.add_parser("verify", help="cross-check suite -> JSON, exit code")
     p_ver.add_argument("--alpha", type=float, action="append",
@@ -326,27 +327,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random profiles per alpha for the dominance check")
     p_ver.add_argument("--out", default=None, help="JSON report path (default stdout)")
     common(p_ver, seeded=True)
-    p_ver.set_defaults(func=cmd_verify)
 
     p_sea = sub.add_parser("search", help="direct profile search -> JSON + table")
     p_sea.add_argument("--alpha", type=float, required=True)
     p_sea.add_argument("--segments", type=int, default=64)
     p_sea.add_argument("--budget", type=int, default=200_000,
-                       help="max objective evaluations")
+                       help="max evaluations, each one fused value and gradient")
     p_sea.add_argument("--starts", type=int, default=3)
     p_sea.add_argument("--out", required=True, help="JSON result path")
     p_sea.add_argument("--profile-out", default=None,
                        help="profile table path (default derived from --out)")
     common(p_sea, seeded=True)
-    p_sea.set_defaults(func=cmd_search)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Look the handler up at call time rather than binding it into the
+    # cached parser, so a rebound ``cmd_*`` name (a tracing wrapper, say)
+    # takes effect.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except DoubleLambdaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -23,3 +23,7 @@ class InvalidZbar(DoubleLambdaError):
 
 class ProfileDomainMismatch(DoubleLambdaError):
     """Mixing-angle profile not defined on the requested propagation interval."""
+
+
+class InvalidSearchSettings(DoubleLambdaError):
+    """Segment count or evaluation budget of the direct search out of range."""

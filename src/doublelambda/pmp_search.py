@@ -10,11 +10,14 @@ multiplier normalized to ``mu = 1`` the costates are ``lambda_x = -1/(2y)``,
 :func:`verify_singular_arc` integrates the synthesized protocol with the
 generic fixed-step integrator and evaluates all of these conditions on the
 samples.  :func:`optimize_piecewise` attacks the same objective from the
-other side: a derivative-free simplex search over piecewise-linear angle
-profiles with free boundary jumps, evaluated through the closed-form segment
-propagator so that the comparison against the analytic optimum is exact to
-rounding.  Agreement of the two routes is evidence for (not a proof of)
-global optimality of the jump/singular-arc/jump structure.
+other side: a bounded quasi-Newton search (L-BFGS-B) over piecewise-linear
+angle profiles with free boundary jumps, evaluated through the closed-form
+segment propagator so that the comparison against the analytic optimum is
+exact to rounding.  Its gradient is the exact discrete adjoint of that
+propagator (:func:`piecewise_efficiency_and_grad`), not the PMP costates, so
+the search knows nothing of the singular arc.  Agreement of the two routes is
+evidence for (not a proof of) global optimality of the
+jump/singular-arc/jump structure.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .errors import InvalidAlpha, InvalidSearchSettings
 from .propagation import (
     IntegratorOptions,
     _rk4_linear,
@@ -197,6 +200,96 @@ def piecewise_efficiency(thetas: np.ndarray, alpha: float) -> float:
     return s * s
 
 
+#: Taylor coefficients (2n + 2)/(2n + 3)! of (dz cosh(k dz) - sinh(k dz)/k)/k^2
+#: in powers of k^2 dz^2, after the common factor dz^3.
+_DES_SERIES = tuple((2 * n + 2) / math.factorial(2 * n + 3) for n in range(7))
+
+
+def _segment_coefficients(u: float, dz: float) -> tuple[float, float, float, float]:
+    """``ec``, ``es`` of :func:`segment_step` and their derivatives in ``u``.
+
+    The segment matrix is ``[[ec + es/4, -u es], [u es, ec - es/4]]``.  The
+    value branches repeat :func:`segment_step`'s arithmetic operation for
+    operation, so a propagation through these coefficients is bit-identical
+    to one through :func:`segment_step`.  The copy is deliberate:
+    :func:`segment_step` also serves the sampled dominance check, thousands
+    of calls per density, which should not pay for the derivatives.
+    With ``k^2 = 1/16 - u^2`` the derivatives are ``d ec/du = -u dz es`` on
+    every branch and ``d es/du = -u (dz ec - es) / k^2``; the latter cancels
+    as ``k^2 dz^2 -> 0`` and is summed from its series there, which also
+    covers ``k = 0``.
+    """
+    k2 = 0.0625 - u * u
+    if k2 > 1e-14:
+        k = math.sqrt(k2)
+        grow = math.exp((k - 0.25) * dz)
+        m = -math.expm1(-2.0 * k * dz)
+        ec = grow * (1.0 - 0.5 * m)
+        es = grow * m / (2.0 * k)
+    elif k2 < -1e-14:
+        w = math.sqrt(-k2)
+        e = math.exp(-0.25 * dz)
+        ec = e * math.cos(w * dz)
+        es = e * math.sin(w * dz) / w
+    else:
+        ec = math.exp(-0.25 * dz)
+        es = ec * dz
+    q = k2 * dz * dz
+    if abs(q) < 0.5:
+        series = 0.0
+        for c in reversed(_DES_SERIES):
+            series = series * q + c
+        des = -u * math.exp(-0.25 * dz) * dz**3 * series
+    else:
+        des = -u * (dz * ec - es) / k2
+    return ec, es, -u * dz * es, des
+
+
+def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """:func:`piecewise_efficiency` and its exact gradient in the knots.
+
+    The gradient is the discrete adjoint of the segment propagator: a forward
+    pass stores the rotated-frame state at every knot, and a backward pass
+    carries ``d eta / d(y, x)`` through the transposed segment matrices,
+    collecting ``d eta / du`` of each segment on the way.  The slope of a
+    segment is ``(theta_i - theta_{i+1}) / dz``, and the entry and exit
+    angles also enter through the frame rotations at the two ends.  The
+    value equals :func:`piecewise_efficiency` bit for bit.  Knots are clipped
+    to [0, pi/2] like there; the gradient is that of the unclipped
+    expression, which is the one-sided derivative into the box at a bound.
+    """
+    th = np.clip(np.asarray(thetas, dtype=float), 0.0, HALF_PI).tolist()
+    n_seg = len(th) - 1
+    dz = alpha / n_seg
+    y = math.sin(th[0])
+    x = math.cos(th[0])
+    states = [(y, x)]
+    coeffs = []
+    for i in range(n_seg):
+        u = (th[i] - th[i + 1]) / dz
+        ec, es, dec, des = _segment_coefficients(u, dz)
+        y, x = (ec + 0.25 * es) * y - es * u * x, es * u * y + (ec - 0.25 * es) * x
+        states.append((y, x))
+        coeffs.append((u, ec, es, dec, des))
+    cos_n, sin_n = math.cos(th[-1]), math.sin(th[-1])
+    s = cos_n * y - sin_n * x
+
+    grad = np.empty(n_seg + 1)
+    grad[-1] = -2.0 * s * (sin_n * y + cos_n * x)
+    ly, lx = 2.0 * s * cos_n, -2.0 * s * sin_n  # d eta / d(y, x) at the exit
+    for i in range(n_seg - 1, -1, -1):
+        u, ec, es, dec, des = coeffs[i]
+        y, x = states[i]
+        dues = es + u * des  # d(u es)/du
+        g = (ly * ((dec + 0.25 * des) * y - dues * x)
+             + lx * (dues * y + (dec - 0.25 * des) * x)) / dz
+        grad[i + 1] -= g
+        grad[i] = g
+        ly, lx = (ec + 0.25 * es) * ly + es * u * lx, -es * u * ly + (ec - 0.25 * es) * lx
+    grad[0] += ly * math.cos(th[0]) - lx * math.sin(th[0])
+    return s * s, grad
+
+
 def sampled_profile_efficiencies(
     alpha: float, n_profiles: int, seed: int, n_knots: int = 17
 ) -> np.ndarray:
@@ -215,7 +308,11 @@ class _BudgetExceeded(Exception):
 
 
 class _BudgetedObjective:
-    """Counts evaluations, tracks the best point, enforces a hard budget."""
+    """Counts evaluations, tracks the best point, enforces a hard budget.
+
+    ``fun`` returns ``(value, gradient)``; one such fused call is one
+    evaluation.
+    """
 
     def __init__(self, fun, budget):
         self.fun = fun
@@ -228,11 +325,24 @@ class _BudgetedObjective:
         if self.count >= self.budget:
             raise _BudgetExceeded
         self.count += 1
-        f = self.fun(x)
+        f, g = self.fun(x)
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=float)
-        return f
+        return f, g
+
+
+#: Projected-gradient tolerance of the local runs, about sqrt(machine
+#: epsilon).  Near the optimum ``eta`` changes by ``g^2 / (2 H)`` for a
+#: gradient ``g``, so with ``eta`` known to about 1e-16 the line search
+#: cannot resolve a smaller gradient and would end in a failed search
+#: instead of a converged one.
+_GTOL = 1e-7
+
+
+def _negated_efficiency(thetas, alpha):
+    eta, grad = piecewise_efficiency_and_grad(thetas, alpha)
+    return -eta, -grad
 
 
 def optimize_piecewise(
@@ -242,71 +352,67 @@ def optimize_piecewise(
     budget: int = 200_000,
     n_starts: int = 3,
 ) -> SearchResult:
-    """Derivative-free simplex search over piecewise-linear angle profiles.
+    """Bounded quasi-Newton search over piecewise-linear angle profiles.
 
-    Multi-start Nelder-Mead (adaptive variant) over the knot values,
-    restarted from its own best point until the improvement stalls or the
-    evaluation budget runs out.  Deterministic for a given seed; ties between
-    starts resolve to the lowest start index.
+    Multi-start L-BFGS-B over the knot values, boxed to [0, pi/2], fed the
+    exact discrete-adjoint gradient of :func:`piecewise_efficiency_and_grad`.
+    The first start is the linear ramp from pi/2 to 0, the others are seeded
+    random decreasing profiles.  One evaluation is one fused value-and-gradient
+    call; ``budget`` caps their total over all starts, and a start that would
+    exceed it is cut off there.  ``restarts`` counts the local runs made, and
+    ``converged`` is true when every start ran and each local run reported
+    success.  Deterministic for a given seed; ties between starts resolve to
+    the lowest start index.
     """
+    if not math.isfinite(alpha) or alpha <= 0.0:
+        raise InvalidAlpha(f"optical density must be finite and positive, got {alpha}")
     if n_segments < 2:
-        raise ValueError("n_segments must be at least 2")
+        raise InvalidSearchSettings("n_segments must be at least 2")
     if budget < 1:
-        raise ValueError("budget must be positive")
+        raise InvalidSearchSettings("budget must be positive")
+    if n_starts < 1:
+        raise InvalidSearchSettings("n_starts must be at least 1")
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     n_knots = n_segments + 1
 
     starts = [np.linspace(HALF_PI, 0.0, n_knots)]
-    for _ in range(max(0, n_starts - 1)):
+    for _ in range(n_starts - 1):
         starts.append(np.sort(rng.uniform(0.0, HALF_PI, n_knots))[::-1].copy())
 
+    bounds = [(0.0, HALF_PI)] * n_knots
     best_eff = -np.inf
     best_knots = starts[0]
     best_start = 0
-    restarts = 0
+    runs = 0
     used = 0
-    exhausted = False
+    converged = True
     for idx, x0 in enumerate(starts):
         remaining = budget - used
         if remaining <= 0:
-            exhausted = True
+            converged = False
             break
-        objective = _BudgetedObjective(lambda th: -piecewise_efficiency(th, alpha), remaining)
-        xi = np.asarray(x0, dtype=float)
-        fi = None
+        objective = _BudgetedObjective(lambda th: _negated_efficiency(th, alpha), remaining)
+        runs += 1
         try:
-            # Restart the simplex from its own endpoint until it stalls:
-            # a fresh simplex escapes the degenerate shapes Nelder-Mead
-            # collapses into in higher dimensions.
-            while True:
-                res = minimize(
-                    objective,
-                    xi,
-                    method="Nelder-Mead",
-                    options={
-                        "maxfev": remaining - objective.count,
-                        "xatol": 1e-10,
-                        "fatol": 1e-13,
-                        "adaptive": True,
-                    },
-                )
-                restarts += 1
-                improved = fi is None or res.fun < fi - 1e-13
-                xi, fi = res.x, res.fun
-                if objective.count >= remaining:
-                    exhausted = True
-                    break
-                if not improved:
-                    break
+            res = minimize(
+                objective,
+                x0,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"maxfun": remaining, "maxiter": remaining,
+                         "ftol": 1e-15, "gtol": _GTOL},
+            )
+            converged = converged and bool(res.success)
         except _BudgetExceeded:
-            exhausted = True
+            converged = False
         used += objective.count
         if objective.best_x is not None and -objective.best_f > best_eff:
             best_eff = -objective.best_f
             best_knots = objective.best_x
             best_start = idx
-        if exhausted:
-            break
 
     thetas = np.clip(best_knots, 0.0, HALF_PI)
     zeta = np.linspace(0.0, alpha, n_knots)
@@ -316,8 +422,8 @@ def optimize_piecewise(
         knots=np.column_stack([zeta, thetas]),
         efficiency=float(piecewise_efficiency(thetas, alpha)),
         evaluations=used,
-        restarts=restarts,
-        converged=not exhausted,
+        restarts=runs,
+        converged=converged,
         best_start=best_start,
         seed=seed,
     )

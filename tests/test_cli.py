@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from doublelambda.cli import main
+from doublelambda.cli import build_parser, main
 
 EXPECTED_SIM_HEADER = [
     "zeta", "theta", "omega_c", "omega_d", "omega_p", "omega_s",
@@ -234,6 +234,24 @@ def test_search_long_segments_exit_zero(tmp_path):
     assert 0.0 <= rep["efficiency"] <= rep["closed_form_optimum"] + 1e-9
 
 
+@pytest.mark.parametrize("bad", [
+    ["--segments", "1"],
+    ["--budget", "0"],
+    ["--alpha", "0"],
+    ["--alpha", "-5"],
+    ["--starts", "0"],
+])
+def test_search_invalid_inputs_exit_two_before_work(tmp_path, capsys, bad):
+    out = tmp_path / "s.json"
+    args = ["search", "--alpha", "10", "--segments", "4", "--budget", "100",
+            "--out", str(out)]
+    # argparse keeps the last occurrence of a repeated scalar option
+    assert main(args + bad) == 2
+    assert not out.exists()
+    assert not (tmp_path / "s_profile.txt").exists()
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism of file outputs
 # ---------------------------------------------------------------------------
@@ -267,3 +285,26 @@ def test_usage_error_exit_code(capsys):
         main(["simulate", "--protocol", "bogus", "--alpha", "1", "--out", "x.csv"])
     assert exc.value.code == 2
     assert main(["simulate", "--protocol", "custom", "--out", "/tmp/x.csv"]) == 2
+
+
+def test_parser_built_once_without_leaking_appended_values(tmp_path):
+    assert build_parser() is build_parser()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["efficiency", "--alpha", "1", "--alpha", "2", "--protocol", "optimal",
+                 "--protocol", "constant", "--method", "closed", "--out", str(a)]) == 0
+    assert main(["efficiency", "--alpha", "3", "--protocol", "constant",
+                 "--method", "closed", "--out", str(b)]) == 0
+    _, rows_a = read_csv(a)
+    _, rows_b = read_csv(b)
+    assert [(r[0], r[1]) for r in rows_a] == [
+        ("1.0", "constant"), ("2.0", "constant"), ("1.0", "optimal"), ("2.0", "optimal"),
+    ]
+    assert [(r[0], r[1]) for r in rows_b] == [("3.0", "constant")]
+
+
+def test_cached_parser_dispatches_to_rebound_handler(monkeypatch):
+    import doublelambda.cli as cli
+
+    build_parser()
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: 7)
+    assert main(["simulate", "--alpha", "1", "--out", "unused.csv"]) == 7

@@ -1,7 +1,7 @@
 """Optimality structure along the singular arc and the independent search.
 
 The direct search is evidence, not proof, of global optimality: sampled
-profiles and simplex results must never exceed the closed-form optimum, and
+profiles and search results must never exceed the closed-form optimum, and
 the search must rediscover the analytic structure (linear interior, entry
 angle, slope) without being told about it.
 """
@@ -14,9 +14,12 @@ import pytest
 
 from doublelambda import (
     IntegratorOptions,
+    InvalidAlpha,
+    InvalidSearchSettings,
     optimal_efficiency_closed,
     optimize_piecewise,
     piecewise_efficiency,
+    piecewise_efficiency_and_grad,
     propagate_reduced,
     sampled_profile_efficiencies,
     singular_arc_checks,
@@ -108,6 +111,69 @@ def test_piecewise_efficiency_agrees_with_rk4():
 
 
 # ---------------------------------------------------------------------------
+# Discrete-adjoint gradient
+# ---------------------------------------------------------------------------
+
+def _fd_gradient(thetas, alpha, h=1e-4):
+    """Finite-difference gradient of piecewise_efficiency.
+
+    Fourth-order central differences inside the box; second-order one-sided
+    differences pointing into it for knots on a bound.
+    """
+    th = np.asarray(thetas, dtype=float)
+    grad = np.empty(th.size)
+    for i in range(th.size):
+        def f(d):
+            t = th.copy()
+            t[i] += d
+            return piecewise_efficiency(t, alpha)
+
+        if th[i] <= 0.0:
+            grad[i] = (-3.0 * f(0.0) + 4.0 * f(h) - f(2.0 * h)) / (2.0 * h)
+        elif th[i] >= np.pi / 2:
+            grad[i] = (3.0 * f(0.0) - 4.0 * f(-h) + f(-2.0 * h)) / (2.0 * h)
+        else:
+            grad[i] = (f(-2.0 * h) - 8.0 * f(-h) + 8.0 * f(h) - f(2.0 * h)) / (12.0 * h)
+    return grad
+
+
+def _assert_gradient_matches(thetas, alpha, h=1e-4):
+    eta, grad = piecewise_efficiency_and_grad(thetas, alpha)
+    assert eta == piecewise_efficiency(thetas, alpha)  # bit for bit
+    fd = _fd_gradient(thetas, alpha, h)
+    assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 10.0, 150.0, 6000.0])
+@pytest.mark.parametrize("n_segments", [2, 6, 24])
+def test_adjoint_gradient_matches_central_differences(alpha, n_segments):
+    rng = np.random.default_rng(n_segments)
+    for _ in range(3):
+        _assert_gradient_matches(rng.uniform(0.01, np.pi / 2 - 0.01, n_segments + 1), alpha)
+
+
+def test_adjoint_gradient_at_quarter_slope():
+    # u = 1/4 exactly: k^2 = 0, and the differences straddle the switch
+    # between the hyperbolic and trigonometric branches
+    for alpha, thetas in ((4.0, [1.25, 1.0, 0.75, 0.5, 0.25]), (2.0, [1.5, 1.25, 0.75])):
+        dz = alpha / (len(thetas) - 1)
+        assert (thetas[0] - thetas[1]) / dz == 0.25
+        _assert_gradient_matches(thetas, alpha, h=1e-5)
+
+
+def test_adjoint_gradient_with_knots_on_the_bounds():
+    for alpha in (0.5, 10.0, 100.0):
+        thetas = [np.pi / 2, np.pi / 2, 1.0, 0.3, 0.0, 0.0]
+        _assert_gradient_matches(thetas, alpha, h=1e-5)
+
+
+def test_adjoint_value_clips_like_piecewise_efficiency():
+    thetas = np.array([2.0, 1.2, 0.4, -0.3])
+    eta, _ = piecewise_efficiency_and_grad(thetas, 7.0)
+    assert eta == piecewise_efficiency(thetas, 7.0)
+
+
+# ---------------------------------------------------------------------------
 # Sampled dominance
 # ---------------------------------------------------------------------------
 
@@ -161,9 +227,9 @@ def test_search_recovers_linear_interior_and_slope_small_alpha():
 
 
 def test_search_budget_exhaustion_flag():
-    res = optimize_piecewise(10.0, 16, seed=0, budget=60)
+    res = optimize_piecewise(10.0, 16, seed=0, budget=5)
     assert not res.converged
-    assert res.evaluations <= 60
+    assert res.evaluations <= 5
 
 
 def test_search_validation():
@@ -171,6 +237,11 @@ def test_search_validation():
         optimize_piecewise(10.0, 1, seed=0, budget=100)
     with pytest.raises(ValueError):
         optimize_piecewise(10.0, 4, seed=0, budget=0)
+    with pytest.raises(InvalidSearchSettings):
+        optimize_piecewise(10.0, 4, seed=0, n_starts=0)
+    for alpha in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(InvalidAlpha):
+            optimize_piecewise(alpha, 4, seed=0, budget=100)
 
 
 def test_search_runtime_within_budget():
