@@ -62,16 +62,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _resolve_spec(args, alpha: float) -> ProtocolSpec:
-    kind = args.protocol
-    if kind == "custom":
-        if args.profile_file is None:
-            raise DoubleLambdaError("custom protocol requires --profile-file")
-        z, t = load_profile_table(args.profile_file)
-        return ProtocolSpec(kind="custom", alpha=alpha, knots=tuple(zip(z, t)))
-    return ProtocolSpec(kind=kind, alpha=alpha, zeta0=args.zeta0, zbar=args.zbar)
-
-
 def _integrator(args) -> IntegratorOptions:
     if args.steps_per_unit < 1:
         raise DoubleLambdaError("--steps-per-unit must be at least 1")
@@ -82,13 +72,14 @@ def cmd_simulate(args) -> int:
     if args.protocol == "custom":
         if args.profile_file is None:
             raise DoubleLambdaError("custom protocol requires --profile-file")
-        z, _ = load_profile_table(args.profile_file)
+        z, t = load_profile_table(args.profile_file)
         alpha = args.alpha if args.alpha is not None else float(z[-1])
+        spec = ProtocolSpec(kind="custom", alpha=float(alpha), knots=tuple(zip(z, t)))
     elif args.alpha is None:
         raise DoubleLambdaError("--alpha is required")
     else:
-        alpha = args.alpha
-    spec = _resolve_spec(args, float(alpha))
+        spec = ProtocolSpec(kind=args.protocol, alpha=float(args.alpha),
+                            zeta0=args.zeta0, zbar=args.zbar)
     profile = build_profile(spec)
     traj = propagate_reduced(profile, initial=FieldState(1.0, 0.0), opts=_integrator(args))
     oc, od = theta_to_controls(profile, traj.zeta)
@@ -209,6 +200,8 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise DoubleLambdaError("--samples must be at least 1")
     alphas = [float(a) for a in (args.alpha or [1.0, 10.0, 100.0])]
     for a in alphas:
         if a <= 0:

@@ -31,6 +31,7 @@ from .errors import InvalidAlpha, InvalidSearchSettings
 from .propagation import (
     IntegratorOptions,
     _rk4_linear,
+    _segment_exponential,
     _slope_matrices,
     propagate_adiabatic,
     schedule_from_profile,
@@ -189,8 +190,8 @@ def piecewise_efficiency(thetas: np.ndarray, alpha: float) -> float:
     clipped to [0, pi/2]); the boundary jumps from pi/2 and to 0 are free and
     do not affect the lab-frame fields.
     """
-    th = np.clip(np.asarray(thetas, dtype=float), 0.0, HALF_PI)
-    n_seg = th.size - 1
+    th = np.clip(np.asarray(thetas, dtype=float), 0.0, HALF_PI).tolist()
+    n_seg = len(th) - 1
     dz = alpha / n_seg
     y = math.sin(th[0])
     x = math.cos(th[0])
@@ -205,35 +206,15 @@ def piecewise_efficiency(thetas: np.ndarray, alpha: float) -> float:
 _DES_SERIES = tuple((2 * n + 2) / math.factorial(2 * n + 3) for n in range(7))
 
 
-def _segment_coefficients(u: float, dz: float) -> tuple[float, float, float, float]:
-    """``ec``, ``es`` of :func:`segment_step` and their derivatives in ``u``.
+def _segment_derivatives(u: float, dz: float, ec: float, es: float) -> tuple[float, float]:
+    """Derivatives in ``u`` of the :func:`_segment_exponential` pair ``ec, es``.
 
-    The segment matrix is ``[[ec + es/4, -u es], [u es, ec - es/4]]``.  The
-    value branches repeat :func:`segment_step`'s arithmetic operation for
-    operation, so a propagation through these coefficients is bit-identical
-    to one through :func:`segment_step`.  The copy is deliberate:
-    :func:`segment_step` also serves the sampled dominance check, thousands
-    of calls per density, which should not pay for the derivatives.
-    With ``k^2 = 1/16 - u^2`` the derivatives are ``d ec/du = -u dz es`` on
-    every branch and ``d es/du = -u (dz ec - es) / k^2``; the latter cancels
-    as ``k^2 dz^2 -> 0`` and is summed from its series there, which also
-    covers ``k = 0``.
+    With ``k^2 = 1/16 - u^2`` they are ``d ec/du = -u dz es`` on every branch
+    and ``d es/du = -u (dz ec - es) / k^2``; the latter cancels as
+    ``k^2 dz^2 -> 0`` and is summed from its series there, which also covers
+    ``k = 0``.
     """
     k2 = 0.0625 - u * u
-    if k2 > 1e-14:
-        k = math.sqrt(k2)
-        grow = math.exp((k - 0.25) * dz)
-        m = -math.expm1(-2.0 * k * dz)
-        ec = grow * (1.0 - 0.5 * m)
-        es = grow * m / (2.0 * k)
-    elif k2 < -1e-14:
-        w = math.sqrt(-k2)
-        e = math.exp(-0.25 * dz)
-        ec = e * math.cos(w * dz)
-        es = e * math.sin(w * dz) / w
-    else:
-        ec = math.exp(-0.25 * dz)
-        es = ec * dz
     q = k2 * dz * dz
     if abs(q) < 0.5:
         series = 0.0
@@ -242,7 +223,7 @@ def _segment_coefficients(u: float, dz: float) -> tuple[float, float, float, flo
         des = -u * math.exp(-0.25 * dz) * dz**3 * series
     else:
         des = -u * (dz * ec - es) / k2
-    return ec, es, -u * dz * es, des
+    return -u * dz * es, des
 
 
 def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
@@ -251,10 +232,11 @@ def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[flo
     The gradient is the discrete adjoint of the segment propagator: a forward
     pass stores the rotated-frame state at every knot, and a backward pass
     carries ``d eta / d(y, x)`` through the transposed segment matrices,
-    collecting ``d eta / du`` of each segment on the way.  The slope of a
-    segment is ``(theta_i - theta_{i+1}) / dz``, and the entry and exit
-    angles also enter through the frame rotations at the two ends.  The
-    value equals :func:`piecewise_efficiency` bit for bit.  Knots are clipped
+    collecting ``d eta / du`` of each segment on the way.  The segment
+    exponential is the one :func:`segment_step` uses; only its derivatives
+    in ``u`` are added here.  The slope of a segment is
+    ``(theta_i - theta_{i+1}) / dz``, and the entry and exit angles also
+    enter through the frame rotations at the two ends.  The value equals :func:`piecewise_efficiency` bit for bit.  Knots are clipped
     to [0, pi/2] like there; the gradient is that of the unclipped
     expression, which is the one-sided derivative into the box at a bound.
     """
@@ -267,7 +249,8 @@ def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[flo
     coeffs = []
     for i in range(n_seg):
         u = (th[i] - th[i + 1]) / dz
-        ec, es, dec, des = _segment_coefficients(u, dz)
+        ec, es = _segment_exponential(u, dz)
+        dec, des = _segment_derivatives(u, dz, ec, es)
         y, x = (ec + 0.25 * es) * y - es * u * x, es * u * y + (ec - 0.25 * es) * x
         states.append((y, x))
         coeffs.append((u, ec, es, dec, des))

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bloch_steady import DriveFields, Rates, projector_matrix, steady_coherences
-from .errors import NonFinite, ProfileDomainMismatch
+from .errors import DoubleLambdaError, NonFinite, ProfileDomainMismatch
 from .protocols import ThetaProfile
 
 
@@ -64,12 +64,18 @@ class AdiabaticState:
         return self.x**2 + self.y**2
 
 
+#: Most RK4 steps one propagation may take; far above any resolution in use,
+#: it turns a runaway request into an error before anything is allocated.
+MAX_STEPS = 10_000_000
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     """Fixed-step RK4 configuration.
 
     ``step_count`` overrides the resolution directly; otherwise the step
-    count is ``ceil(alpha * steps_per_unit)``.
+    count is ``ceil(alpha * steps_per_unit)``.  Either way it may not exceed
+    :data:`MAX_STEPS`.
     """
 
     step_count: int | None = None
@@ -78,13 +84,14 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.step_count is not None and self.step_count < 2:
             raise ValueError("step_count must be at least 2")
-        if self.steps_per_unit <= 0:
-            raise ValueError("steps_per_unit must be positive")
+        if not (math.isfinite(self.steps_per_unit) and self.steps_per_unit > 0):
+            raise DoubleLambdaError("steps_per_unit must be finite and positive")
 
     def resolve_steps(self, alpha: float) -> int:
-        if self.step_count is not None:
-            return self.step_count
-        return max(2, math.ceil(alpha * self.steps_per_unit))
+        n = alpha * self.steps_per_unit if self.step_count is None else self.step_count
+        if not n <= MAX_STEPS:
+            raise DoubleLambdaError(f"{n:g} RK4 steps requested, at most {MAX_STEPS} allowed")
+        return max(2, math.ceil(n))
 
 
 DEFAULT_OPTIONS = IntegratorOptions()
@@ -195,16 +202,6 @@ def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> l
     return grids
 
 
-def _validate_alpha(profile_alpha: float, alpha: float | None) -> float:
-    if alpha is None:
-        return profile_alpha
-    if abs(alpha - profile_alpha) > 1e-9 * max(1.0, profile_alpha):
-        raise ProfileDomainMismatch(
-            f"profile defined on [0, {profile_alpha}], propagation requested on [0, {alpha}]"
-        )
-    return profile_alpha
-
-
 #: Steps whose RK4 step matrices are built at once; bounds the kernel's
 #: working memory independently of the grid length.
 _BLOCK = 1024
@@ -277,7 +274,6 @@ def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
 
 def propagate_reduced(
     profile: ThetaProfile,
-    alpha: float | None = None,
     initial: FieldState = FieldState(1.0, 0.0),
     opts: IntegratorOptions = DEFAULT_OPTIONS,
 ) -> Trajectory:
@@ -287,8 +283,7 @@ def propagate_reduced(
     untouched: the state is carried across each breakpoint unchanged, so the
     trajectory is continuous there by construction.
     """
-    alpha = _validate_alpha(profile.alpha, alpha)
-    grids = _segment_grid(alpha, profile.breakpoints, opts.resolve_steps(alpha))
+    grids = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
     theta_fns = profile.segment_interiors
     if theta_fns is None:
         theta_fns = [profile.interior] * len(grids)
@@ -389,32 +384,41 @@ def propagate_exact(
 # Closed-form propagation for piecewise-linear profiles
 # ---------------------------------------------------------------------------
 
-def segment_step(y: float, x: float, u: float, dzeta: float) -> tuple[float, float]:
-    """Exact rotated-frame propagation over a constant-slope segment.
+def _segment_exponential(u: float, dzeta: float) -> tuple[float, float]:
+    """``(ec, es)`` of the constant-slope segment exponential.
 
-    The system matrix ``[[0, -u], [u, -1/2]]`` has the closed-form
-    exponential ``exp(-dz/4) [cosh(k dz) I + sinh(k dz)/k B]`` with
-    ``B = A + I/4`` and ``k^2 = 1/16 - u^2``; for ``u > 1/4`` the hyperbolic
-    pair continues to a trigonometric one, and at ``k = 0`` to its limit.
-    On the hyperbolic branch the damping is folded into the exponentials,
+    With ``k^2 = 1/16 - u^2``, ``ec = exp(-dz/4) cosh(k dz)`` and
+    ``es = exp(-dz/4) sinh(k dz)/k``; for ``u > 1/4`` the hyperbolic pair
+    continues to a trigonometric one, and at ``k = 0`` to its limit.  On the
+    hyperbolic branch the damping is folded into the exponentials,
     ``exp(-dz/4) cosh(k dz) = (e^{(k-1/4) dz} + e^{(-k-1/4) dz}) / 2`` with
-    ``k <= 1/4``, so long segments cannot overflow.
+    ``k <= 1/4``, so long segments cannot overflow.  This is the only place
+    the three branches are written; :func:`segment_step` and the adjoint
+    gradient of the profile search both build on it.
     """
     k2 = 0.0625 - u * u
     if k2 > 1e-14:
         k = math.sqrt(k2)
         grow = math.exp((k - 0.25) * dzeta)
         m = -math.expm1(-2.0 * k * dzeta)  # 1 - exp(-2 k dz)
-        ec = grow * (1.0 - 0.5 * m)
-        es = grow * m / (2.0 * k)
-    elif k2 < -1e-14:
+        return grow * (1.0 - 0.5 * m), grow * m / (2.0 * k)
+    if k2 < -1e-14:
         w = math.sqrt(-k2)
         e = math.exp(-0.25 * dzeta)
-        ec = e * math.cos(w * dzeta)
-        es = e * math.sin(w * dzeta) / w
-    else:
-        ec = math.exp(-0.25 * dzeta)
-        es = ec * dzeta
+        return e * math.cos(w * dzeta), e * math.sin(w * dzeta) / w
+    ec = math.exp(-0.25 * dzeta)
+    return ec, ec * dzeta
+
+
+def segment_step(y: float, x: float, u: float, dzeta: float) -> tuple[float, float]:
+    """Exact rotated-frame propagation over a constant-slope segment.
+
+    The system matrix ``A = [[0, -u], [u, -1/2]]`` has the closed-form
+    exponential ``exp(-dz/4) [cosh(k dz) I + sinh(k dz)/k B]`` with
+    ``B = A + I/4``, i.e. ``[[ec + es/4, -u es], [u es, ec - es/4]]`` in the
+    coefficients of :func:`_segment_exponential`.
+    """
+    ec, es = _segment_exponential(u, dzeta)
     return (
         (ec + 0.25 * es) * y - es * u * x,
         es * u * y + (ec - 0.25 * es) * x,

@@ -165,6 +165,14 @@ def test_verify_rejects_zero_alpha(tmp_path, capsys):
     assert "InvalidAlpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_rejects_samples_below_one(tmp_path, capsys, samples):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--alpha", "1", "--samples", samples, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_verify_coarse_steps_warn_not_fail(tmp_path):
     # deliberately coarse integration: any out-of-band convergence estimate
     # may only warn, never fail the run
@@ -285,6 +293,27 @@ def test_usage_error_exit_code(capsys):
         main(["simulate", "--protocol", "bogus", "--alpha", "1", "--out", "x.csv"])
     assert exc.value.code == 2
     assert main(["simulate", "--protocol", "custom", "--out", "/tmp/x.csv"]) == 2
+
+
+@pytest.mark.parametrize("spu", ["inf", "nan"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--alpha", "10"],
+    ["efficiency", "--alpha", "10"],
+    ["verify", "--alpha", "10", "--samples", "10"],
+])
+def test_non_finite_resolution_exits_two(tmp_path, capsys, command, spu):
+    out = tmp_path / "out"
+    assert main(command + ["--steps-per-unit", spu, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "steps_per_unit" in capsys.readouterr().err
+
+
+def test_simulate_step_cap_exits_two_before_allocating(tmp_path, capsys):
+    # the default 10 steps per unit would need 1e8 steps at alpha = 1e7
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--alpha", "1e7", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "RK4 steps requested" in capsys.readouterr().err
 
 
 def test_parser_built_once_without_leaking_appended_values(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from doublelambda import (
     AdiabaticState,
     ControlSchedule,
+    DoubleLambdaError,
     DriveFields,
     FieldState,
     IntegratorOptions,
@@ -37,7 +38,7 @@ from doublelambda import (
     tabulated_protocol,
     to_adiabatic,
 )
-from doublelambda.propagation import adiabatic_initial
+from doublelambda.propagation import MAX_STEPS, adiabatic_initial
 
 HALF_PI = np.pi / 2
 
@@ -110,11 +111,6 @@ def test_reduced_grid_spans_interval():
     assert traj.zeta[0] == 0.0
     assert traj.zeta[-1] == pytest.approx(7.0, abs=0)
     assert np.all(np.diff(traj.zeta) > 0)
-
-
-def test_reduced_alpha_mismatch_rejected():
-    with pytest.raises(ProfileDomainMismatch):
-        propagate_reduced(constant_protocol(5.0), alpha=6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +476,22 @@ def test_integrator_options_validation():
         IntegratorOptions(step_count=1)
     with pytest.raises(ValueError):
         IntegratorOptions(steps_per_unit=0.0)
+    for spu in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DoubleLambdaError):
+            IntegratorOptions(steps_per_unit=spu)
     assert IntegratorOptions().resolve_steps(0.01) == 2  # floor of two steps
+
+
+def test_resolved_step_count_is_capped():
+    assert MAX_STEPS >= 100 * 51_200  # far above the finest grid in this suite
+    assert IntegratorOptions(steps_per_unit=1.0).resolve_steps(MAX_STEPS) == MAX_STEPS
+    for opts, alpha in ((IntegratorOptions(), 1e7),
+                        (IntegratorOptions(steps_per_unit=1.0), float(MAX_STEPS + 1)),
+                        (IntegratorOptions(step_count=MAX_STEPS + 1), 1.0),
+                        (IntegratorOptions(), math.inf),
+                        (IntegratorOptions(), math.nan)):
+        with pytest.raises(DoubleLambdaError):
+            opts.resolve_steps(alpha)
 
 
 def test_dissipation_residual_requires_uniform_grid():

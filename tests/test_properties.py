@@ -15,7 +15,9 @@ from doublelambda import (
     optimal_efficiency_closed,
     optimal_protocol,
     optimize_piecewise,
+    piecewise_efficiency,
     propagate_piecewise_exact,
+    segment_step,
     tabulated_protocol,
 )
 
@@ -46,3 +48,25 @@ def test_search_never_beats_the_bound_and_reloads(alpha, n_segments, seed):
     z, theta = res.knots.T
     reloaded = propagate_piecewise_exact(tabulated_protocol(z, theta)).omega_s
     assert abs(reloaded) ** 2 == pytest.approx(res.efficiency, abs=1e-12)
+
+
+@PROPERTY
+@given(dz=log_uniform(1e-3, 1e3), e=st.floats(-1e-9, 1e-9),
+       y=st.floats(-1.0, 1.0), x=st.floats(-1.0, 1.0))
+def test_segment_step_continuous_across_zero_k(dz, e, y, x):
+    # u = 1/4 is k^2 = 0, where the hyperbolic and trigonometric branches meet
+    at = segment_step(y, x, 0.25, dz)
+    near = segment_step(y, x, 0.25 + e, dz)
+    for a, b in zip(near, at):
+        assert abs(a - b) <= 10.0 * abs(e)
+
+
+@PROPERTY
+@given(alpha=log_uniform(1e-3, 1e3),
+       thetas=st.lists(st.floats(0.0, np.pi / 2), min_size=3, max_size=33))
+def test_piecewise_efficiency_matches_uniform_knot_table(alpha, thetas):
+    eta = piecewise_efficiency(thetas, alpha)
+    assert 0.0 <= eta <= 1.0
+    z = np.linspace(0.0, alpha, len(thetas))
+    final = propagate_piecewise_exact(tabulated_protocol(z, thetas))
+    assert eta == pytest.approx(final.omega_s**2, abs=1e-12)
