@@ -10,7 +10,7 @@ Two routes are provided:
 
 * :func:`steady_coherences` solves the full 3x3 complex linear system
   exactly, for general decay rates ``Gamma31 != Gamma41`` and ground-state
-  dephasing ``Gamma21 >= 0``.
+  dephasing ``Gamma21 >= 0``, at one point or at a whole array of points.
 * :func:`first_order_coherences` evaluates the weak-field projector formula
   valid when both excited states decay at the same rate and the ground
   coherence is lossless; in that regime the two routes agree to machine
@@ -19,7 +19,6 @@ Two routes are provided:
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,31 +43,40 @@ class Rates:
 
 @dataclass(frozen=True)
 class DriveFields:
-    """Complex Rabi frequencies of the four driving fields."""
+    """Complex Rabi frequencies of the four driving fields.
 
-    omega_p: complex
-    omega_s: complex
-    omega_c: complex
-    omega_d: complex
+    Each entry is a scalar or an array; arrays broadcast against each other
+    and describe one point of the medium per element.
+    """
+
+    omega_p: complex | np.ndarray
+    omega_s: complex | np.ndarray
+    omega_c: complex | np.ndarray
+    omega_d: complex | np.ndarray
 
     def __post_init__(self):
         for name in ("omega_p", "omega_s", "omega_c", "omega_d"):
-            if not cmath.isfinite(complex(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise NonFinite(f"{name} is not finite")
 
     @property
-    def rabi(self) -> float:
+    def rabi(self) -> float | np.ndarray:
         """Generalized control Rabi frequency sqrt(|Omega_c|^2 + |Omega_d|^2)."""
-        return float(np.hypot(abs(self.omega_c), abs(self.omega_d)))
+        return _unbox(np.hypot(np.abs(self.omega_c), np.abs(self.omega_d)), float)
+
+
+def _unbox(x: np.ndarray, scalar=complex):
+    """``scalar(x)`` for a 0-d result, the array itself otherwise."""
+    return scalar(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
 class CoherenceSolution:
-    """Steady-state coherences at a single point in the medium."""
+    """Steady-state coherences: complex scalars, or arrays shaped like the fields."""
 
-    rho21: complex
-    rho31: complex
-    rho41: complex
+    rho21: complex | np.ndarray
+    rho31: complex | np.ndarray
+    rho41: complex | np.ndarray
 
 
 def projector_matrix(theta: float) -> np.ndarray:
@@ -88,53 +96,55 @@ def steady_coherences(fields: DriveFields, rates: Rates) -> CoherenceSolution:
 
     For ``gamma21 == 0`` the system is solved in closed form by eliminating
     rho31 and rho41 first (well conditioned down to vanishing control
-    amplitude); otherwise the generic complex 3x3 solve is used.
+    amplitude); otherwise by the generic complex 3x3 solve.  The fields may
+    be arrays: every point of their broadcast shape is solved at once, by
+    the same elementwise arithmetic (or one batched ``np.linalg.solve``), so
+    each element of the result equals the scalar solve at that point bit for
+    bit.  Scalar fields give complex scalars.
 
     Raises
     ------
     SingularSystem
-        If ``gamma21 == 0`` and both controls vanish: rho21 is then
-        undetermined because the preparation assumption fails.
+        If ``gamma21 == 0`` and both controls vanish at some point: rho21 is
+        then undetermined because the preparation assumption fails.
     NonFinite
-        If the solution overflows.
+        If the solution overflows at some point.
     """
     op, os_, oc, od = (
-        complex(fields.omega_p),
-        complex(fields.omega_s),
-        complex(fields.omega_c),
-        complex(fields.omega_d),
+        np.asarray(f, dtype=complex)
+        for f in (fields.omega_p, fields.omega_s, fields.omega_c, fields.omega_d)
     )
     g31, g41, g21 = rates.gamma31, rates.gamma41, rates.gamma21
 
-    omega_sq = abs(oc) ** 2 + abs(od) ** 2
-    if g21 == 0.0 and omega_sq == 0.0:
-        raise SingularSystem(
-            "gamma21 = 0 with both controls zero leaves rho21 undetermined"
-        )
+    with np.errstate(all="ignore"):  # overflow surfaces as NonFinite below
+        # not np.abs(.)**2: its complex loop rounds 0-d and array input
+        # differently, which would break the scalar/array agreement
+        oc_sq = oc.real**2 + oc.imag**2
+        od_sq = od.real**2 + od.imag**2
+        if g21 == 0.0:
+            if (oc_sq + od_sq == 0.0).any():
+                raise SingularSystem(
+                    "gamma21 = 0 with both controls zero leaves rho21 undetermined"
+                )
+            # Closed-form elimination; reduces to -(Oc* Op + Od* Os)/Omega^2
+            # when gamma31 == gamma41.
+            denom = oc_sq / g31 + od_sq / g41
+            rho21 = -(oc.conj() * op / g31 + od.conj() * os_ / g41) / denom
+            rho31 = 1j * (op + oc * rho21) / g31
+            rho41 = 1j * (os_ + od * rho21) / g41
+        else:
+            shape = np.broadcast_shapes(op.shape, os_.shape, oc.shape, od.shape)
+            a = np.zeros(shape + (3, 3), dtype=complex)
+            a[..., 0, 0], a[..., 1, 1], a[..., 2, 2] = g31, g41, g21
+            a[..., 0, 2], a[..., 1, 2] = -1j * oc, -1j * od
+            a[..., 2, 0], a[..., 2, 1] = -1j * oc.conj(), -1j * od.conj()
+            b = np.zeros(shape + (3, 1), dtype=complex)
+            b[..., 0, 0], b[..., 1, 0] = 1j * op, 1j * os_
+            rho31, rho41, rho21 = np.moveaxis(np.linalg.solve(a, b)[..., 0], -1, 0)
 
-    if g21 == 0.0:
-        # Closed-form elimination; reduces to -(Oc* Op + Od* Os)/Omega^2 when
-        # gamma31 == gamma41.
-        denom = abs(oc) ** 2 / g31 + abs(od) ** 2 / g41
-        rho21 = -(oc.conjugate() * op / g31 + od.conjugate() * os_ / g41) / denom
-        rho31 = 1j * (op + oc * rho21) / g31
-        rho41 = 1j * (os_ + od * rho21) / g41
-    else:
-        a = np.array(
-            [
-                [g31, 0.0, -1j * oc],
-                [0.0, g41, -1j * od],
-                [-1j * oc.conjugate(), -1j * od.conjugate(), g21],
-            ],
-            dtype=complex,
-        )
-        b = np.array([1j * op, 1j * os_, 0.0], dtype=complex)
-        rho31, rho41, rho21 = np.linalg.solve(a, b)
-
-    sol = CoherenceSolution(rho21=complex(rho21), rho31=complex(rho31), rho41=complex(rho41))
-    if not all(cmath.isfinite(r) for r in (sol.rho21, sol.rho31, sol.rho41)):
+    if not all(np.isfinite(r).all() for r in (rho21, rho31, rho41)):
         raise NonFinite("steady-state solve overflowed")
-    return sol
+    return CoherenceSolution(rho21=_unbox(rho21), rho31=_unbox(rho31), rho41=_unbox(rho41))
 
 
 def first_order_coherences(
@@ -156,11 +166,14 @@ def first_order_coherences(
 def coherence_residuals(
     fields: DriveFields, rates: Rates, sol: CoherenceSolution
 ) -> tuple[complex, complex, complex]:
-    """Residuals of the three steady-state equations for a candidate solution."""
-    r1 = 1j * (fields.omega_p + fields.omega_c * sol.rho21) - rates.gamma31 * sol.rho31
-    r2 = 1j * (fields.omega_s + fields.omega_d * sol.rho21) - rates.gamma41 * sol.rho41
-    r3 = (
-        1j * (np.conjugate(fields.omega_c) * sol.rho31 + np.conjugate(fields.omega_d) * sol.rho41)
-        - rates.gamma21 * sol.rho21
+    """Residuals of the three steady-state equations for a candidate solution.
+
+    Complex scalars for scalar fields, arrays of the broadcast shape otherwise.
+    """
+    op, os_, oc, od = (
+        np.asarray(f) for f in (fields.omega_p, fields.omega_s, fields.omega_c, fields.omega_d)
     )
-    return complex(r1), complex(r2), complex(r3)
+    r1 = 1j * (op + oc * sol.rho21) - rates.gamma31 * sol.rho31
+    r2 = 1j * (os_ + od * sol.rho21) - rates.gamma41 * sol.rho41
+    r3 = 1j * (oc.conj() * sol.rho31 + od.conj() * sol.rho41) - rates.gamma21 * sol.rho21
+    return _unbox(r1), _unbox(r2), _unbox(r3)

@@ -84,19 +84,21 @@ def cmd_simulate(args) -> int:
     traj = propagate_reduced(profile, initial=FieldState(1.0, 0.0), opts=_integrator(args))
     oc, od = theta_to_controls(profile, traj.zeta)
 
+    columns = [np.real(c).tolist()
+               for c in (traj.zeta, traj.theta, oc, od, traj.omega_p, traj.omega_s)]
+
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["zeta", "theta", "omega_c", "omega_d", "omega_p", "omega_s",
              "intensity_p", "intensity_s", "norm"]
         )
-        for i in range(traj.zeta.size):
-            p = float(np.real(traj.omega_p[i]))
-            s = float(np.real(traj.omega_s[i]))
-            writer.writerow(
-                [_fmt(traj.zeta[i]), _fmt(traj.theta[i]), _fmt(oc[i]), _fmt(od[i]),
-                 _fmt(p), _fmt(s), _fmt(p * p), _fmt(s * s), _fmt(p * p + s * s)]
-            )
+        # Python floats throughout; repr is the full-precision field of _fmt
+        writer.writerows(
+            [repr(z), repr(t), repr(c), repr(d), repr(p), repr(s),
+             repr(p * p), repr(s * s), repr(p * p + s * s)]
+            for z, t, c, d, p, s in zip(*columns)
+        )
     return 0
 
 
@@ -106,6 +108,9 @@ def cmd_efficiency(args) -> int:
     else:
         if args.alpha_min is None or args.alpha_max is None:
             raise DoubleLambdaError("give --alpha or --alpha-min/--alpha-max/--alpha-steps")
+        for flag, bound in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
+            if not math.isfinite(bound):
+                raise InvalidAlpha(f"{flag} must be finite, got {bound}")
         if args.alpha_min <= 0:
             raise InvalidAlpha("alpha range must start above 0")
         if args.alpha_steps < 1:
@@ -155,13 +160,8 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
     for kind in ("optimal", "constant", "adiabatic"):
         spec = ProtocolSpec(kind=kind, alpha=alpha, zeta0=alpha / 2.0, zbar=5.0)
         profile = build_profile(spec)
-
-        def ctrl(z, _p=profile):
-            th = float(_p.theta(z))
-            return math.sin(th), math.cos(th)
-
-        tr_exact = propagate_exact(ctrl, alpha, Rates(), opts=opts,
-                                   breakpoints=profile.breakpoints)
+        tr_exact = propagate_exact(functools.partial(theta_to_controls, profile), alpha,
+                                   Rates(), opts=opts, breakpoints=profile.breakpoints)
         tr_reduced = propagate_reduced(profile, opts=opts)
         diff = max(
             abs(complex(tr_exact.omega_p[-1]) - tr_reduced.omega_p[-1]),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidAlpha
 from .propagation import FieldState, IntegratorOptions, DEFAULT_OPTIONS, propagate_reduced
-from .protocols import ProtocolSpec, build_profile, singular_slope, solve_theta0
+from .protocols import ProtocolSpec, build_profile, theta0_complement
 
 
 @dataclass
@@ -45,15 +45,21 @@ class EfficiencyReport:
 
 
 def optimal_efficiency_closed(alpha: float) -> float:
-    """Conversion efficiency of the jump/singular-arc/jump protocol."""
+    """Conversion efficiency of the jump/singular-arc/jump protocol.
+
+    Evaluated in ``e = pi/2 - theta0``, where ``cos(theta0) = sin(e)`` and
+    ``sin(2 theta0) = sin(2 e)``: ``eta = exp(-alpha sin^2 e) sin^2(u_s alpha)``
+    stays accurate where ``theta0`` rounds to pi/2 and tends to
+    ``1 - pi^2/alpha``.  By the optimality condition ``u_s alpha = pi/2 - 2 e``,
+    so ``sin(u_s alpha) = cos(2 e)``; the sine of the small product is kept
+    because ``cos(2 e)`` cancels where ``e`` nears pi/4, at small ``alpha``.
+    """
     if alpha < 0:
         raise InvalidAlpha(f"optical density must be non-negative, got {alpha}")
     if alpha == 0:
         return 0.0
-    theta0 = solve_theta0(alpha)
-    u_s = singular_slope(theta0)
-    gamma = 0.5 * math.cos(theta0) ** 2
-    return math.exp(-2.0 * gamma * alpha) * math.sin(u_s * alpha) ** 2
+    e = theta0_complement(alpha)
+    return math.exp(-alpha * math.sin(e) ** 2) * math.sin(0.25 * alpha * math.sin(2.0 * e)) ** 2
 
 
 def constant_efficiency_closed(alpha: float) -> float:

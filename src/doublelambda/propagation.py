@@ -213,17 +213,19 @@ def _rk4_linear(
     """Classical RK4 for the linear system ``dv/dzeta = A(zeta) v`` on one grid.
 
     ``matrices(z)`` returns ``A`` at the points ``z`` as an ``(n, 2, 2)``
-    array; it is evaluated on the grid and at the step midpoints.  Linearity
-    folds the four stages of a step into one matrix
-    ``R = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` with ``K1 = A(zeta)``,
-    ``K2 = A(zeta + h/2) (I + h/2 K1)``, ``K3 = A(zeta + h/2) (I + h/2 K2)``
-    and ``K4 = A(zeta + h) (I + h K3)``, built with numpy for a block of
-    steps at a time.  The steps are applied in order, carrying one state, so
-    rounding accumulates as in a stage-by-stage integration.  Returns the
+    array; it is evaluated on the grid and at the step midpoints, two calls
+    per block of up to :data:`_BLOCK` steps.  Linearity folds the four
+    stages of a step into one matrix ``R = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``
+    with ``K1 = A(zeta)``, ``K2 = A(zeta + h/2) (I + h/2 K1)``,
+    ``K3 = A(zeta + h/2) (I + h/2 K2)`` and ``K4 = A(zeta + h) (I + h K3)``,
+    built with numpy for the whole block.  The steps are then applied in
+    order on Python floats (or complex numbers), carrying one state, so
+    rounding accumulates as in a stage-by-stage integration; a prefix-product
+    scan would be faster but loses accuracy at large ``alpha``.  Returns the
     ``(len(grid) - 1, 2)`` states after each step.
     """
     eye = np.eye(2)
-    v = np.asarray(v0)
+    p, q = np.asarray(v0).tolist()
     blocks = []
     for lo in range(0, grid.size - 1, _BLOCK):
         z = grid[lo : lo + _BLOCK + 1]
@@ -237,10 +239,12 @@ def _rk4_linear(
             r += weight * k
         r *= h / 6.0
         r += eye
-        out = np.empty((r.shape[0], 2), dtype=np.result_type(r, v))
-        for i in range(r.shape[0]):
-            v = out[i] = r[i] @ v
-        blocks.append(out)
+        out = []
+        extend = out.extend
+        for r00, r01, r10, r11 in r.reshape(-1, 4).tolist():
+            p, q = r00 * p + r01 * q, r10 * p + r11 * q
+            extend((p, q))
+        blocks.append(np.array(out, dtype=np.result_type(r, v0)).reshape(-1, 2))
     return np.concatenate(blocks)
 
 
@@ -341,7 +345,7 @@ def propagate_adiabatic(
 
 
 def propagate_exact(
-    controls: Callable[[float], tuple[complex, complex]],
+    controls: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     alpha: float,
     rates: Rates = Rates(),
     initial: FieldState = FieldState(1.0, 0.0),
@@ -350,10 +354,14 @@ def propagate_exact(
 ) -> Trajectory:
     """Integrate the field equations closed by the exact coherence solve.
 
-    ``controls`` maps ``zeta`` to the complex pair ``(Omega_c, Omega_d)``.
-    The steady coherences are linear in the weak fields, so the columns of
-    the system matrix are ``i gamma/2 rho`` from the steady-state solve at
-    unit probe and at unit signal, taken at the local controls.  Under the
+    ``controls`` maps an array of positions ``zeta`` to the complex control
+    envelopes ``(Omega_c, Omega_d)`` there, as two arrays (or scalars, which
+    are broadcast over ``zeta``); for a mixing-angle profile,
+    ``lambda z: theta_to_controls(profile, z)``.  The steady coherences are
+    linear in the weak fields, so the columns of the system matrix are
+    ``i gamma/2 rho`` from the steady-state solve at unit probe and at unit
+    signal, taken at the local controls: one array solve per evaluation of
+    ``A`` on a block of points, both unit fields stacked.  Under the
     reduction assumptions (equal decay rates, no dephasing, real controls)
     the matrix is ``-1/2 P(theta)`` and this reproduces
     :func:`propagate_reduced` to rounding.
@@ -361,16 +369,14 @@ def propagate_exact(
     if alpha < 0:
         raise ProfileDomainMismatch("alpha must be non-negative")
     g31, g41 = rates.gamma31, rates.gamma41
+    # unit probe and unit signal, one row each, against the controls' points
+    unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
 
     def matrices(z):
-        a = np.empty((len(z), 2, 2), dtype=complex)
-        for i, zi in enumerate(z):
-            oc, od = controls(zi)
-            for j, (p, s) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-                sol = steady_coherences(DriveFields(p, s, oc, od), rates)
-                a[i, 0, j] = 0.5j * g31 * sol.rho31
-                a[i, 1, j] = 0.5j * g41 * sol.rho41
-        return a
+        oc, od = (np.broadcast_to(c, z.shape) for c in controls(z))
+        sol = steady_coherences(DriveFields(unit_p, unit_s, oc, od), rates)
+        # sol.rho31[j, i]: coherence at point i driven by unit field j (column j)
+        return np.moveaxis(np.stack([0.5j * g31 * sol.rho31, 0.5j * g41 * sol.rho41]), -1, 0)
 
     v0 = np.array([initial.omega_p, initial.omega_s], dtype=complex)
     if not np.all(np.isfinite(v0)):

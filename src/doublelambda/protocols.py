@@ -35,8 +35,8 @@ from .errors import InvalidAlpha, InvalidZbar, ProfileDomainMismatch
 HALF_PI = math.pi / 2
 
 #: Iteration cap for the bisection solve of the optimal entry angle.  The
-#: bracket hits the float64 limit (well under the nominal 1e-12 width) long
-#: before the cap.
+#: bracket spans at most a factor of two and hits the float64 limit after
+#: about 55 halvings, long before the cap.
 _BISECT_MAX_ITER = 200
 
 
@@ -122,32 +122,43 @@ def theta0_residual(theta0, alpha):
     return (alpha / 4.0) * np.sin(2.0 * np.asarray(theta0)) - 2.0 * np.asarray(theta0) + HALF_PI
 
 
-def solve_theta0(alpha: float) -> float:
-    """Entry angle of the optimal protocol, from the transcendental equation.
+def theta0_complement(alpha: float) -> float:
+    """``pi/2 - theta0`` of the optimal protocol, to full relative precision.
 
-    The residual is positive at pi/4 (value alpha/4) and negative at pi/2
-    (value -pi/2) and crosses zero exactly once in between; plain bisection
-    therefore converges unconditionally.  The bracket is tightened to the
-    float64 limit so the returned root has residual at the rounding floor,
-    ~(alpha/2) * eps.
+    In ``e = pi/2 - theta0`` the optimality condition reads
+    ``g(e) = (alpha/4) sin(2 e) + 2 e - pi/2 = 0``, with ``g`` increasing on
+    [0, pi/4].  Since ``sin(2 e) <= 2 e``, ``g(pi/(alpha + 4)) <= 0``; and
+    ``g > 0`` at ``min(pi/4, pi/alpha)``.  This bracket spans at most a
+    factor of two for every finite ``alpha > 0`` (the root tends to
+    ``pi/alpha`` as ``alpha`` grows), so bisection to adjacent floats takes
+    a few dozen halvings and keeps ``e`` accurate where ``theta0`` itself
+    rounds to pi/2.
     """
     alpha = _check_alpha(alpha)
-    lo, hi = math.pi / 4, HALF_PI
-    f_lo = float(theta0_residual(lo, alpha))
-    if not (f_lo > 0 and float(theta0_residual(hi, alpha)) < 0):
-        raise RuntimeError("root bracket lost; residual signs unexpected")
+    lo, hi = math.pi / (alpha + 4.0), min(math.pi / 4, math.pi / alpha)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket collapsed to adjacent floats
-        f_mid = float(theta0_residual(mid, alpha))
-        if f_mid > 0:
+        g_mid = 0.25 * alpha * math.sin(2.0 * mid) + 2.0 * mid - HALF_PI
+        if g_mid < 0:
             lo = mid
-        elif f_mid < 0:
+        elif g_mid > 0:
             hi = mid
         else:
             return mid
     return 0.5 * (lo + hi)
+
+
+def solve_theta0(alpha: float) -> float:
+    """Entry angle of the optimal protocol, from the transcendental equation.
+
+    The residual ``(alpha/4) sin(2 t) - 2 t + pi/2`` is positive at pi/4 and
+    negative at pi/2 and crosses zero exactly once in between; the root is
+    ``pi/2 - theta0_complement(alpha)``, whose residual sits at the
+    rounding floor, ~(alpha/2) * eps.
+    """
+    return HALF_PI - theta0_complement(alpha)
 
 
 def singular_slope(theta0: float) -> float:

@@ -110,8 +110,8 @@ def test_criterion_5_oracle_equivalence():
         ]
         for prof in profiles:
             def ctrl(z, _p=prof):
-                th = float(_p.theta(z))
-                return math.sin(th), math.cos(th)
+                th = _p.theta(z)
+                return np.sin(th), np.cos(th)
 
             tr_e = propagate_exact(ctrl, alpha, Rates(1.0, 1.0, 0.0))
             tr_r = propagate_reduced(prof)

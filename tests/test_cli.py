@@ -133,6 +133,21 @@ def test_efficiency_usage_errors(tmp_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
+def test_efficiency_non_finite_range_exits_two(tmp_path, capsys, flag, value):
+    # checked before the grid is built, so numpy warns about nothing
+    bounds = {"--alpha-min": "1", "--alpha-max": "10", flag: value}
+    out = tmp_path / "eff.csv"
+    argv = ["efficiency", "--out", str(out)]
+    for name, bound in bounds.items():
+        argv += [name, bound]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "InvalidAlpha" in err and flag in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -240,6 +255,14 @@ def test_search_long_segments_exit_zero(tmp_path):
                  "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert 0.0 <= rep["efficiency"] <= rep["closed_form_optimum"] + 1e-9
+
+
+def test_search_at_huge_alpha_exit_zero(tmp_path):
+    # the closed-form optimum stays defined where theta0 rounds to pi/2
+    out = tmp_path / "s.json"
+    assert main(["search", "--alpha", "1e300", "--segments", "2", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert 0.0 <= rep["efficiency"] <= rep["closed_form_optimum"] <= 1.0
 
 
 @pytest.mark.parametrize("bad", [

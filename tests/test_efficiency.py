@@ -44,6 +44,14 @@ def test_optimal_small_alpha_quadratic():
     assert optimal_efficiency_closed(alpha) == pytest.approx(alpha**2 / 16, rel=0.01)
 
 
+@pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-4, 1e-3])
+def test_optimal_small_alpha_series(alpha):
+    # eta = alpha^2/16 (1 - alpha/2 + alpha^2/6 + O(alpha^3)), to full
+    # relative precision while theta0 nears pi/4
+    ratio = optimal_efficiency_closed(alpha) / (alpha**2 / 16)
+    assert abs(ratio - (1.0 - alpha / 2 + alpha**2 / 6)) <= 1e-14 + alpha**3
+
+
 def test_constant_small_alpha_quadratic():
     alpha = 0.01
     assert constant_efficiency_closed(alpha) == pytest.approx(
@@ -56,6 +64,14 @@ def test_large_alpha_deficit():
     deficit = math.pi**2 / alpha
     assert abs((1.0 - optimal_efficiency_closed(alpha)) - deficit) < 0.01 * deficit
     assert abs((1.0 - constant_efficiency_closed(alpha)) - deficit) < 0.01 * deficit
+
+
+@pytest.mark.parametrize("alpha", [1e4, 1e10, 1e15, 1e20, 1e100, 1e300])
+def test_optimal_deficit_to_second_order_at_any_alpha(alpha):
+    # eta = 1 - pi^2/alpha + O(1/alpha^2); far out, theta0 rounds to pi/2
+    # and only its complement carries the deficit
+    eta = optimal_efficiency_closed(alpha)
+    assert abs(eta - (1.0 - math.pi**2 / alpha)) <= 2e-16 + 200.0 / alpha / alpha
 
 
 def test_small_alpha_ratio_of_leading_coefficients():

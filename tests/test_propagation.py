@@ -287,8 +287,8 @@ def test_exact_no_controls_pure_absorption():
 
 def controls_of(profile):
     def ctrl(z):
-        th = float(profile.theta(z))
-        return math.sin(th), math.cos(th)
+        th = profile.theta(z)
+        return np.sin(th), np.cos(th)
 
     return ctrl
 
@@ -330,8 +330,8 @@ def test_exact_route_reference_efficiencies_at_100():
 
     def sigmoid_controls(z):
         return (
-            (1.0 + math.exp((z - zeta0) / zbar)) ** -0.5,
-            (1.0 + math.exp(-(z - zeta0) / zbar)) ** -0.5,
+            (1.0 + np.exp((z - zeta0) / zbar)) ** -0.5,
+            (1.0 + np.exp(-(z - zeta0) / zbar)) ** -0.5,
         )
 
     tr = propagate_exact(sigmoid_controls, 100.0, Rates())
@@ -369,8 +369,8 @@ def test_exact_route_general_rates_matches_staged_rk4():
     phase = cmath.exp(0.7j)
 
     def ctrl(z):
-        th = float(prof.theta(z))
-        return phase * math.sin(th), math.cos(th)
+        th = prof.theta(z)
+        return phase * np.sin(th), np.cos(th)
 
     def rhs(f, z):
         oc, od = ctrl(z)
@@ -404,8 +404,8 @@ def test_final_state_keeps_complex_amplitudes():
     prof = constant_protocol(10.0)
 
     def ctrl(z):
-        th = float(prof.theta(z))
-        return 1j * math.sin(th), math.cos(th)
+        th = prof.theta(z)
+        return 1j * np.sin(th), np.cos(th)
 
     traj = propagate_exact(ctrl, 10.0, Rates())
     fs = traj.final_state

@@ -15,6 +15,7 @@ from doublelambda import (
     optimal_protocol,
     singular_slope,
     solve_theta0,
+    theta0_complement,
     tabulated_protocol,
     theta_to_controls,
 )
@@ -53,6 +54,16 @@ def test_theta0_residual_at_root():
         t0 = solve_theta0(alpha)
         assert abs(theta0_residual(t0, alpha)) < 1e-12
         assert np.pi / 4 < t0 < np.pi / 2
+
+
+def test_theta0_complement_solves_the_condition_at_any_alpha():
+    # in e = pi/2 - theta0 the condition is (alpha/4) sin(2e) + 2e = pi/2;
+    # e keeps its relative precision where theta0 rounds to pi/2
+    for alpha in np.geomspace(1e-300, 1e300, 61):
+        e = theta0_complement(alpha)
+        assert 0.0 < e <= math.pi / 4
+        assert abs(0.25 * alpha * math.sin(2.0 * e) + 2.0 * e - HALF_PI) <= 1e-15
+        assert solve_theta0(alpha) == HALF_PI - e
 
 
 def test_residual_bracketing_signs():
