@@ -59,15 +59,10 @@ class DriveFields:
             if not np.isfinite(getattr(self, name)).all():
                 raise NonFinite(f"{name} is not finite")
 
-    @property
-    def rabi(self) -> float | np.ndarray:
-        """Generalized control Rabi frequency sqrt(|Omega_c|^2 + |Omega_d|^2)."""
-        return _unbox(np.hypot(np.abs(self.omega_c), np.abs(self.omega_d)), float)
 
-
-def _unbox(x: np.ndarray, scalar=complex):
-    """``scalar(x)`` for a 0-d result, the array itself otherwise."""
-    return scalar(x) if np.ndim(x) == 0 else x
+def _unbox(x: np.ndarray):
+    """``complex(x)`` for a 0-d result, the array itself otherwise."""
+    return complex(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)

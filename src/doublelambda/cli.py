@@ -47,6 +47,7 @@ from .propagation import (
 )
 from .protocols import (
     ProtocolSpec,
+    _check_alpha,
     build_profile,
     load_profile_table,
     theta_to_controls,
@@ -104,7 +105,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_efficiency(args) -> int:
     if args.alpha:
-        alphas = [float(a) for a in args.alpha]
+        alphas = [_check_alpha(a) for a in args.alpha]
     else:
         if args.alpha_min is None or args.alpha_max is None:
             raise DoubleLambdaError("give --alpha or --alpha-min/--alpha-max/--alpha-steps")
@@ -127,9 +128,7 @@ def cmd_efficiency(args) -> int:
                 eta_closed = closed_efficiency(kind, alpha)
             eta_numeric = None
             if args.method in ("numeric", "both"):
-                spec = ProtocolSpec(kind=kind, alpha=alpha,
-                                    zeta0=args.zeta0 if args.zeta0 is not None else alpha / 2.0,
-                                    zbar=args.zbar)
+                spec = ProtocolSpec(kind=kind, alpha=alpha, zeta0=args.zeta0, zbar=args.zbar)
                 eta_numeric = numerical_efficiency(spec, opts).eta_numeric
             rows.append([_fmt(alpha), kind, _fmt(eta_closed), _fmt(eta_numeric)])
 
@@ -158,8 +157,7 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
 
     # Reduced vs microscopically closed propagation, all three protocols.
     for kind in ("optimal", "constant", "adiabatic"):
-        spec = ProtocolSpec(kind=kind, alpha=alpha, zeta0=alpha / 2.0, zbar=5.0)
-        profile = build_profile(spec)
+        profile = build_profile(ProtocolSpec(kind, alpha))
         tr_exact = propagate_exact(functools.partial(theta_to_controls, profile), alpha,
                                    Rates(), opts=opts, breakpoints=profile.breakpoints)
         tr_reduced = propagate_reduced(profile, opts=opts)
@@ -202,10 +200,7 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise DoubleLambdaError("--samples must be at least 1")
-    alphas = [float(a) for a in (args.alpha or [1.0, 10.0, 100.0])]
-    for a in alphas:
-        if a <= 0:
-            raise InvalidAlpha(f"optical density must be positive, got {a}")
+    alphas = [_check_alpha(a) for a in (args.alpha or [1.0, 10.0, 100.0])]
     checks = [c for a in alphas for c in _verify_one_alpha(a, args)]
     passed = all(c["status"] != "fail" for c in checks)
     report = {
@@ -308,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eff.add_argument("--alpha-max", type=float, default=None)
     p_eff.add_argument("--alpha-steps", type=int, default=200)
     p_eff.add_argument("--method", choices=("closed", "numeric", "both"), default="both")
-    p_eff.add_argument("--zeta0", type=float, default=None)
-    p_eff.add_argument("--zbar", type=float, default=5.0)
+    p_eff.add_argument("--zeta0", type=float, default=None,
+                       help="adiabatic midpoint (default alpha/2)")
+    p_eff.add_argument("--zbar", type=float, default=None,
+                       help="adiabatic length scale (default 5)")
     p_eff.add_argument("--out", required=True)
     common(p_eff)
 

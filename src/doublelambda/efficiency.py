@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidAlpha
 from .propagation import FieldState, IntegratorOptions, DEFAULT_OPTIONS, propagate_reduced
-from .protocols import ProtocolSpec, build_profile, theta0_complement
+from .protocols import ProtocolSpec, _check_alpha, build_profile, theta0_complement
 
 
 @dataclass
@@ -54,8 +53,6 @@ def optimal_efficiency_closed(alpha: float) -> float:
     so ``sin(u_s alpha) = cos(2 e)``; the sine of the small product is kept
     because ``cos(2 e)`` cancels where ``e`` nears pi/4, at small ``alpha``.
     """
-    if alpha < 0:
-        raise InvalidAlpha(f"optical density must be non-negative, got {alpha}")
     if alpha == 0:
         return 0.0
     e = theta0_complement(alpha)
@@ -68,8 +65,7 @@ def constant_efficiency_closed(alpha: float) -> float:
     Evaluated in log space so the hyperbolic branch does not overflow for
     large optical densities.
     """
-    if alpha <= 0:
-        raise InvalidAlpha(f"optical density must be positive, got {alpha}")
+    alpha = _check_alpha(alpha)
     u = math.pi / (2.0 * alpha)
     k2 = 0.0625 - u * u
     if k2 > 1e-14:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAlpha, InvalidSearchSettings
+from .errors import InvalidSearchSettings
 from .propagation import (
     IntegratorOptions,
     _rk4_linear,
@@ -37,7 +37,7 @@ from .propagation import (
     schedule_from_profile,
     segment_step,
 )
-from .protocols import HALF_PI, optimal_protocol
+from .protocols import HALF_PI, _check_alpha, optimal_protocol
 
 #: Default resolution for arc verification; the ratio check divides small
 #: numbers, so the arc is integrated finer than the propagation default.
@@ -136,28 +136,20 @@ def singular_arc_checks(arc: AdjointState) -> dict[str, float]:
     # amplifies by exp(alpha/2) when integrated forward; the backward
     # direction is the contraction and gives a meaningful residual at any
     # optical density.
-    checks["adjoint_integration_error"] = integrate_adjoint_along_arc(arc, direction="backward")
+    checks["adjoint_integration_error"] = integrate_adjoint_along_arc(arc)
     return checks
 
 
-def integrate_adjoint_along_arc(arc: AdjointState, direction: str = "backward") -> float:
+def integrate_adjoint_along_arc(arc: AdjointState) -> float:
     """Max deviation of RK4-integrated costates from their closed form.
 
-    ``direction='forward'`` starts from the closed-form costate just inside
-    the entry jump; it is only meaningful while ``exp(alpha/2)`` rounding
-    amplification stays below the tolerance of interest.  ``'backward'``
-    starts at the exit end and integrates against the lossy mode, which is
-    numerically stable for any ``alpha``.
+    The integration starts from the closed-form costate at the exit end and
+    runs backward, against the lossy mode, which is numerically stable for
+    any ``alpha``.
     """
-    if direction == "forward":
-        order = slice(None)
-    elif direction == "backward":
-        order = slice(None, None, -1)
-    else:
-        raise ValueError(f"unknown direction '{direction}'")
     # (lambda_y, lambda_x)' = [[0, -u], [u, 1/2]] (lambda_y, lambda_x)
-    z = arc.zeta[order]
-    exact = np.column_stack([arc.lambda_y, arc.lambda_x])[order]
+    z = arc.zeta[::-1]
+    exact = np.column_stack([arc.lambda_y, arc.lambda_x])[::-1]
     lam = _rk4_linear(
         lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5), z, exact[0]
     )
@@ -347,8 +339,7 @@ def optimize_piecewise(
     success.  Deterministic for a given seed; ties between starts resolve to
     the lowest start index.
     """
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise InvalidAlpha(f"optical density must be finite and positive, got {alpha}")
+    alpha = _check_alpha(alpha)
     if n_segments < 2:
         raise InvalidSearchSettings("n_segments must be at least 2")
     if budget < 1:

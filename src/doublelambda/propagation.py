@@ -33,7 +33,7 @@ import numpy as np
 
 from .bloch_steady import DriveFields, Rates, projector_matrix, steady_coherences
 from .errors import DoubleLambdaError, NonFinite, ProfileDomainMismatch
-from .protocols import ThetaProfile
+from .protocols import ThetaProfile, _check_alpha
 
 
 @dataclass(frozen=True)
@@ -125,14 +125,13 @@ class AdiabaticTrajectory:
     """Rotated-frame samples between the boundary rotations.
 
     The sample at ``zeta = 0`` is taken after the entry rotation and the one
-    at ``zeta = alpha`` before the exit rotation; ``initial_state`` and
-    ``final_state`` hold the states outside the rotations.
+    at ``zeta = alpha`` before the exit rotation; ``final_state`` holds the
+    state after the exit rotation.
     """
 
     zeta: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    initial_state: AdiabaticState
     final_state: AdiabaticState
 
 
@@ -249,18 +248,18 @@ def _rk4_linear(
 
 
 def _propagate(
-    systems: Sequence[Callable[[np.ndarray], np.ndarray]],
+    matrices: Callable[[np.ndarray], np.ndarray],
     grids: list[np.ndarray],
     v0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_rk4_linear` over consecutive segment grids, carrying the state.
 
-    ``systems[k]`` is the ``matrices`` callable of segment ``k``.  Returns the
-    sample positions and the ``(samples, 2)`` states, starting at ``v0``.
+    Returns the sample positions and the ``(samples, 2)`` states, starting
+    at ``v0``.
     """
     zs = [np.zeros(1)]
     vs = [np.asarray(v0)[None, :]]
-    for matrices, grid in zip(systems, grids):
+    for grid in grids:
         vs.append(_rk4_linear(matrices, grid, vs[-1][-1]))
         zs.append(grid[1:])
     return np.concatenate(zs), np.concatenate(vs)
@@ -283,23 +282,20 @@ def propagate_reduced(
 ) -> Trajectory:
     """Integrate the reduced lab-frame system along the angle profile.
 
-    Angle jumps (boundary or interior breakpoints) leave the fields
-    untouched: the state is carried across each breakpoint unchanged, so the
-    trajectory is continuous there by construction.
+    ``profile.interior`` gives the angle on every segment; the grid is split
+    at the profile's breakpoints (its interior knots), where the slope
+    changes, and the state is carried across each one unchanged.  Boundary
+    jumps leave the fields untouched.
     """
     grids = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
-    theta_fns = profile.segment_interiors
-    if theta_fns is None:
-        theta_fns = [profile.interior] * len(grids)
 
-    def lab_matrices(theta_fn):
+    def lab_matrices(z):
         # -1/2 P(theta), with P the rank-one projector of the mixing angle
-        return lambda z: -0.5 * np.moveaxis(
-            projector_matrix(np.asarray(theta_fn(z), dtype=float)), -1, 0
-        )
+        theta = np.asarray(profile.interior(z), dtype=float)
+        return -0.5 * np.moveaxis(projector_matrix(theta), -1, 0)
 
     zeta, v = _propagate(
-        [lab_matrices(fn) for fn in theta_fns],
+        lab_matrices,
         grids,
         np.array([float(initial.omega_p), float(initial.omega_s)]),
     )
@@ -330,7 +326,7 @@ def propagate_adiabatic(
     """
     grids = _segment_grid(schedule.alpha, schedule.breakpoints, opts.resolve_steps(schedule.alpha))
     zeta, v = _propagate(
-        [lambda z: _slope_matrices(schedule.u(z), -0.5)] * len(grids),
+        lambda z: _slope_matrices(schedule.u(z), -0.5),
         grids,
         np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation)),
     )
@@ -339,7 +335,6 @@ def propagate_adiabatic(
         zeta=zeta,
         x=v[:, 1],
         y=v[:, 0],
-        initial_state=initial,
         final_state=AdiabaticState(x=x_out, y=y_out),
     )
 
@@ -366,8 +361,7 @@ def propagate_exact(
     the matrix is ``-1/2 P(theta)`` and this reproduces
     :func:`propagate_reduced` to rounding.
     """
-    if alpha < 0:
-        raise ProfileDomainMismatch("alpha must be non-negative")
+    alpha = _check_alpha(alpha)
     g31, g41 = rates.gamma31, rates.gamma41
     # unit probe and unit signal, one row each, against the controls' points
     unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
@@ -382,7 +376,7 @@ def propagate_exact(
     if not np.all(np.isfinite(v0)):
         raise NonFinite("input fields are not finite")
     grids = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
-    zeta, v = _propagate([matrices] * len(grids), grids, v0)
+    zeta, v = _propagate(matrices, grids, v0)
     return Trajectory(zeta=zeta, omega_p=v[:, 0], omega_s=v[:, 1])
 
 

@@ -19,6 +19,11 @@ Protocols provided:
   Its boundary values miss pi/2 and 0 by a recorded defect; no jumps are
   added to hide it.
 * ``custom``    -- piecewise-linear interpolation of a (zeta, theta) table.
+
+All but ``adiabatic`` are knot tables, built by one constructor: optimal is
+``[(0, theta0), (alpha, pi/2 - theta0)]``, constant ``[(0, pi/2), (alpha, 0)]``,
+each entered by a jump from pi/2 and left by a jump to 0 (of size zero for
+constant).
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ class ThetaProfile:
     ends).  ``theta_pre`` and ``theta_post`` are the angles seen by the
     incoming and outgoing fields; when they differ from the interior limits
     the profile carries an instantaneous jump at that boundary.
-    ``knots`` holds an exact piecewise-linear representation when one exists
-    (all kinds except ``adiabatic``), which downstream code may exploit for
-    closed-form segment propagation.
+    ``knots`` is the (zeta, theta) table of a piecewise-linear profile (all
+    kinds except ``adiabatic``), which ``interior`` interpolates and which
+    downstream code may exploit for closed-form segment propagation.
     """
 
     kind: str
@@ -59,14 +64,9 @@ class ThetaProfile:
     theta_post: float
     interior: Callable[[np.ndarray], np.ndarray]
     interior_slope: Callable[[np.ndarray], np.ndarray]
-    breakpoints: tuple[float, ...] = ()
     knots: tuple[tuple[float, float], ...] | None = None
     boundary_defect: tuple[float, float] = (0.0, 0.0)
     params: dict = field(default_factory=dict)
-    #: Optional one evaluator per breakpoint-delimited segment, for profiles
-    #: whose interior is discontinuous: gives exact one-sided angle values at
-    #: the segment ends, which ``interior`` alone cannot.
-    segment_interiors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def theta(self, zeta):
         """Interior mixing angle at ``zeta`` (scalar or array)."""
@@ -77,6 +77,11 @@ class ThetaProfile:
         """Interior d(theta)/d(zeta) at ``zeta``."""
         self._check_domain(zeta)
         return self.interior_slope(np.asarray(zeta, dtype=float))
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Interior knot positions, where the slope changes; () without knots."""
+        return tuple(z for z, _ in self.knots[1:-1]) if self.knots else ()
 
     @property
     def entry_jump(self) -> tuple[float, float]:
@@ -106,14 +111,11 @@ class ProtocolSpec:
     zbar: float | None = None
     knots: Sequence[tuple[float, float]] | None = None
 
-    def build(self) -> ThetaProfile:
-        return build_profile(self)
-
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not (alpha > 0) or not math.isfinite(alpha):
-        raise InvalidAlpha(f"optical density must be positive, got {alpha}")
+        raise InvalidAlpha(f"optical density must be finite and positive, got {alpha}")
     return alpha
 
 
@@ -167,50 +169,27 @@ def singular_slope(theta0: float) -> float:
 
 
 def optimal_protocol(alpha: float) -> ThetaProfile:
-    """Jump / linear singular arc / jump profile maximizing the conversion."""
+    """Jump / linear singular arc / jump profile maximizing the conversion.
+
+    The arc runs from theta0 to ``pi/2 - theta0``, both taken from
+    ``theta0_complement`` so the exit angle keeps full relative precision
+    where theta0 rounds to pi/2.
+    """
     alpha = _check_alpha(alpha)
-    theta0 = solve_theta0(alpha)
-    u_s = singular_slope(theta0)
-    theta_end = theta0 - u_s * alpha  # equals pi/2 - theta0 by the optimality condition
-
-    def interior(z):
-        return theta0 - u_s * z
-
-    def slope(z):
-        return np.full_like(np.asarray(z, dtype=float), -u_s)
-
-    return ThetaProfile(
-        kind="optimal",
-        alpha=alpha,
-        theta_pre=HALF_PI,
-        theta_post=0.0,
-        interior=interior,
-        interior_slope=slope,
-        knots=((0.0, theta0), (alpha, theta_end)),
-        params={"theta0": theta0, "u_s": u_s},
+    eps = theta0_complement(alpha)
+    theta0 = HALF_PI - eps
+    return _piecewise_linear(
+        "optimal", alpha, np.array([0.0, alpha]), np.array([theta0, eps]),
+        params={"theta0": theta0, "u_s": singular_slope(theta0)},
     )
 
 
 def constant_protocol(alpha: float) -> ThetaProfile:
     """Linear decrease of the angle from pi/2 to 0 with no boundary jumps."""
     alpha = _check_alpha(alpha)
-    u = HALF_PI / alpha
-
-    def interior(z):
-        return HALF_PI - u * z
-
-    def slope(z):
-        return np.full_like(np.asarray(z, dtype=float), -u)
-
-    return ThetaProfile(
-        kind="constant",
-        alpha=alpha,
-        theta_pre=HALF_PI,
-        theta_post=0.0,
-        interior=interior,
-        interior_slope=slope,
-        knots=((0.0, HALF_PI), (alpha, 0.0)),
-        params={"u": u},
+    return _piecewise_linear(
+        "constant", alpha, np.array([0.0, alpha]), np.array([HALF_PI, 0.0]),
+        params={"u": HALF_PI / alpha},
     )
 
 
@@ -255,6 +234,32 @@ def adiabatic_protocol(alpha: float, zeta0: float, zbar: float) -> ThetaProfile:
     )
 
 
+def _piecewise_linear(
+    kind: str, alpha: float, z: np.ndarray, t: np.ndarray, params: dict
+) -> ThetaProfile:
+    """Profile interpolating the knot arrays ``(z, t)``, jumps from pi/2 and to 0.
+
+    The knots are trusted: ``z`` increases strictly and spans ``[0, alpha]``
+    to within 1e-9, and ``t`` lies in [0, pi/2].
+    """
+    slopes = (t[1:] - t[:-1]) / (z[1:] - z[:-1])
+
+    def slope(x):
+        idx = np.searchsorted(z, np.asarray(x, dtype=float), side="right") - 1
+        return slopes[np.clip(idx, 0, slopes.size - 1)]
+
+    return ThetaProfile(
+        kind=kind,
+        alpha=alpha,
+        theta_pre=HALF_PI,
+        theta_post=0.0,
+        interior=lambda x: np.interp(x, z, t),
+        interior_slope=slope,
+        knots=tuple(zip(z.tolist(), t.tolist())),
+        params=params,
+    )
+
+
 def tabulated_protocol(
     zeta: Sequence[float],
     theta: Sequence[float],
@@ -264,11 +269,12 @@ def tabulated_protocol(
     """Piecewise-linear profile through the given (zeta, theta) samples.
 
     The table must start at 0 and span the full interval; ``alpha`` defaults
-    to the last sample position.  Interior knots become integration
-    breakpoints so the fixed-step integrator never straddles a slope change.
+    to the last sample position.  The samples become the profile's knots, and
+    the interior ones its integration breakpoints, so the fixed-step
+    integrator never straddles a slope change.
     """
-    z = np.asarray(zeta, dtype=float)
-    t = np.asarray(theta, dtype=float)
+    z = np.array(zeta, dtype=float)  # copies: the profile keeps these arrays
+    t = np.array(theta, dtype=float)
     if z.ndim != 1 or z.shape != t.shape or z.size < 2:
         raise ProfileDomainMismatch("profile table needs two columns of equal length >= 2")
     if np.any(np.diff(z) <= 0):
@@ -282,26 +288,7 @@ def tabulated_protocol(
         )
     if np.any(t < -1e-12) or np.any(t > HALF_PI + 1e-12):
         raise ProfileDomainMismatch("theta samples must lie in [0, pi/2]")
-
-    def interior(x):
-        return np.interp(np.asarray(x, dtype=float), z, t)
-
-    slopes = np.diff(t) / np.diff(z)
-
-    def slope(x):
-        idx = np.clip(np.searchsorted(z, np.asarray(x, dtype=float), side="right") - 1, 0, slopes.size - 1)
-        return slopes[idx]
-
-    return ThetaProfile(
-        kind=kind,
-        alpha=alpha,
-        theta_pre=HALF_PI,
-        theta_post=0.0,
-        interior=interior,
-        interior_slope=slope,
-        breakpoints=tuple(float(v) for v in z[1:-1]),
-        knots=tuple((float(a), float(b)) for a, b in zip(z, t)),
-    )
+    return _piecewise_linear(kind, alpha, z, t, {})
 
 
 def load_profile_table(path) -> tuple[np.ndarray, np.ndarray]:

@@ -148,6 +148,16 @@ def test_efficiency_non_finite_range_exits_two(tmp_path, capsys, flag, value):
     assert "InvalidAlpha" in err and flag in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+@pytest.mark.parametrize("protocol", ["constant", "adiabatic"])
+def test_efficiency_invalid_explicit_alpha_exits_two(tmp_path, capsys, protocol, value):
+    out = tmp_path / "eff.csv"
+    assert main(["efficiency", "--alpha", value, "--method", "closed",
+                 "--protocol", protocol, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "InvalidAlpha" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -176,8 +186,9 @@ def test_verify_default_alphas_exit_zero(tmp_path):
 
 
 def test_verify_rejects_zero_alpha(tmp_path, capsys):
-    assert main(["verify", "--alpha", "0"]) == 2
-    assert "InvalidAlpha" in capsys.readouterr().err
+    for value in ("0", "-1", "inf", "nan"):
+        assert main(["verify", "--alpha", value]) == 2
+        assert "InvalidAlpha" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

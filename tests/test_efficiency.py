@@ -33,6 +33,10 @@ def test_optimal_zero_alpha():
         optimal_efficiency_closed(-1.0)
     with pytest.raises(InvalidAlpha):
         constant_efficiency_closed(0.0)
+    for alpha in (math.inf, math.nan):
+        for closed in (optimal_efficiency_closed, constant_efficiency_closed):
+            with pytest.raises(InvalidAlpha):
+                closed(alpha)
 
 
 # ---------------------------------------------------------------------------

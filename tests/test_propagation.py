@@ -6,6 +6,7 @@ and the microscopically closed integration.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from doublelambda import (
     IntegratorOptions,
     ProfileDomainMismatch,
     Rates,
-    ThetaProfile,
     adiabatic_protocol,
     constant_efficiency_closed,
     constant_protocol,
@@ -213,39 +213,20 @@ def test_final_state_fourth_order_convergence():
 # Jump handling
 # ---------------------------------------------------------------------------
 
-def step_profile(alpha, cut, th_left, th_right):
-    """Discontinuous interior: th_left before the cut, th_right after."""
-
-    def interior(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z < cut, th_left, th_right)
-
-    return ThetaProfile(
-        kind="step",
-        alpha=alpha,
-        theta_pre=HALF_PI,
-        theta_post=0.0,
-        interior=interior,
-        interior_slope=lambda z: np.zeros_like(np.asarray(z, float)),
-        breakpoints=(cut,),
-        segment_interiors=(
-            lambda z: np.full_like(np.asarray(z, float), th_left),
-            lambda z: np.full_like(np.asarray(z, float), th_right),
-        ),
-    )
-
-
 def test_interior_jump_leaves_fields_continuous():
+    # a kink (slope jump) at the cut: the grid splits there and the state
+    # is carried across unchanged
     alpha, cut = 8.0, 4.0
-    th1, th2 = 1.1, 0.3
+    th0, th1, th2 = 1.4, 1.1, 0.3
     opts = IntegratorOptions(step_count=80)
-    combined = propagate_reduced(step_profile(alpha, cut, th1, th2), opts=opts)
+    kinked = tabulated_protocol([0.0, cut, alpha], [th0, th1, th2])
+    combined = propagate_reduced(kinked, opts=opts)
 
     left = propagate_reduced(
-        flat_profile(cut, th1), opts=IntegratorOptions(step_count=40)
+        tabulated_protocol([0.0, cut], [th0, th1]), opts=IntegratorOptions(step_count=40)
     )
     right = propagate_reduced(
-        flat_profile(alpha - cut, th2),
+        tabulated_protocol([0.0, alpha - cut], [th1, th2]),
         initial=left.final_state,
         opts=IntegratorOptions(step_count=40),
     )
@@ -263,9 +244,10 @@ def test_interior_jump_leaves_fields_continuous():
 def test_boundary_jumps_do_not_change_lab_fields():
     # optimal protocol with jumps vs the same interior without them
     prof = optimal_protocol(50.0)
-    theta0, u_s = prof.params["theta0"], prof.params["u_s"]
-    bare = tabulated_protocol(
-        [0.0, 50.0], [theta0, theta0 - 50.0 * u_s], kind="bare"
+    bare = dataclasses.replace(
+        tabulated_protocol(*zip(*prof.knots), kind="bare"),
+        theta_pre=prof.knots[0][1],
+        theta_post=prof.knots[-1][1],
     )
     a = propagate_reduced(prof)
     b = propagate_reduced(bare)
@@ -343,6 +325,14 @@ def test_exact_route_propagates_singular_system():
 
     with pytest.raises(SingularSystem):
         propagate_exact(lambda z: (0.0, 0.0), alpha=1.0, rates=Rates(1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+def test_exact_route_rejects_invalid_alpha(alpha):
+    from doublelambda import InvalidAlpha
+
+    with pytest.raises(InvalidAlpha):
+        propagate_exact(controls_of(constant_protocol(1.0)), alpha)
 
 
 def test_exact_route_rejects_non_finite_fields():

@@ -27,6 +27,7 @@ from doublelambda import (
     segment_step,
     steady_coherences,
     tabulated_protocol,
+    theta0_complement,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -56,6 +57,14 @@ def test_search_never_beats_the_bound_and_reloads(alpha, n_segments, seed):
     z, theta = res.knots.T
     reloaded = propagate_piecewise_exact(tabulated_protocol(z, theta)).omega_s
     assert abs(reloaded) ** 2 == pytest.approx(res.efficiency, abs=1e-12)
+
+
+@PROPERTY
+@given(alpha=log_uniform(1e-12, 1e300))
+def test_optimal_knots_stay_in_range_at_any_alpha(alpha):
+    knots = optimal_protocol(alpha).knots
+    assert all(0.0 <= theta <= np.pi / 2 for _, theta in knots)
+    assert knots[-1][1] == theta0_complement(alpha)
 
 
 @PROPERTY
