@@ -39,17 +39,16 @@ from .pmp_search import (
     verify_singular_arc,
 )
 from .propagation import (
-    FieldState,
     IntegratorOptions,
     dissipation_order,
     propagate_exact,
     propagate_reduced,
 )
 from .protocols import (
-    ProtocolSpec,
     _check_alpha,
     build_profile,
     load_profile_table,
+    tabulated_protocol,
     theta_to_controls,
 )
 
@@ -73,17 +72,13 @@ def cmd_simulate(args) -> int:
     if args.protocol == "custom":
         if args.profile_file is None:
             raise DoubleLambdaError("custom protocol requires --profile-file")
-        z, t = load_profile_table(args.profile_file)
-        alpha = args.alpha if args.alpha is not None else float(z[-1])
-        spec = ProtocolSpec(kind="custom", alpha=float(alpha), knots=tuple(zip(z, t)))
+        profile = tabulated_protocol(*load_profile_table(args.profile_file), alpha=args.alpha)
     elif args.alpha is None:
         raise DoubleLambdaError("--alpha is required")
     else:
-        spec = ProtocolSpec(kind=args.protocol, alpha=float(args.alpha),
-                            zeta0=args.zeta0, zbar=args.zbar)
-    profile = build_profile(spec)
-    traj = propagate_reduced(profile, initial=FieldState(1.0, 0.0), opts=_integrator(args))
-    oc, od = theta_to_controls(profile, traj.zeta)
+        profile = build_profile(args.protocol, args.alpha, args.zeta0, args.zbar)
+    traj = propagate_reduced(profile, opts=_integrator(args))
+    oc, od = np.sin(traj.theta), np.cos(traj.theta)
 
     columns = [np.real(c).tolist()
                for c in (traj.zeta, traj.theta, oc, od, traj.omega_p, traj.omega_s)]
@@ -128,8 +123,7 @@ def cmd_efficiency(args) -> int:
                 eta_closed = closed_efficiency(kind, alpha)
             eta_numeric = None
             if args.method in ("numeric", "both"):
-                spec = ProtocolSpec(kind=kind, alpha=alpha, zeta0=args.zeta0, zbar=args.zbar)
-                eta_numeric = numerical_efficiency(spec, opts).eta_numeric
+                eta_numeric = numerical_efficiency(kind, alpha, opts, args.zeta0, args.zbar)
             rows.append([_fmt(alpha), kind, _fmt(eta_closed), _fmt(eta_numeric)])
 
     with open(args.out, "w", newline="") as fh:
@@ -157,7 +151,7 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
 
     # Reduced vs microscopically closed propagation, all three protocols.
     for kind in ("optimal", "constant", "adiabatic"):
-        profile = build_profile(ProtocolSpec(kind, alpha))
+        profile = build_profile(kind, alpha)
         tr_exact = propagate_exact(functools.partial(theta_to_controls, profile), alpha,
                                    Rates(), opts=opts, breakpoints=profile.breakpoints)
         tr_reduced = propagate_reduced(profile, opts=opts)
@@ -175,7 +169,7 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
 
     # Dissipation identity: observed convergence order of the residual.
     base = max(5, int(round(alpha * args.steps_per_unit)))
-    slope, _ = dissipation_order(build_profile(ProtocolSpec("constant", alpha)),
+    slope, _ = dissipation_order(build_profile("constant", alpha),
                                  [base, 2 * base, 4 * base, 8 * base])
     record("dissipation_order", abs(slope - 4.0), 0.5, warn_only=coarse)
 
@@ -276,12 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=False):
-        p.add_argument("--steps-per-unit", type=float, default=10.0,
-                       help="RK4 steps per unit optical density (default 10)")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
-
     p_sim = sub.add_parser("simulate", help="trajectory of one protocol -> CSV")
     p_sim.add_argument("--protocol", choices=PROTOCOLS, default="optimal")
     p_sim.add_argument("--alpha", type=float, default=None, help="optical density")
@@ -292,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--profile-file", default=None,
                        help="two-column zeta/theta table for --protocol custom")
     p_sim.add_argument("--out", required=True)
-    common(p_sim)
 
     p_eff = sub.add_parser("efficiency", help="efficiency curves -> CSV")
     p_eff.add_argument("--protocol", choices=PROTOCOLS[:3], action="append",
@@ -308,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eff.add_argument("--zbar", type=float, default=None,
                        help="adiabatic length scale (default 5)")
     p_eff.add_argument("--out", required=True)
-    common(p_eff)
 
     p_ver = sub.add_parser("verify", help="cross-check suite -> JSON, exit code")
     p_ver.add_argument("--alpha", type=float, action="append",
@@ -316,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=1000,
                        help="random profiles per alpha for the dominance check")
     p_ver.add_argument("--out", default=None, help="JSON report path (default stdout)")
-    common(p_ver, seeded=True)
 
     p_sea = sub.add_parser("search", help="direct profile search -> JSON + table")
     p_sea.add_argument("--alpha", type=float, required=True)
@@ -327,7 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sea.add_argument("--out", required=True, help="JSON result path")
     p_sea.add_argument("--profile-out", default=None,
                        help="profile table path (default derived from --out)")
-    common(p_sea, seeded=True)
+
+    for p in (p_sim, p_eff, p_ver):
+        p.add_argument("--steps-per-unit", type=float, default=10.0,
+                       help="RK4 steps per unit optical density (default 10)")
+    for p in (p_ver, p_sea):
+        p.add_argument("--seed", type=int, default=0)
     return parser
 
 

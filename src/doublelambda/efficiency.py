@@ -20,27 +20,9 @@ has no closed form; only the numerical route applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .propagation import FieldState, IntegratorOptions, DEFAULT_OPTIONS, propagate_reduced
-from .protocols import ProtocolSpec, _check_alpha, build_profile, theta0_complement
-
-
-@dataclass
-class EfficiencyReport:
-    """Closed-form / numerical efficiency pair with solver metadata."""
-
-    alpha: float
-    protocol: str
-    eta_closed: float | None
-    eta_numeric: float
-    step_count: int
-
-    @property
-    def discrepancy(self) -> float | None:
-        if self.eta_closed is None:
-            return None
-        return abs(self.eta_closed - self.eta_numeric)
+from .propagation import IntegratorOptions, DEFAULT_OPTIONS, propagate_reduced
+from .protocols import HALF_PI, _check_alpha, build_profile, theta0_complement
 
 
 def optimal_efficiency_closed(alpha: float) -> float:
@@ -62,12 +44,18 @@ def optimal_efficiency_closed(alpha: float) -> float:
 def constant_efficiency_closed(alpha: float) -> float:
     """Conversion efficiency of the constant-slope protocol.
 
-    Evaluated in log space so the hyperbolic branch does not overflow for
-    large optical densities.
+    The hyperbolic branch is evaluated in log space so it does not overflow
+    for large optical densities.  Below the branch point the bracket is
+    ``cos(phi) + (alpha/4) sin(phi)/phi`` with ``phi = w alpha =
+    sqrt((pi/2 - alpha/4)(pi/2 + alpha/4))``; ``phi`` nears pi/2 as
+    ``alpha -> 0``, so ``cos(phi)`` is taken as
+    ``sin((alpha/4)^2 / (pi/2 + phi))``, which neither cancels nor squares
+    the slope ``pi/(2 alpha)``.  The result stays accurate down to the
+    smallest normal ``alpha``, where ``eta -> alpha^2/(4 pi^2)``.
     """
     alpha = _check_alpha(alpha)
     u = math.pi / (2.0 * alpha)
-    k2 = 0.0625 - u * u
+    k2 = 0.0625 - u * u  # -inf, never nan, where u * u overflows
     if k2 > 1e-14:
         k = math.sqrt(k2)
         ka = k * alpha
@@ -78,8 +66,9 @@ def constant_efficiency_closed(alpha: float) -> float:
         )
         return math.exp(-0.5 * alpha + 2.0 * log_bracket)
     if k2 < -1e-14:
-        w = math.sqrt(-k2)
-        bracket = math.cos(w * alpha) + 0.25 * math.sin(w * alpha) / w
+        q = 0.25 * alpha
+        phi = math.sqrt((HALF_PI - q) * (HALF_PI + q))
+        bracket = math.sin(q * q / (HALF_PI + phi)) + q * math.sin(phi) / phi
     else:
         bracket = 1.0 + 0.25 * alpha
     return math.exp(-0.5 * alpha) * bracket**2
@@ -95,15 +84,16 @@ def closed_efficiency(kind: str, alpha: float) -> float | None:
 
 
 def numerical_efficiency(
-    spec: ProtocolSpec, opts: IntegratorOptions = DEFAULT_OPTIONS
-) -> EfficiencyReport:
-    """Efficiency from integrating the reduced propagation for a protocol."""
-    profile = build_profile(spec)
-    traj = propagate_reduced(profile, initial=FieldState(1.0, 0.0), opts=opts)
-    return EfficiencyReport(
-        alpha=spec.alpha,
-        protocol=spec.kind,
-        eta_closed=closed_efficiency(spec.kind, spec.alpha),
-        eta_numeric=traj.efficiency,
-        step_count=opts.resolve_steps(spec.alpha),
-    )
+    kind: str,
+    alpha: float,
+    opts: IntegratorOptions = DEFAULT_OPTIONS,
+    zeta0: float | None = None,
+    zbar: float | None = None,
+) -> float:
+    """Efficiency of a protocol kind from the reduced propagation.
+
+    The numeric counterpart of :func:`closed_efficiency`: ``kind``,
+    ``zeta0`` and ``zbar`` are those of :func:`build_profile`, and ``opts``
+    sets the RK4 resolution.
+    """
+    return propagate_reduced(build_profile(kind, alpha, zeta0, zbar), opts=opts).efficiency

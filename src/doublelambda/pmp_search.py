@@ -43,6 +43,14 @@ from .protocols import HALF_PI, _check_alpha, optimal_protocol
 #: numbers, so the arc is integrated finer than the propagation default.
 ARC_OPTIONS = IntegratorOptions(steps_per_unit=100.0)
 
+#: Fewest RK4 steps on the arc at any ``alpha``: the five-point stencil of
+#: the costate check needs more samples than a short arc gets from
+#: :data:`ARC_OPTIONS` (three steps at ``alpha = 0.03``).
+ARC_MIN_STEPS = 16
+
+#: Knots of each random profile in the sampled dominance check.
+SAMPLED_KNOTS = 17
+
 
 @dataclass
 class AdjointState:
@@ -55,22 +63,24 @@ class AdjointState:
     lambda_y: np.ndarray
     phi: np.ndarray
     hc: np.ndarray
-    mu: float
     theta0: float
     u_s: float
 
 
-def verify_singular_arc(alpha: float, opts: IntegratorOptions = ARC_OPTIONS) -> AdjointState:
+def verify_singular_arc(alpha: float) -> AdjointState:
     """Integrate the optimal arc and attach the closed-form costates.
 
-    The costates are evaluated on the open interior of the arc (both
-    rotated-frame components are strictly positive there; they vanish only
-    outside the boundary jumps).
+    The arc is resolved by :data:`ARC_OPTIONS`, with at least
+    :data:`ARC_MIN_STEPS` steps.  The costates are evaluated on the open
+    interior of the arc (both rotated-frame components are strictly positive
+    there; they vanish only outside the boundary jumps).
     """
     profile = optimal_protocol(alpha)
     theta0 = profile.params["theta0"]
     u_s = profile.params["u_s"]
-    traj = propagate_adiabatic(schedule_from_profile(profile), opts=opts)
+    n_steps = max(ARC_MIN_STEPS, ARC_OPTIONS.resolve_steps(profile.alpha))
+    traj = propagate_adiabatic(schedule_from_profile(profile),
+                               opts=IntegratorOptions(step_count=n_steps))
     x, y = traj.x, traj.y
     lambda_x = -1.0 / (2.0 * y)
     lambda_y = 1.0 / (2.0 * x)
@@ -84,7 +94,6 @@ def verify_singular_arc(alpha: float, opts: IntegratorOptions = ARC_OPTIONS) -> 
         lambda_y=lambda_y,
         phi=phi,
         hc=hc,
-        mu=1.0,
         theta0=theta0,
         u_s=u_s,
     )
@@ -265,16 +274,16 @@ def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[flo
     return s * s, grad
 
 
-def sampled_profile_efficiencies(
-    alpha: float, n_profiles: int, seed: int, n_knots: int = 17
-) -> np.ndarray:
+def sampled_profile_efficiencies(alpha: float, n_profiles: int, seed: int) -> np.ndarray:
     """Efficiencies of seeded random piecewise-linear profiles.
+
+    Each profile has :data:`SAMPLED_KNOTS` knots, uniform in [0, pi/2].
 
     Used as a sampled global-optimality check: none of these may exceed the
     closed-form optimum.
     """
     rng = np.random.default_rng(seed)
-    samples = rng.uniform(0.0, HALF_PI, size=(n_profiles, n_knots))
+    samples = rng.uniform(0.0, HALF_PI, size=(n_profiles, SAMPLED_KNOTS))
     return np.array([piecewise_efficiency(row, alpha) for row in samples])
 
 

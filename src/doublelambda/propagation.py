@@ -392,9 +392,11 @@ def _segment_exponential(u: float, dzeta: float) -> tuple[float, float]:
     continues to a trigonometric one, and at ``k = 0`` to its limit.  On the
     hyperbolic branch the damping is folded into the exponentials,
     ``exp(-dz/4) cosh(k dz) = (e^{(k-1/4) dz} + e^{(-k-1/4) dz}) / 2`` with
-    ``k <= 1/4``, so long segments cannot overflow.  This is the only place
-    the three branches are written; :func:`segment_step` and the adjoint
-    gradient of the profile search both build on it.
+    ``k <= 1/4``, so long segments cannot overflow.  Where ``u^2``
+    overflows, ``w = sqrt(u^2 - 1/16)`` rounds to ``|u|``, which is used
+    directly.  This is the only place the three branches are written;
+    :func:`segment_step` and the adjoint gradient of the profile search
+    both build on it.
     """
     k2 = 0.0625 - u * u
     if k2 > 1e-14:
@@ -403,7 +405,7 @@ def _segment_exponential(u: float, dzeta: float) -> tuple[float, float]:
         m = -math.expm1(-2.0 * k * dzeta)  # 1 - exp(-2 k dz)
         return grow * (1.0 - 0.5 * m), grow * m / (2.0 * k)
     if k2 < -1e-14:
-        w = math.sqrt(-k2)
+        w = math.sqrt(-k2) if k2 > -math.inf else abs(u)
         e = math.exp(-0.25 * dzeta)
         return e * math.cos(w * dzeta), e * math.sin(w * dzeta) / w
     ec = math.exp(-0.25 * dzeta)
@@ -470,9 +472,7 @@ def dissipation_residual(traj: Trajectory) -> np.ndarray:
 
 
 def dissipation_order(
-    profile: ThetaProfile,
-    steps_list: Sequence[int],
-    initial: FieldState = FieldState(1.0, 0.0),
+    profile: ThetaProfile, steps_list: Sequence[int]
 ) -> tuple[float, np.ndarray]:
     """Observed convergence order of the dissipation-identity residual.
 

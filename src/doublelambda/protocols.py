@@ -29,13 +29,14 @@ constant).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidAlpha, InvalidZbar, ProfileDomainMismatch
+from .errors import InvalidAlpha, InvalidZbar, NonFinite, ProfileDomainMismatch
 
 HALF_PI = math.pi / 2
 
@@ -101,21 +102,16 @@ class ThetaProfile:
             )
 
 
-@dataclass
-class ProtocolSpec:
-    """Declarative description of a protocol, resolvable to a ThetaProfile."""
-
-    kind: str
-    alpha: float
-    zeta0: float | None = None
-    zbar: float | None = None
-    knots: Sequence[tuple[float, float]] | None = None
-
-
 def _check_alpha(alpha: float) -> float:
+    """``alpha`` as a float; finite and at least the smallest normal float.
+
+    Below that, ``pi/(2 alpha)`` and the other inverse densities overflow.
+    """
     alpha = float(alpha)
-    if not (alpha > 0) or not math.isfinite(alpha):
-        raise InvalidAlpha(f"optical density must be finite and positive, got {alpha}")
+    if not (alpha >= sys.float_info.min) or not math.isfinite(alpha):
+        raise InvalidAlpha(
+            f"optical density must be finite and at least {sys.float_info.min!r}, got {alpha}"
+        )
     return alpha
 
 
@@ -171,16 +167,17 @@ def singular_slope(theta0: float) -> float:
 def optimal_protocol(alpha: float) -> ThetaProfile:
     """Jump / linear singular arc / jump profile maximizing the conversion.
 
-    The arc runs from theta0 to ``pi/2 - theta0``, both taken from
-    ``theta0_complement`` so the exit angle keeps full relative precision
-    where theta0 rounds to pi/2.
+    The arc runs from theta0 to ``pi/2 - theta0``, and its slope is
+    ``sin(2 theta0)/4 = sin(2 e)/4``, all taken from ``e =
+    theta0_complement(alpha)`` so the exit angle and the slope keep full
+    relative precision where theta0 rounds to pi/2.
     """
     alpha = _check_alpha(alpha)
     eps = theta0_complement(alpha)
     theta0 = HALF_PI - eps
     return _piecewise_linear(
         "optimal", alpha, np.array([0.0, alpha]), np.array([theta0, eps]),
-        params={"theta0": theta0, "u_s": singular_slope(theta0)},
+        params={"theta0": theta0, "u_s": math.sin(2.0 * eps) / 4.0},
     )
 
 
@@ -200,9 +197,12 @@ def adiabatic_protocol(alpha: float, zeta0: float, zbar: float) -> ThetaProfile:
     approximate; the defect is recorded on the profile rather than clamped
     away.  ``zbar`` of order 1/2 or below violates the adiabaticity condition
     ``|d theta/d zeta| << 1/2`` (the maximum slope is ``1/(4 zbar)``) and
-    triggers a warning.
+    triggers a warning.  A non-finite ``zeta0`` raises :class:`NonFinite`.
     """
     alpha = _check_alpha(alpha)
+    zeta0 = float(zeta0)
+    if not math.isfinite(zeta0):
+        raise NonFinite(f"zeta0 must be finite, got {zeta0}")
     zbar = float(zbar)
     if not (zbar > 0) or not math.isfinite(zbar):
         raise InvalidZbar(f"zbar must be positive, got {zbar}")
@@ -211,7 +211,6 @@ def adiabatic_protocol(alpha: float, zeta0: float, zbar: float) -> ThetaProfile:
             "zbar <= 1/2 violates the adiabaticity condition |dtheta/dzeta| << 1/2",
             stacklevel=2,
         )
-    zeta0 = float(zeta0)
 
     def interior(z):
         return np.arctan(np.exp(-(np.asarray(z, dtype=float) - zeta0) / (2.0 * zbar)))
@@ -299,22 +298,24 @@ def load_profile_table(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
-def build_profile(spec: ProtocolSpec) -> ThetaProfile:
-    """Resolve a ProtocolSpec to a concrete profile."""
-    if spec.kind == "optimal":
-        return optimal_protocol(spec.alpha)
-    if spec.kind == "constant":
-        return constant_protocol(spec.alpha)
-    if spec.kind == "adiabatic":
-        zeta0 = spec.alpha / 2.0 if spec.zeta0 is None else spec.zeta0
-        zbar = 5.0 if spec.zbar is None else spec.zbar
-        return adiabatic_protocol(spec.alpha, zeta0, zbar)
-    if spec.kind == "custom":
-        if spec.knots is None:
-            raise ProfileDomainMismatch("custom protocol needs a knot table")
-        z, t = zip(*spec.knots)
-        return tabulated_protocol(z, t, alpha=spec.alpha)
-    raise ValueError(f"unknown protocol kind '{spec.kind}'")
+def build_profile(
+    kind: str, alpha: float, zeta0: float | None = None, zbar: float | None = None
+) -> ThetaProfile:
+    """Profile of the optimal, constant or adiabatic protocol at ``alpha``.
+
+    ``zeta0`` and ``zbar`` apply to the adiabatic protocol only and default
+    to ``alpha/2`` and 5.  A tabulated profile is built by
+    :func:`tabulated_protocol`; any other ``kind`` raises ``ValueError``.
+    """
+    if kind == "optimal":
+        return optimal_protocol(alpha)
+    if kind == "constant":
+        return constant_protocol(alpha)
+    if kind == "adiabatic":
+        zeta0 = alpha / 2.0 if zeta0 is None else zeta0
+        zbar = 5.0 if zbar is None else zbar
+        return adiabatic_protocol(alpha, zeta0, zbar)
+    raise ValueError(f"unknown protocol kind '{kind}'")
 
 
 def theta_to_controls(profile: ThetaProfile, zeta):

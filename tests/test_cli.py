@@ -148,7 +148,7 @@ def test_efficiency_non_finite_range_exits_two(tmp_path, capsys, flag, value):
     assert "InvalidAlpha" in err and flag in err
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "1e-320"])
 @pytest.mark.parametrize("protocol", ["constant", "adiabatic"])
 def test_efficiency_invalid_explicit_alpha_exits_two(tmp_path, capsys, protocol, value):
     out = tmp_path / "eff.csv"
@@ -186,9 +186,20 @@ def test_verify_default_alphas_exit_zero(tmp_path):
 
 
 def test_verify_rejects_zero_alpha(tmp_path, capsys):
-    for value in ("0", "-1", "inf", "nan"):
+    for value in ("0", "-1", "inf", "nan", "1e-320"):
         assert main(["verify", "--alpha", value]) == 2
         assert "InvalidAlpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1e-5", "1e-3", "0.01", "0.03"])
+def test_verify_tiny_alpha_writes_full_report(tmp_path, alpha):
+    # the arc keeps enough steps for the five-point costate stencil
+    out = tmp_path / "report.json"
+    assert main(["verify", "--alpha", alpha, "--samples", "20", "--out", str(out)]) in (0, 1)
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert len(checks) == 14
+    assert all(math.isfinite(c["value"]) for c in checks.values())
+    assert checks["pmp_adjoint_fd"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])
@@ -276,6 +287,14 @@ def test_search_at_huge_alpha_exit_zero(tmp_path):
     assert 0.0 <= rep["efficiency"] <= rep["closed_form_optimum"] <= 1.0
 
 
+def test_search_at_tiny_alpha_exit_zero(tmp_path):
+    # slopes of order 1/alpha, whose squares overflow in the segment exponential
+    out = tmp_path / "s.json"
+    assert main(["search", "--alpha", "1e-300", "--segments", "2", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert 0.0 <= rep["efficiency"] <= rep["closed_form_optimum"] + 1e-12
+
+
 @pytest.mark.parametrize("bad", [
     ["--segments", "1"],
     ["--budget", "0"],
@@ -327,6 +346,20 @@ def test_usage_error_exit_code(capsys):
         main(["simulate", "--protocol", "bogus", "--alpha", "1", "--out", "x.csv"])
     assert exc.value.code == 2
     assert main(["simulate", "--protocol", "custom", "--out", "/tmp/x.csv"]) == 2
+    with pytest.raises(SystemExit) as exc:  # search has no RK4 resolution
+        main(["search", "--alpha", "10", "--segments", "4", "--steps-per-unit", "3",
+              "--out", "x.json"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+def test_non_finite_zeta0_exits_two(tmp_path, capsys, command, value):
+    out = tmp_path / "out.csv"
+    assert main([command, "--protocol", "adiabatic", "--alpha", "10", "--zeta0", value,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "NonFinite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spu", ["inf", "nan"])

@@ -10,7 +10,7 @@ from doublelambda import (
     ControlSchedule,
     IntegratorOptions,
     InvalidAlpha,
-    ProtocolSpec,
+    closed_efficiency,
     constant_efficiency_closed,
     numerical_efficiency,
     optimal_efficiency_closed,
@@ -54,6 +54,14 @@ def test_optimal_small_alpha_series(alpha):
     # relative precision while theta0 nears pi/4
     ratio = optimal_efficiency_closed(alpha) / (alpha**2 / 16)
     assert abs(ratio - (1.0 - alpha / 2 + alpha**2 / 6)) <= 1e-14 + alpha**3
+
+
+@pytest.mark.parametrize("alpha", [10.0**e for e in range(-150, -2, 21)])
+def test_constant_small_alpha_series(alpha):
+    # eta = alpha^2/(4 pi^2) (1 - alpha/4 + O(alpha^2)), to full relative
+    # precision although the angle pi/2 - w alpha of the bracket vanishes
+    ratio = constant_efficiency_closed(alpha) * 4 * math.pi**2 / alpha**2
+    assert abs(ratio - (1.0 - alpha / 4)) <= 1e-14 + 0.1 * alpha**2
 
 
 def test_constant_small_alpha_quadratic():
@@ -148,28 +156,24 @@ def test_dominance_and_monotonicity_on_grid():
 # ---------------------------------------------------------------------------
 
 def test_numeric_matches_closed_at_default_resolution():
+    assert IntegratorOptions().resolve_steps(100.0) == 1000
     for kind in ("optimal", "constant"):
-        rep = numerical_efficiency(ProtocolSpec(kind=kind, alpha=100.0))
-        assert rep.eta_closed is not None
-        assert rep.discrepancy < 1e-6
-        assert rep.step_count == 1000
+        eta_closed = closed_efficiency(kind, 100.0)
+        assert eta_closed is not None
+        assert abs(eta_closed - numerical_efficiency(kind, 100.0)) < 1e-6
 
 
 def test_numeric_adiabatic_reference():
-    rep = numerical_efficiency(ProtocolSpec(kind="adiabatic", alpha=100.0, zeta0=50.0, zbar=5.0))
-    assert rep.eta_closed is None
-    assert rep.discrepancy is None
-    assert rep.eta_numeric == pytest.approx(0.8197, abs=5e-4)
+    assert closed_efficiency("adiabatic", 100.0) is None
+    eta = numerical_efficiency("adiabatic", 100.0, zeta0=50.0, zbar=5.0)
+    assert eta == pytest.approx(0.8197, abs=5e-4)
 
 
 def test_numeric_constant_tiny_alpha():
     alpha = 1e-3
-    rep = numerical_efficiency(ProtocolSpec(kind="constant", alpha=alpha))
-    assert rep.eta_numeric == pytest.approx(alpha**2 / (4 * math.pi**2), rel=0.01)
+    eta = numerical_efficiency("constant", alpha)
+    assert eta == pytest.approx(alpha**2 / (4 * math.pi**2), rel=0.01)
 
 
 def test_report_fields():
-    rep = numerical_efficiency(ProtocolSpec(kind="optimal", alpha=10.0))
-    assert rep.alpha == 10.0
-    assert rep.protocol == "optimal"
-    assert 0.0 <= rep.eta_numeric <= 1.0
+    assert 0.0 <= numerical_efficiency("optimal", 10.0) <= 1.0

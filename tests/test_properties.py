@@ -4,6 +4,8 @@ Examples are derandomized so that the suite is reproducible; each property
 still sees a spread of alphas, segment counts, seeds, rates and fields.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,9 +64,25 @@ def test_search_never_beats_the_bound_and_reloads(alpha, n_segments, seed):
 @PROPERTY
 @given(alpha=log_uniform(1e-12, 1e300))
 def test_optimal_knots_stay_in_range_at_any_alpha(alpha):
-    knots = optimal_protocol(alpha).knots
+    profile = optimal_protocol(alpha)
+    knots = profile.knots
     assert all(0.0 <= theta <= np.pi / 2 for _, theta in knots)
     assert knots[-1][1] == theta0_complement(alpha)
+    assert profile.params["u_s"] == math.sin(2 * theta0_complement(alpha)) / 4
+
+
+@PROPERTY
+@given(alpha=log_uniform(1e-300, 1e-3),
+       thetas=st.lists(st.floats(0.0, np.pi / 2), min_size=2, max_size=17))
+def test_efficiencies_finite_down_to_tiny_alpha(alpha, thetas):
+    # slopes up to pi/(2 alpha), whose square overflows below alpha ~ 1e-154
+    z = np.linspace(0.0, alpha, len(thetas))
+    etas = [optimal_efficiency_closed(alpha), constant_efficiency_closed(alpha),
+            piecewise_efficiency(thetas, alpha)]
+    for profile in (optimal_protocol(alpha), constant_protocol(alpha),
+                    tabulated_protocol(z, thetas)):
+        etas.append(abs(propagate_piecewise_exact(profile).omega_s) ** 2)
+    assert all(0.0 <= eta <= 1.0 for eta in etas)
 
 
 @PROPERTY

@@ -9,8 +9,10 @@ import pytest
 from doublelambda import (
     InvalidAlpha,
     InvalidZbar,
+    NonFinite,
     ProfileDomainMismatch,
     adiabatic_protocol,
+    build_profile,
     constant_protocol,
     optimal_protocol,
     singular_slope,
@@ -202,11 +204,22 @@ def test_adiabatic_max_slope_against_finite_differences():
 def test_adiabatic_advisory_and_errors():
     with pytest.raises(InvalidZbar):
         adiabatic_protocol(10.0, 5.0, 0.0)
+    for zeta0 in (math.nan, math.inf):
+        with pytest.raises(NonFinite):
+            adiabatic_protocol(10.0, zeta0, 5.0)
     with pytest.warns(UserWarning):
         adiabatic_protocol(10.0, 5.0, 0.4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adiabatic_protocol(10.0, 5.0, 2.0)  # no warning above the threshold
+
+
+def test_build_profile_kinds_and_adiabatic_defaults():
+    assert build_profile("adiabatic", 20.0).params == {"zeta0": 10.0, "zbar": 5.0}
+    assert build_profile("constant", 20.0).knots == constant_protocol(20.0).knots
+    for kind in ("custom", "bogus"):  # tables go through tabulated_protocol
+        with pytest.raises(ValueError, match="unknown protocol kind"):
+            build_profile(kind, 20.0)
 
 
 # ---------------------------------------------------------------------------
