@@ -33,6 +33,7 @@ from .efficiency import (
 )
 from .errors import DoubleLambdaError, InvalidAlpha
 from .pmp_search import (
+    ARC_OPTIONS,
     optimize_piecewise,
     sampled_profile_efficiencies,
     singular_arc_checks,
@@ -140,6 +141,12 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
     # checks (same-grid oracle equivalence, arc residuals, dominance) keep
     # hard thresholds at any resolution.
     coarse = args.steps_per_unit < 10.0
+    # Resolve the largest grids first, so a run past the step cap fails before any work.
+    opts.resolve_steps(alpha)  # also keeps alpha * steps_per_unit finite for ``base``
+    ARC_OPTIONS.resolve_steps(alpha)
+    base = max(5, int(round(alpha * args.steps_per_unit)))
+    orders = [base, 2 * base, 4 * base, 8 * base]
+    IntegratorOptions(step_count=orders[-1]).resolve_steps(alpha)
     checks = []
 
     def record(name, value, threshold, warn_only=False):
@@ -168,9 +175,7 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
                    warn_only=coarse)
 
     # Dissipation identity: observed convergence order of the residual.
-    base = max(5, int(round(alpha * args.steps_per_unit)))
-    slope, _ = dissipation_order(build_profile("constant", alpha),
-                                 [base, 2 * base, 4 * base, 8 * base])
+    slope, _ = dissipation_order(build_profile("constant", alpha), orders)
     record("dissipation_order", abs(slope - 4.0), 0.5, warn_only=coarse)
 
     # Optimality structure along the singular arc.

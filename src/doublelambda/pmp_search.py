@@ -162,7 +162,7 @@ def integrate_adjoint_along_arc(arc: AdjointState) -> float:
     lam = _rk4_linear(
         lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5), z, exact[0]
     )
-    return float(np.max(np.abs(lam - exact[1:]), initial=0.0))
+    return float(np.max(np.abs(lam - exact)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ Three routes integrate the same physics at different levels of reduction:
 
 Each route is the linear system ``dv/dzeta = A(zeta) v`` with a 2x2 matrix
 ``A`` and supplies only that matrix to one shared fixed-step classical
-fourth-order Runge-Kutta kernel, run per segment between profile
-breakpoints so the right-hand side is smooth within every step;
-deterministic output is preferred over adaptivity.  For piecewise-linear
-angle profiles (constant control slope per segment) the rotated-frame system
-has a closed-form matrix exponential, exposed as :func:`segment_step` /
-:func:`propagate_piecewise_exact`; this path is exact to rounding and serves
-as an independent oracle for the Runge-Kutta routes.
+fourth-order Runge-Kutta kernel, called once on one grid with a node at
+every interior knot of the profile; deterministic output is preferred over
+adaptivity.  The rotated-frame matrix holds the slope, which jumps at a
+knot, so that route takes continuous slopes only.  For piecewise-linear
+profiles the rotated-frame system has a closed-form matrix exponential,
+exposed as :func:`segment_step` / :func:`propagate_piecewise_exact`; exact
+to rounding, it is an independent oracle for the Runge-Kutta routes.
 """
 
 from __future__ import annotations
@@ -155,17 +155,22 @@ def from_adiabatic(theta: float, state: AdiabaticState) -> FieldState:
 
 @dataclass
 class ControlSchedule:
-    """Slope control ``u(zeta) = -dtheta/dzeta`` plus boundary rotations."""
+    """Slope control ``u(zeta) = -dtheta/dzeta``, continuous, plus boundary rotations."""
 
     alpha: float
     u: Callable[[np.ndarray], np.ndarray]
     entry_rotation: float = 0.0  # theta(0+) - theta(0-)
     exit_rotation: float = 0.0  # theta(alpha+) - theta(alpha-)
-    breakpoints: tuple[float, ...] = ()
 
 
 def schedule_from_profile(profile: ThetaProfile) -> ControlSchedule:
-    """Derive the rotated-frame control schedule of an angle profile."""
+    """Derive the rotated-frame control schedule of an angle profile.
+
+    The slope jumps at interior knots, which raise :class:`ProfileDomainMismatch`:
+    kinked tables take :func:`propagate_reduced` or the closed form.
+    """
+    if profile.breakpoints:
+        raise ProfileDomainMismatch(f"profile '{profile.kind}' has interior knots")
     pre, start = profile.entry_jump
     end, post = profile.exit_jump
     return ControlSchedule(
@@ -173,7 +178,6 @@ def schedule_from_profile(profile: ThetaProfile) -> ControlSchedule:
         u=lambda z: -profile.interior_slope(np.asarray(z, dtype=float)),
         entry_rotation=start - pre,
         exit_rotation=post - end,
-        breakpoints=profile.breakpoints,
     )
 
 
@@ -187,18 +191,14 @@ def adiabatic_initial(profile: ThetaProfile, initial: FieldState) -> AdiabaticSt
     return to_adiabatic(profile.theta_pre, initial)
 
 
-def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> list[np.ndarray]:
-    """Per-segment uniform grids covering [0, alpha], split at breakpoints."""
-    cuts = [0.0]
-    for b in sorted(set(float(b) for b in breakpoints)):
-        if 0.0 < b < alpha:
-            cuts.append(b)
-    cuts.append(alpha)
-    grids = []
+def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> np.ndarray:
+    """Grid on [0, alpha] with a node at every breakpoint, uniform in between."""
+    cuts = [0.0, *sorted({float(b) for b in breakpoints if 0.0 < b < alpha}), alpha]
+    pieces = [np.zeros(1)]
     for a, b in zip(cuts[:-1], cuts[1:]):
         n = max(1, round(n_steps * (b - a) / alpha))
-        grids.append(np.linspace(a, b, n + 1))
-    return grids
+        pieces.append(np.linspace(a, b, n + 1)[1:])
+    return np.concatenate(pieces)
 
 
 #: Steps whose RK4 step matrices are built at once; bounds the kernel's
@@ -221,11 +221,11 @@ def _rk4_linear(
     order on Python floats (or complex numbers), carrying one state, so
     rounding accumulates as in a stage-by-stage integration; a prefix-product
     scan would be faster but loses accuracy at large ``alpha``.  Returns the
-    ``(len(grid) - 1, 2)`` states after each step.
+    ``(len(grid), 2)`` states at the grid points, starting with ``v0``.
     """
     eye = np.eye(2)
     p, q = np.asarray(v0).tolist()
-    blocks = []
+    blocks = [np.asarray(v0)[None, :]]
     for lo in range(0, grid.size - 1, _BLOCK):
         z = grid[lo : lo + _BLOCK + 1]
         h = np.diff(z)[:, None, None]
@@ -247,24 +247,6 @@ def _rk4_linear(
     return np.concatenate(blocks)
 
 
-def _propagate(
-    matrices: Callable[[np.ndarray], np.ndarray],
-    grids: list[np.ndarray],
-    v0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_rk4_linear` over consecutive segment grids, carrying the state.
-
-    Returns the sample positions and the ``(samples, 2)`` states, starting
-    at ``v0``.
-    """
-    zs = [np.zeros(1)]
-    vs = [np.asarray(v0)[None, :]]
-    for grid in grids:
-        vs.append(_rk4_linear(matrices, grid, vs[-1][-1]))
-        zs.append(grid[1:])
-    return np.concatenate(zs), np.concatenate(vs)
-
-
 def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
     """``[[0, -u], [u, decay]]`` for every slope in ``u``, acting on ``(y, x)``."""
     u = np.asarray(u, dtype=float)
@@ -282,28 +264,25 @@ def propagate_reduced(
 ) -> Trajectory:
     """Integrate the reduced lab-frame system along the angle profile.
 
-    ``profile.interior`` gives the angle on every segment; the grid is split
-    at the profile's breakpoints (its interior knots), where the slope
-    changes, and the state is carried across each one unchanged.  Boundary
-    jumps leave the fields untouched.
+    The grid has a node at each of the profile's breakpoints (its interior
+    knots), where the slope changes, so kinked tables keep fourth order.
+    Boundary jumps leave the fields untouched.
     """
-    grids = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
+    grid = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
 
     def lab_matrices(z):
         # -1/2 P(theta), with P the rank-one projector of the mixing angle
         theta = np.asarray(profile.interior(z), dtype=float)
         return -0.5 * np.moveaxis(projector_matrix(theta), -1, 0)
 
-    zeta, v = _propagate(
-        lab_matrices,
-        grids,
-        np.array([float(initial.omega_p), float(initial.omega_s)]),
+    v = _rk4_linear(
+        lab_matrices, grid, np.array([float(initial.omega_p), float(initial.omega_s)])
     )
     return Trajectory(
-        zeta=zeta,
+        zeta=grid,
         omega_p=v[:, 0],
         omega_s=v[:, 1],
-        theta=np.asarray(profile.interior(zeta), dtype=float),
+        theta=np.asarray(profile.interior(grid), dtype=float),
     )
 
 
@@ -318,21 +297,21 @@ def propagate_adiabatic(
     initial: AdiabaticState = AdiabaticState(x=0.0, y=1.0),
     opts: IntegratorOptions = DEFAULT_OPTIONS,
 ) -> AdiabaticTrajectory:
-    """Integrate the rotated-frame system under a slope-control schedule.
+    """Integrate the rotated-frame system under a continuous slope control.
 
     ``initial`` is the state before the entry rotation; the returned
     ``final_state`` is the state after the exit rotation.  With ``u == 0``
     the ``y`` component is exactly conserved and ``x`` decays at rate 1/2.
     """
-    grids = _segment_grid(schedule.alpha, schedule.breakpoints, opts.resolve_steps(schedule.alpha))
-    zeta, v = _propagate(
+    grid = np.linspace(0.0, schedule.alpha, opts.resolve_steps(schedule.alpha) + 1)
+    v = _rk4_linear(
         lambda z: _slope_matrices(schedule.u(z), -0.5),
-        grids,
+        grid,
         np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation)),
     )
     y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
     return AdiabaticTrajectory(
-        zeta=zeta,
+        zeta=grid,
         x=v[:, 1],
         y=v[:, 0],
         final_state=AdiabaticState(x=x_out, y=y_out),
@@ -375,9 +354,9 @@ def propagate_exact(
     v0 = np.array([initial.omega_p, initial.omega_s], dtype=complex)
     if not np.all(np.isfinite(v0)):
         raise NonFinite("input fields are not finite")
-    grids = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
-    zeta, v = _propagate(matrices, grids, v0)
-    return Trajectory(zeta=zeta, omega_p=v[:, 0], omega_s=v[:, 1])
+    grid = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
+    v = _rk4_linear(matrices, grid, v0)
+    return Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +373,10 @@ def _segment_exponential(u: float, dzeta: float) -> tuple[float, float]:
     ``exp(-dz/4) cosh(k dz) = (e^{(k-1/4) dz} + e^{(-k-1/4) dz}) / 2`` with
     ``k <= 1/4``, so long segments cannot overflow.  Where ``u^2``
     overflows, ``w = sqrt(u^2 - 1/16)`` rounds to ``|u|``, which is used
-    directly.  This is the only place the three branches are written;
-    :func:`segment_step` and the adjoint gradient of the profile search
-    both build on it.
+    directly; an infinite ``u`` (a segment shorter than the smallest normal
+    float) has lost its angle change and raises :class:`NonFinite`.  This is
+    the only place the three branches are written; :func:`segment_step` and
+    the adjoint gradient of the profile search both build on it.
     """
     k2 = 0.0625 - u * u
     if k2 > 1e-14:
@@ -405,7 +385,12 @@ def _segment_exponential(u: float, dzeta: float) -> tuple[float, float]:
         m = -math.expm1(-2.0 * k * dzeta)  # 1 - exp(-2 k dz)
         return grow * (1.0 - 0.5 * m), grow * m / (2.0 * k)
     if k2 < -1e-14:
-        w = math.sqrt(-k2) if k2 > -math.inf else abs(u)
+        if k2 > -math.inf:
+            w = math.sqrt(-k2)
+        elif math.isfinite(u):
+            w = abs(u)
+        else:
+            raise NonFinite("segment slope overflows; its angle change is lost")
         e = math.exp(-0.25 * dzeta)
         return e * math.cos(w * dzeta), e * math.sin(w * dzeta) / w
     ec = math.exp(-0.25 * dzeta)

@@ -213,10 +213,13 @@ def adiabatic_protocol(alpha: float, zeta0: float, zbar: float) -> ThetaProfile:
         )
 
     def interior(z):
-        return np.arctan(np.exp(-(np.asarray(z, dtype=float) - zeta0) / (2.0 * zbar)))
+        # far upstream exp overflows to inf, whose arctan is the limit pi/2
+        with np.errstate(over="ignore"):
+            return np.arctan(np.exp(-(np.asarray(z, dtype=float) - zeta0) / (2.0 * zbar)))
 
     def slope(z):
-        s = np.exp(-(np.asarray(z, dtype=float) - zeta0) / (2.0 * zbar))
+        # even in log s, so s = exp(-|z - zeta0|/(2 zbar)) <= 1 cannot overflow
+        s = np.exp(-np.abs(np.asarray(z, dtype=float) - zeta0) / (2.0 * zbar))
         return -s / (2.0 * zbar * (1.0 + s * s))
 
     theta_start = float(interior(0.0))
@@ -241,7 +244,9 @@ def _piecewise_linear(
     The knots are trusted: ``z`` increases strictly and spans ``[0, alpha]``
     to within 1e-9, and ``t`` lies in [0, pi/2].
     """
-    slopes = (t[1:] - t[:-1]) / (z[1:] - z[:-1])
+    # knots closer than the smallest normal float may give an infinite slope
+    with np.errstate(over="ignore"):
+        slopes = (t[1:] - t[:-1]) / (z[1:] - z[:-1])
 
     def slope(x):
         idx = np.searchsorted(z, np.asarray(x, dtype=float), side="right") - 1
@@ -269,11 +274,15 @@ def tabulated_protocol(
 
     The table must start at 0 and span the full interval; ``alpha`` defaults
     to the last sample position.  The samples become the profile's knots, and
-    the interior ones its integration breakpoints, so the fixed-step
-    integrator never straddles a slope change.
+    the interior ones its integration breakpoints, so the lab-frame
+    integrator never straddles a slope change.  A non-finite sample raises
+    :class:`NonFinite`.
     """
     z = np.array(zeta, dtype=float)  # copies: the profile keeps these arrays
     t = np.array(theta, dtype=float)
+    # every comparison with NaN is false, so the checks below would pass it
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(t))):
+        raise NonFinite("profile table holds a non-finite sample")
     if z.ndim != 1 or z.shape != t.shape or z.size < 2:
         raise ProfileDomainMismatch("profile table needs two columns of equal length >= 2")
     if np.any(np.diff(z) <= 0):

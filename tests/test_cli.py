@@ -71,6 +71,17 @@ def test_simulate_custom_roundtrip(tmp_path):
     assert float(rows[-1][0]) == 10.0
 
 
+@pytest.mark.parametrize("table", ["0 1.4\n5 nan\n10 0.1\n", "0 1.4\nnan 0.8\n10 0.1\n"])
+def test_simulate_nan_table_exits_two_without_output(tmp_path, capsys, table):
+    prof = tmp_path / "prof.txt"
+    prof.write_text(table)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--protocol", "custom", "--profile-file", str(prof),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "NonFinite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # efficiency
 # ---------------------------------------------------------------------------
@@ -200,6 +211,32 @@ def test_verify_tiny_alpha_writes_full_report(tmp_path, alpha):
     assert len(checks) == 14
     assert all(math.isfinite(c["value"]) for c in checks.values())
     assert checks["pmp_adjoint_fd"]["status"] == "pass"
+
+
+def test_verify_step_cap_exits_two_before_any_propagation(monkeypatch, capsys):
+    # the dissipation-order run and the arc would exceed the cap at this alpha
+    import doublelambda.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("propagated before checking the step cap")
+
+    monkeypatch.setattr(cli, "propagate_exact", unreachable)
+    assert main(["verify", "--alpha", "1.3e5", "--samples", "2"]) == 2
+    assert "RK4 steps requested" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["search", "--alpha", "3e-308", "--segments", "64"],
+    ["verify", "--alpha", "1e-307"],
+])
+def test_subnormal_segments_exit_two_with_one_line(tmp_path, capsys, command):
+    # segments shorter than the smallest normal float: a slope overflows to
+    # inf and the angle change it stood for cannot be recovered
+    out = tmp_path / "out.json"
+    assert main(command + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NonFinite" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -19,6 +19,7 @@ from doublelambda import (
     DriveFields,
     FieldState,
     IntegratorOptions,
+    NonFinite,
     ProfileDomainMismatch,
     Rates,
     adiabatic_protocol,
@@ -151,12 +152,25 @@ def test_adiabatic_singular_slope_reproduces_reference_efficiency():
     )
 
 
+#: Knot table with three slope jumps, two of them sign changes.
+KINKED = ([0.0, 3.0, 7.0, 12.0], [1.5, 0.4, 1.2, 0.1])
+
+
+def test_rotated_frame_rejects_interior_knots():
+    # a step ending on a knot would take the next segment's slope
+    with pytest.raises(ProfileDomainMismatch, match="interior knots"):
+        schedule_from_profile(tabulated_protocol(*KINKED))
+
+
 def test_frame_consistency_all_protocols():
     opts = IntegratorOptions(steps_per_unit=50.0)
     profiles = [
         optimal_protocol(100.0),
         constant_protocol(100.0),
         adiabatic_protocol(100.0, 50.0, 5.0),
+        # exp(-(z - zeta0)/(2 zbar)) overflows for z < 148: the slope must
+        # stay finite there and the angle build must not warn
+        adiabatic_protocol(2000.0, 1000.0, 0.6),
     ]
     for prof in profiles:
         tr_lab = propagate_reduced(prof, opts=opts)
@@ -209,13 +223,25 @@ def test_final_state_fourth_order_convergence():
         assert 8.0 < a / b < 32.0
 
 
+def test_kinked_table_fourth_order_convergence():
+    # the grid has a node at every knot, so no step straddles a slope jump
+    prof = tabulated_protocol(*KINKED)
+    exact = propagate_piecewise_exact(prof)
+    errs = []
+    for n in (50, 100, 200, 400):
+        fs = propagate_reduced(prof, opts=IntegratorOptions(step_count=n)).final_state
+        errs.append(math.hypot(fs.omega_p - exact.omega_p, fs.omega_s - exact.omega_s))
+    for a, b in zip(errs[:-1], errs[1:]):
+        assert 8.0 < a / b < 32.0
+
+
 # ---------------------------------------------------------------------------
 # Jump handling
 # ---------------------------------------------------------------------------
 
 def test_interior_jump_leaves_fields_continuous():
-    # a kink (slope jump) at the cut: the grid splits there and the state
-    # is carried across unchanged
+    # a kink (slope jump) at the cut: the grid has a node there, and the
+    # state at it is the one the left segment alone ends with
     alpha, cut = 8.0, 4.0
     th0, th1, th2 = 1.4, 1.1, 0.3
     opts = IntegratorOptions(step_count=80)
@@ -450,6 +476,17 @@ def test_piecewise_exact_long_segment_does_not_overflow():
     # overflow, the damped combination does not.
     fs = propagate_piecewise_exact(constant_protocol(1e4))
     assert fs.omega_s**2 == pytest.approx(constant_efficiency_closed(1e4), rel=1e-12)
+
+
+def test_piecewise_exact_rejects_overflowing_slope():
+    # 64 segments of length 4.7e-310: the first one's drop of pi/2 gives a
+    # slope past the largest float, and the angle it held is lost
+    alpha = 3e-308
+    thetas = np.zeros(65)
+    thetas[0] = HALF_PI
+    prof = tabulated_protocol(np.linspace(0.0, alpha, 65), thetas)
+    with pytest.raises(NonFinite):
+        propagate_piecewise_exact(prof)
 
 
 def test_piecewise_exact_requires_knots():

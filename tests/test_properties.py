@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from doublelambda import (
     DriveFields,
+    IntegratorOptions,
     NonFinite,
     Rates,
     SingularSystem,
@@ -165,3 +166,19 @@ def test_reduced_norm_never_grows_on_decreasing_tables(alpha, data):
     traj = propagate_reduced(tabulated_protocol(z, sorted(thetas, reverse=True)))
     assert np.all(np.diff(traj.norm_sq) <= 1e-12)
     assert 0.0 <= traj.efficiency <= 1.0
+
+
+@PROPERTY
+@given(alpha=log_uniform(0.05, 300.0), n_steps=st.integers(2, 3000), data=st.data())
+def test_reduced_grid_has_a_node_at_every_knot(alpha, n_steps, data):
+    n = data.draw(st.integers(2, 8))
+    widths = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
+    z = np.concatenate([[0.0], np.cumsum(widths)]) * (alpha / widths.sum())
+    z[-1] = alpha
+    thetas = data.draw(st.lists(st.floats(0.0, np.pi / 2), min_size=n, max_size=n))
+    traj = propagate_reduced(tabulated_protocol(z, thetas),
+                             opts=IntegratorOptions(step_count=n_steps))
+    assert set(z.tolist()) <= set(traj.zeta.tolist())
+    expected = sum(max(1, round(n_steps * (b - a) / alpha)) for a, b in zip(z[:-1], z[1:]))
+    assert traj.zeta.size == expected + 1
+    assert np.all(np.diff(traj.zeta) > 0)

@@ -291,3 +291,9 @@ def test_tabulated_validation():
         tabulated_protocol([0.0, 1.0, 1.0], [0.5, 0.4, 0.3])  # not increasing
     with pytest.raises(ProfileDomainMismatch):
         tabulated_protocol([0.0, 1.0], [0.5, 2.0])  # theta out of range
+    # every comparison with NaN is false: no range or order check catches it
+    for z, t in (([0.0, 5.0, 10.0], [1.4, math.nan, 0.1]),
+                 ([0.0, math.nan, 10.0], [1.4, 0.8, 0.1]),
+                 ([0.0, 5.0, math.inf], [1.4, 0.8, 0.1])):
+        with pytest.raises(NonFinite):
+            tabulated_protocol(z, t)
