@@ -266,8 +266,14 @@ def propagate_reduced(
 
     The grid has a node at each of the profile's breakpoints (its interior
     knots), where the slope changes, so kinked tables keep fourth order.
-    Boundary jumps leave the fields untouched.
+    Boundary jumps leave the fields untouched.  Knots so close that a slope
+    overflows (closer than the smallest normal float) leave the angle
+    between them undefined and raise :class:`NonFinite`.
     """
+    knots = profile.knots or ()
+    for (z0, t0), (z1, t1) in zip(knots[:-1], knots[1:]):
+        if not math.isfinite((t1 - t0) / (z1 - z0)):
+            raise NonFinite("segment slope overflows; its angle change is lost")
     grid = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
 
     def lab_matrices(z):
@@ -374,9 +380,12 @@ def _segment_exponential(u: float, dzeta: float) -> tuple[float, float]:
     ``k <= 1/4``, so long segments cannot overflow.  Where ``u^2``
     overflows, ``w = sqrt(u^2 - 1/16)`` rounds to ``|u|``, which is used
     directly; an infinite ``u`` (a segment shorter than the smallest normal
-    float) has lost its angle change and raises :class:`NonFinite`.  This is
-    the only place the three branches are written; :func:`segment_step` and
-    the adjoint gradient of the profile search both build on it.
+    float) has lost its angle change and raises :class:`NonFinite`.
+    :func:`segment_step` and the adjoint gradient of the profile search both
+    build on this form.  Its array twin :func:`_segment_exponential_array`
+    writes the same branches once more for the sampled dominance check; the
+    property test ``test_array_segment_exponential_matches_scalar`` holds the
+    two within 4 ulp.
     """
     k2 = 0.0625 - u * u
     if k2 > 1e-14:
@@ -395,6 +404,34 @@ def _segment_exponential(u: float, dzeta: float) -> tuple[float, float]:
         return e * math.cos(w * dzeta), e * math.sin(w * dzeta) / w
     ec = math.exp(-0.25 * dzeta)
     return ec, ec * dzeta
+
+
+def _segment_exponential_array(u: np.ndarray, dzeta) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_segment_exponential` elementwise over an array of slopes ``u``.
+
+    The same three branches, thresholds and ``w = |u|`` rule, each evaluated
+    on every element and picked with ``np.where``.  numpy's ``exp`` and
+    ``expm1`` may differ from :mod:`math`'s in the last place, so the pair
+    agrees with the scalar form to within 4 ulp, not bit for bit; the
+    profile search and :func:`segment_step` keep the scalar form.  An
+    infinite slope raises :class:`NonFinite`.
+    """
+    u = np.asarray(u, dtype=float)
+    if np.isinf(u).any():
+        raise NonFinite("segment slope overflows; its angle change is lost")
+    # every branch runs on every element; the ones not picked may overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k2 = 0.0625 - u * u
+        # k on the hyperbolic branch, w on the trigonometric one
+        r = np.where(np.isinf(k2), np.abs(u), np.sqrt(np.abs(k2)))
+        grow = np.exp((r - 0.25) * dzeta)
+        m = -np.expm1(-2.0 * r * dzeta)
+        e = np.exp(-0.25 * dzeta)
+        hyp, trig = k2 > 1e-14, k2 < -1e-14
+        ec = np.where(hyp, grow * (1.0 - 0.5 * m), np.where(trig, e * np.cos(r * dzeta), e))
+        es = np.where(hyp, grow * m / (2.0 * r),
+                      np.where(trig, e * np.sin(r * dzeta) / r, e * dzeta))
+    return ec, es
 
 
 def segment_step(y: float, x: float, u: float, dzeta: float) -> tuple[float, float]:

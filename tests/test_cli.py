@@ -82,6 +82,19 @@ def test_simulate_nan_table_exits_two_without_output(tmp_path, capsys, table):
     assert "NonFinite" in capsys.readouterr().err
 
 
+def test_simulate_overflowing_slope_exits_two_without_output(tmp_path, capsys):
+    # knots 1e-310 apart: the slope between them overflows, and the lab-frame
+    # route would interpolate infinite angles into NaN rows
+    prof = tmp_path / "prof.txt"
+    prof.write_text("0 1.4\n1e-310 0.2\n10 0.1\n")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--protocol", "custom", "--profile-file", str(prof),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NonFinite" in err
+
+
 # ---------------------------------------------------------------------------
 # efficiency
 # ---------------------------------------------------------------------------

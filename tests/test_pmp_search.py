@@ -28,6 +28,7 @@ from doublelambda import (
     tabulated_protocol,
     verify_singular_arc,
 )
+from doublelambda.pmp_search import SAMPLE_CHUNK, SAMPLED_KNOTS
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,18 @@ def test_random_profiles_never_beat_the_bound(alpha):
     effs = sampled_profile_efficiencies(alpha, 1000, seed=2024)
     assert effs.max() <= optimal_efficiency_closed(alpha) + 1e-9
     assert np.all(effs >= 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 10.0, 100.0, 150.0])
+def test_batched_samples_match_scalar_evaluation(alpha):
+    # more rows than one chunk: the chunked draws continue the one-shot stream
+    n = SAMPLE_CHUNK + 3
+    draws = np.random.default_rng(7).uniform(0.0, math.pi / 2, (n, SAMPLED_KNOTS))
+    expected = np.array([piecewise_efficiency(row, alpha) for row in draws])
+    effs = sampled_profile_efficiencies(alpha, n, seed=7)
+    assert effs.shape == (n,)
+    assert np.max(np.abs(effs - expected)) <= 1e-15
+    assert np.argmax(effs) == np.argmax(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from doublelambda import (
     tabulated_protocol,
     theta0_complement,
 )
+from doublelambda.propagation import _segment_exponential, _segment_exponential_array
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -95,6 +96,39 @@ def test_segment_step_continuous_across_zero_k(dz, e, y, x):
     near = segment_step(y, x, 0.25 + e, dz)
     for a, b in zip(near, at):
         assert abs(a - b) <= 10.0 * abs(e)
+
+
+SLOPES = st.one_of(
+    st.floats(-1.0, 1.0),
+    # both sides of k^2 = 0 and the band |u - 1/4| <= 1e-7 around it
+    st.floats(-1e-7, 1e-7).map(lambda e: 0.25 + e),
+    st.floats(-1e-7, 1e-7).map(lambda e: -0.25 + e),
+    # u^2 overflows: w = |u|
+    st.tuples(log_uniform(1.5e154, 1e300), st.sampled_from([-1.0, 1.0])).map(
+        lambda p: p[0] * p[1]),
+)
+
+#: numpy's exp and expm1 may each differ from math's by 1 ulp; the product
+#: and quotient rounded after them carry that into es = grow m / (2 k) as up to
+#: 4 ulp, and into ec as up to 3.
+SEGMENT_ULPS = 4
+
+
+@PROPERTY
+@given(u=st.lists(SLOPES, min_size=1, max_size=24), dz=log_uniform(1e-6, 1e4))
+def test_array_segment_exponential_matches_scalar(u, dz):
+    ec, es = _segment_exponential_array(np.array(u), dz)
+    assert ec.shape == es.shape == (len(u),)
+    for i, ui in enumerate(u):
+        for got, want in zip((ec[i], es[i]), _segment_exponential(ui, dz)):
+            assert abs(got - want) <= SEGMENT_ULPS * np.spacing(max(abs(got), abs(want)))
+
+    # an infinite slope has lost its angle change, in either form
+    bad = float(np.copysign(np.inf, u[0]))
+    with pytest.raises(NonFinite):
+        _segment_exponential(bad, dz)
+    with pytest.raises(NonFinite):
+        _segment_exponential_array(np.array(u + [bad]), dz)
 
 
 @PROPERTY
