@@ -31,9 +31,10 @@ from .efficiency import (
     numerical_efficiency,
     optimal_efficiency_closed,
 )
-from .errors import DoubleLambdaError, InvalidAlpha
+from .errors import DoubleLambdaError, InvalidAlpha, NonFinite
 from .pmp_search import (
     ARC_OPTIONS,
+    SAMPLED_KNOTS,
     optimize_piecewise,
     sampled_profile_efficiencies,
     singular_arc_checks,
@@ -46,6 +47,7 @@ from .propagation import (
     propagate_reduced,
 )
 from .protocols import (
+    HALF_PI,
     _check_alpha,
     build_profile,
     load_profile_table,
@@ -69,7 +71,18 @@ def _integrator(args) -> IntegratorOptions:
     return IntegratorOptions(steps_per_unit=args.steps_per_unit)
 
 
+#: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`.
+SIMULATE_CHUNK = 1024
+
+
 def cmd_simulate(args) -> int:
+    """Write one protocol's trajectory as CSV, one row per grid point.
+
+    Rows are formatted column-wise and streamed in chunks of
+    :data:`SIMULATE_CHUNK`, so beyond the trajectory and its float columns
+    the writer holds one chunk of text at any grid length.  Every field is
+    ``repr`` of a float64, the full-precision form of :func:`_fmt`.
+    """
     if args.protocol == "custom":
         if args.profile_file is None:
             raise DoubleLambdaError("custom protocol requires --profile-file")
@@ -79,23 +92,16 @@ def cmd_simulate(args) -> int:
     else:
         profile = build_profile(args.protocol, args.alpha, args.zeta0, args.zbar)
     traj = propagate_reduced(profile, opts=_integrator(args))
-    oc, od = np.sin(traj.theta), np.cos(traj.theta)
-
-    columns = [np.real(c).tolist()
-               for c in (traj.zeta, traj.theta, oc, od, traj.omega_p, traj.omega_s)]
+    # elementwise float64 products round as Python floats do: same fields
+    pp, ss = traj.omega_p * traj.omega_p, traj.omega_s * traj.omega_s
+    columns = (traj.zeta, traj.theta, np.sin(traj.theta), np.cos(traj.theta),
+               traj.omega_p, traj.omega_s, pp, ss, pp + ss)
 
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["zeta", "theta", "omega_c", "omega_d", "omega_p", "omega_s",
-             "intensity_p", "intensity_s", "norm"]
-        )
-        # Python floats throughout; repr is the full-precision field of _fmt
-        writer.writerows(
-            [repr(z), repr(t), repr(c), repr(d), repr(p), repr(s),
-             repr(p * p), repr(s * s), repr(p * p + s * s)]
-            for z, t, c, d, p, s in zip(*columns)
-        )
+        fh.write("zeta,theta,omega_c,omega_d,omega_p,omega_s,intensity_p,intensity_s,norm\n")
+        for lo in range(0, len(traj.zeta), SIMULATE_CHUNK):
+            fields = [map(repr, c[lo:lo + SIMULATE_CHUNK].tolist()) for c in columns]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
     return 0
 
 
@@ -141,6 +147,12 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
     # checks (same-grid oracle equivalence, arc residuals, dominance) keep
     # hard thresholds at any resolution.
     coarse = args.steps_per_unit < 10.0
+    # Below this alpha a drop of up to pi/2 over one segment of a sampled
+    # dominance profile overflows its slope; fail before any work.
+    min_alpha = (SAMPLED_KNOTS - 1) * HALF_PI / sys.float_info.max
+    if alpha < min_alpha:
+        raise NonFinite(f"alpha {alpha!r} is below {min_alpha!r}, where the slopes of the "
+                        f"{SAMPLED_KNOTS}-knot dominance samples may overflow")
     # Resolve the largest grids first, so a run past the step cap fails before any work.
     opts.resolve_steps(alpha)  # also keeps alpha * steps_per_unit finite for ``base``
     ARC_OPTIONS.resolve_steps(alpha)

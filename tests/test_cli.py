@@ -1,12 +1,22 @@
 """Command-line interface: schemas, reference rows, determinism, exit codes."""
 
 import csv
+import io
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from doublelambda import (
+    IntegratorOptions,
+    build_profile,
+    load_profile_table,
+    propagate_reduced,
+    tabulated_protocol,
+)
 from doublelambda.cli import build_parser, main
 
 EXPECTED_SIM_HEADER = [
@@ -69,6 +79,71 @@ def test_simulate_custom_roundtrip(tmp_path):
                  "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert float(rows[-1][0]) == 10.0
+
+
+def reference_simulate_csv(profile, steps_per_unit=10.0):
+    """``simulate``'s bytes, written row by row through ``csv.writer``."""
+    traj = propagate_reduced(profile, opts=IntegratorOptions(steps_per_unit=steps_per_unit))
+    th = traj.theta
+    columns = [c.tolist() for c in (traj.zeta, th, np.sin(th), np.cos(th),
+                                    traj.omega_p, traj.omega_s)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(EXPECTED_SIM_HEADER)
+    writer.writerows(  # Python floats: the intensities are squared here, not in numpy
+        [repr(z), repr(t), repr(c), repr(d), repr(p), repr(s),
+         repr(p * p), repr(s * s), repr(p * p + s * s)]
+        for z, t, c, d, p, s in zip(*columns)
+    )
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_simulate_bytes_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    import doublelambda.cli as cli
+
+    # two full chunks of the default size and three rows more, at 10 steps per unit
+    rows = 2 * cli.SIMULATE_CHUNK + 3
+    alpha = (rows - 1) / 10
+    if chunk is not None:
+        monkeypatch.setattr(cli, "SIMULATE_CHUNK", chunk)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--alpha", repr(alpha), "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1 + rows
+    assert data == reference_simulate_csv(build_profile("optimal", alpha))
+
+
+def test_simulate_bytes_on_kinked_table(tmp_path):
+    table = tmp_path / "prof.txt"
+    table.write_text("0 1.4\n2.5 1.1\n4 0.3\n7 0.25\n10 0.05\n")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--protocol", "custom", "--profile-file", str(table),
+                 "--out", str(out)]) == 0
+    profile = tabulated_protocol(*load_profile_table(table))
+    assert len(profile.breakpoints) == 3
+    assert out.read_bytes() == reference_simulate_csv(profile)
+
+
+def test_simulate_bytes_with_exponent_fields(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--alpha", "1e-6", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert b"e-07," in data and b"e-14," in data
+    assert data == reference_simulate_csv(build_profile("optimal", 1e-6))
+
+
+def test_simulate_memory_is_bounded_per_row(tmp_path):
+    # Building every row as Python floats before writing traced about 243
+    # bytes per row; streaming chunks of text traces about 86.
+    out = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--alpha", "5000", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 50_001 < 150
 
 
 @pytest.mark.parametrize("table", ["0 1.4\n5 nan\n10 0.1\n", "0 1.4\nnan 0.8\n10 0.1\n"])
@@ -236,6 +311,23 @@ def test_verify_step_cap_exits_two_before_any_propagation(monkeypatch, capsys):
     monkeypatch.setattr(cli, "propagate_exact", unreachable)
     assert main(["verify", "--alpha", "1.3e5", "--samples", "2"]) == 2
     assert "RK4 steps requested" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1e-307", "1.3e-307"])
+def test_verify_overflowing_samples_exit_two_before_any_work(monkeypatch, capsys, alpha):
+    # segments of alpha/16 under 16 (pi/2)/max_float: a sampled slope may overflow
+    import doublelambda.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("worked before checking the sample bound")
+
+    for name in ("propagate_exact", "propagate_reduced", "dissipation_order",
+                 "verify_singular_arc", "sampled_profile_efficiencies"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert main(["verify", "--alpha", alpha, "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NonFinite" in err
+    assert repr(16 * (math.pi / 2) / sys.float_info.max) in err
 
 
 @pytest.mark.parametrize("command", [

@@ -4,7 +4,12 @@ Examples are derandomized so that the suite is reproducible; each property
 still sees a spread of alphas, segment counts, seeds, rates and fields.
 """
 
+import contextlib
+import io
 import math
+import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from doublelambda import (
     tabulated_protocol,
     theta0_complement,
 )
+from doublelambda.cli import main
 from doublelambda.propagation import _segment_exponential, _segment_exponential_array
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -216,3 +222,31 @@ def test_reduced_grid_has_a_node_at_every_knot(alpha, n_steps, data):
     expected = sum(max(1, round(n_steps * (b - a) / alpha)) for a, b in zip(z[:-1], z[1:]))
     assert traj.zeta.size == expected + 1
     assert np.all(np.diff(traj.zeta) > 0)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["optimal", "constant", "adiabatic"]),
+       alpha=log_uniform(sys.float_info.min, 2e3), spu=st.floats(1.0, 20.0), data=st.data())
+def test_simulate_writes_finite_rows_or_exits_two(kind, alpha, spu, data):
+    spu = min(spu, 2e4 / alpha)  # at most 2e4 steps per example
+    argv = ["simulate", "--protocol", kind, "--alpha", repr(alpha),
+            "--steps-per-unit", repr(spu)]
+    if kind == "adiabatic":
+        # zbar <= 1/2 warns of broken adiabaticity, an error under the test settings
+        argv += ["--zeta0", repr(data.draw(st.floats(0.0, alpha))),
+                 "--zbar", repr(data.draw(st.floats(0.51, 1e3)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "traj.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        if code == 2:
+            assert err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+            return
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (IntegratorOptions(steps_per_unit=spu).resolve_steps(alpha) + 1, 9)
+    assert np.isfinite(rows).all()
+    assert rows[0, 0] == 0.0 and rows[-1, 0] == alpha
+    assert np.all(np.diff(rows[:, 8]) <= 1e-12)
