@@ -28,7 +28,6 @@ from .bloch_steady import Rates
 from .efficiency import (
     closed_efficiency,
     constant_efficiency_closed,
-    numerical_efficiency,
     optimal_efficiency_closed,
 )
 from .errors import DoubleLambdaError, InvalidAlpha, NonFinite
@@ -45,6 +44,7 @@ from .propagation import (
     dissipation_order,
     propagate_exact,
     propagate_reduced,
+    propagate_reduced_many,
 )
 from .protocols import (
     HALF_PI,
@@ -73,6 +73,14 @@ def _integrator(args) -> IntegratorOptions:
 
 #: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`.
 SIMULATE_CHUNK = 1024
+
+#: Most optical densities ``efficiency --alpha-steps`` may request; each is a
+#: row per protocol, so the cap bounds the rows held before the CSV is written.
+MAX_ALPHA_STEPS = 100_000
+
+#: Most random profiles ``verify --samples`` may request per optical density;
+#: their efficiencies are held as one float array.
+MAX_SAMPLES = 1_000_000
 
 
 def cmd_simulate(args) -> int:
@@ -106,6 +114,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
+    """Write closed-form and numeric efficiencies, one row per protocol and alpha.
+
+    The numeric column is one batch of :func:`propagate_reduced_many` over
+    all rows.
+    """
     if args.alpha:
         alphas = [_check_alpha(a) for a in args.alpha]
     else:
@@ -116,27 +129,25 @@ def cmd_efficiency(args) -> int:
                 raise InvalidAlpha(f"{flag} must be finite, got {bound}")
         if args.alpha_min <= 0:
             raise InvalidAlpha("alpha range must start above 0")
-        if args.alpha_steps < 1:
-            raise DoubleLambdaError("--alpha-steps must be at least 1")
+        if not 1 <= args.alpha_steps <= MAX_ALPHA_STEPS:
+            raise DoubleLambdaError(f"--alpha-steps must be in [1, {MAX_ALPHA_STEPS}]")
         alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
     protocols = args.protocol or ["optimal", "constant"]
     opts = _integrator(args)
 
-    rows = []
-    for kind in sorted(protocols):
-        for alpha in sorted(alphas):
-            eta_closed = None
-            if args.method in ("closed", "both"):
-                eta_closed = closed_efficiency(kind, alpha)
-            eta_numeric = None
-            if args.method in ("numeric", "both"):
-                eta_numeric = numerical_efficiency(kind, alpha, opts, args.zeta0, args.zbar)
-            rows.append([_fmt(alpha), kind, _fmt(eta_closed), _fmt(eta_numeric)])
+    keys = [(kind, alpha) for kind in sorted(protocols) for alpha in sorted(alphas)]
+    eta_closed = eta_numeric = [None] * len(keys)
+    if args.method in ("closed", "both"):
+        eta_closed = [closed_efficiency(kind, alpha) for kind, alpha in keys]
+    if args.method in ("numeric", "both"):
+        runs = ((build_profile(kind, alpha, args.zeta0, args.zbar), opts) for kind, alpha in keys)
+        eta_numeric = [traj.efficiency for traj in propagate_reduced_many(runs)]
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alpha", "protocol", "eta_closed", "eta_numeric"])
-        writer.writerows(rows)
+        writer.writerows([_fmt(alpha), kind, _fmt(closed), _fmt(numeric)]
+                         for (kind, alpha), closed, numeric in zip(keys, eta_closed, eta_numeric))
     return 0
 
 
@@ -168,12 +179,14 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
              "threshold": float(threshold), "status": status}
         )
 
-    # Reduced vs microscopically closed propagation, all three protocols.
-    for kind in ("optimal", "constant", "adiabatic"):
-        profile = build_profile(kind, alpha)
+    # Reduced vs microscopically closed propagation, all three protocols; the
+    # reduced runs are one batch.
+    profiles = [build_profile(kind, alpha) for kind in ("optimal", "constant", "adiabatic")]
+    reduced = propagate_reduced_many((profile, opts) for profile in profiles)
+    for profile, tr_reduced in zip(profiles, reduced):
+        kind = profile.kind
         tr_exact = propagate_exact(functools.partial(theta_to_controls, profile), alpha,
                                    Rates(), opts=opts, breakpoints=profile.breakpoints)
-        tr_reduced = propagate_reduced(profile, opts=opts)
         diff = max(
             abs(complex(tr_exact.omega_p[-1]) - tr_reduced.omega_p[-1]),
             abs(complex(tr_exact.omega_s[-1]) - tr_reduced.omega_s[-1]),
@@ -209,8 +222,8 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise DoubleLambdaError("--samples must be at least 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise DoubleLambdaError(f"--samples must be in [1, {MAX_SAMPLES}]")
     alphas = [_check_alpha(a) for a in (args.alpha or [1.0, 10.0, 100.0])]
     checks = [c for a in alphas for c in _verify_one_alpha(a, args)]
     passed = all(c["status"] != "fail" for c in checks)

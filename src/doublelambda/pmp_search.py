@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidSearchSettings
 from .propagation import (
     IntegratorOptions,
-    _rk4_linear,
+    _rk4,
     _segment_exponential,
     _segment_exponential_array,
     _slope_matrices,
@@ -54,6 +54,10 @@ SAMPLED_KNOTS = 17
 
 #: Profiles of the sampled dominance check evaluated at once.
 SAMPLE_CHUNK = 4096
+
+#: Most segments the profile search may take; its optimizer and adjoint hold
+#: a few hundred bytes per knot, so the cap bounds them to tens of MB.
+MAX_SEGMENTS = 100_000
 
 
 @dataclass
@@ -163,8 +167,8 @@ def integrate_adjoint_along_arc(arc: AdjointState) -> float:
     # (lambda_y, lambda_x)' = [[0, -u], [u, 1/2]] (lambda_y, lambda_x)
     z = arc.zeta[::-1]
     exact = np.column_stack([arc.lambda_y, arc.lambda_x])[::-1]
-    lam = _rk4_linear(
-        lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5), z, exact[0]
+    ((_, _, lam),) = _rk4(
+        lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5), [(z, exact[0], None)]
     )
     return float(np.max(np.abs(lam - exact)))
 
@@ -374,8 +378,8 @@ def optimize_piecewise(
     the lowest start index.
     """
     alpha = _check_alpha(alpha)
-    if n_segments < 2:
-        raise InvalidSearchSettings("n_segments must be at least 2")
+    if not 2 <= n_segments <= MAX_SEGMENTS:
+        raise InvalidSearchSettings(f"n_segments must be in [2, {MAX_SEGMENTS}]")
     if budget < 1:
         raise InvalidSearchSettings("budget must be positive")
     if n_starts < 1:

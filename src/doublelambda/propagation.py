@@ -2,7 +2,8 @@
 
 Three routes integrate the same physics at different levels of reduction:
 
-* :func:`propagate_reduced` -- the two-field lab-frame system
+* :func:`propagate_reduced` (and :func:`propagate_reduced_many`, its batch
+  over several profiles) -- the two-field lab-frame system
   ``d(Omega_p, Omega_s)/dzeta = -1/2 P(theta) (Omega_p, Omega_s)`` with
   ``P`` the rank-one projector of the mixing angle.  On resonance the system
   is real and the overall control magnitude drops out.
@@ -14,20 +15,26 @@ Three routes integrate the same physics at different levels of reduction:
 
 Each route is the linear system ``dv/dzeta = A(zeta) v`` with a 2x2 matrix
 ``A`` and supplies only that matrix to one shared fixed-step classical
-fourth-order Runge-Kutta kernel, called once on one grid with a node at
-every interior knot of the profile; deterministic output is preferred over
-adaptivity.  The rotated-frame matrix holds the slope, which jumps at a
-knot, so that route takes continuous slopes only.  For piecewise-linear
-profiles the rotated-frame system has a closed-form matrix exponential,
-exposed as :func:`segment_step` / :func:`propagate_piecewise_exact`; exact
-to rounding, it is an independent oracle for the Runge-Kutta routes.
+fourth-order Runge-Kutta driver, :func:`_rk4`, on one grid per propagation
+with a node at every interior knot of the profile; deterministic output is
+preferred over adaptivity.  The driver builds the step matrices of a chunk
+of :data:`_BLOCK` steps at once (:func:`_rk4_step_matrices`) and applies
+them in order on Python scalars (:func:`_apply_steps`).  Independent
+propagations are batched through it, their steps walked in chunks that may
+span several of them, with results equal bit for bit to propagating each
+alone: :func:`propagate_reduced_many`.  The rotated-frame matrix holds the
+slope, which jumps at a knot, so that route takes continuous slopes only.
+For piecewise-linear profiles the rotated-frame system has a closed-form
+matrix exponential, exposed as :func:`segment_step` /
+:func:`propagate_piecewise_exact`; exact to rounding, it is an independent
+oracle for the Runge-Kutta routes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -202,49 +209,130 @@ def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> n
 
 
 #: Steps whose RK4 step matrices are built at once; bounds the kernel's
-#: working memory independently of the grid length.
+#: working memory independently of the grid length and of the number of
+#: propagations in a batch.
 _BLOCK = 1024
 
 
-def _rk4_linear(
-    matrices: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, v0: np.ndarray
-) -> np.ndarray:
-    """Classical RK4 for the linear system ``dv/dzeta = A(zeta) v`` on one grid.
+def _rk4_step_matrices(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray,
+                       h: np.ndarray) -> np.ndarray:
+    """RK4 step matrices of the linear system ``dv/dzeta = A(zeta) v``.
 
-    ``matrices(z)`` returns ``A`` at the points ``z`` as an ``(n, 2, 2)``
-    array; it is evaluated on the grid and at the step midpoints, two calls
-    per block of up to :data:`_BLOCK` steps.  Linearity folds the four
-    stages of a step into one matrix ``R = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``
-    with ``K1 = A(zeta)``, ``K2 = A(zeta + h/2) (I + h/2 K1)``,
-    ``K3 = A(zeta + h/2) (I + h/2 K2)`` and ``K4 = A(zeta + h) (I + h K3)``,
-    built with numpy for the whole block.  The steps are then applied in
-    order on Python floats (or complex numbers), carrying one state, so
-    rounding accumulates as in a stage-by-stage integration; a prefix-product
-    scan would be faster but loses accuracy at large ``alpha``.  Returns the
-    ``(len(grid), 2)`` states at the grid points, starting with ``v0``.
+    ``a0``, ``a_mid`` and ``a1`` hold ``A`` at the start, the midpoint and
+    the end of each step, as ``(n, 2, 2)`` arrays, and ``h`` the ``n`` step
+    sizes.  Linearity folds the four stages of a step into one matrix
+    ``R = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` with ``K1 = A(zeta)``,
+    ``K2 = A(zeta + h/2) (I + h/2 K1)``, ``K3 = A(zeta + h/2) (I + h/2 K2)``
+    and ``K4 = A(zeta + h) (I + h K3)``.  Each step's matrix depends on its
+    own inputs only, so steps of independent propagations may share a call.
     """
     eye = np.eye(2)
-    p, q = np.asarray(v0).tolist()
-    blocks = [np.asarray(v0)[None, :]]
-    for lo in range(0, grid.size - 1, _BLOCK):
-        z = grid[lo : lo + _BLOCK + 1]
-        h = np.diff(z)[:, None, None]
-        a = matrices(z)
-        a_half = matrices(0.5 * (z[:-1] + z[1:]))
-        k = a[:-1]
-        r = k.copy()
-        for a_stage, frac, weight in ((a_half, 0.5, 2.0), (a_half, 0.5, 2.0), (a[1:], 1.0, 1.0)):
-            k = a_stage @ (eye + frac * h * k)
-            r += weight * k
-        r *= h / 6.0
-        r += eye
-        out = []
-        extend = out.extend
-        for r00, r01, r10, r11 in r.reshape(-1, 4).tolist():
-            p, q = r00 * p + r01 * q, r10 * p + r11 * q
-            extend((p, q))
-        blocks.append(np.array(out, dtype=np.result_type(r, v0)).reshape(-1, 2))
-    return np.concatenate(blocks)
+    h = h[:, None, None]
+    k = a0
+    r = k.copy()
+    for a_stage, frac, weight in ((a_mid, 0.5, 2.0), (a_mid, 0.5, 2.0), (a1, 1.0, 1.0)):
+        k = a_stage @ (eye + frac * h * k)
+        r += weight * k
+    r *= h / 6.0
+    r += eye
+    return r
+
+
+def _apply_steps(r00: list, r01: list, r10: list, r11: list, p, q) -> tuple[list, list]:
+    """Apply step matrices, given entry by entry, in order to the state ``(p, q)``.
+
+    Runs on Python floats (or complex numbers), carrying one state, so
+    rounding accumulates as in a stage-by-stage integration; a prefix-product
+    scan would be faster but loses accuracy at large ``alpha``.  Returns the
+    lists of ``p`` and of ``q`` after each step.
+    """
+    ps, qs = [], []
+    append_p, append_q = ps.append, qs.append
+    for a, b, c, d in zip(r00, r01, r10, r11):
+        p, q = a * p + b * q, c * p + d * q
+        append_p(p)
+        append_q(q)
+    return ps, qs
+
+
+class _Run:
+    """One propagation in flight through :func:`_rk4`."""
+
+    def __init__(self, grid: np.ndarray, v0: np.ndarray, at):
+        self.grid = grid
+        self.at = at
+        # parameters of A at the grid nodes, evaluated once
+        self.nodes = grid if at is None else at(grid)
+        v0 = np.asarray(v0)
+        self.state = tuple(v0.tolist())
+        self.blocks = [v0[:, None]]  # states as columns
+
+
+def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
+    """Classical RK4 for ``dv/dzeta = A v`` over a stream of independent runs.
+
+    Each run is ``(grid, v0, at)``: a grid, the initial state, and the map
+    ``at`` from positions to the parameters of ``A`` (``None`` when they
+    are the positions themselves).  ``matrices(x)`` returns ``A`` for the
+    parameters ``x`` as an ``(n, 2, 2)`` array and serves every run.
+
+    The runs' steps are walked in order, in chunks of up to :data:`_BLOCK`
+    steps that may span several runs.  Each chunk makes one ``matrices``
+    call, over its step nodes and midpoints, and one
+    :func:`_rk4_step_matrices` call; :func:`_apply_steps` then applies the
+    steps in order, restarting from ``v0`` at each run's first step.  A
+    step's matrix and its application do not depend on the chunk it falls
+    in, so the states are those of each run integrated alone, bit for bit.
+
+    Yields ``(grid, nodes, states)`` for each run, in order, as soon as its
+    last step is applied: the parameters at the grid nodes and the
+    ``(len(grid), 2)`` states, starting with ``v0``.  Runs are pulled only
+    as the chunks reach them, so the working memory is one chunk plus the
+    runs it touches.
+    """
+    chunk = []  # (run, lo, hi): steps lo..hi of a run
+    room = _BLOCK
+    for grid, v0, at in runs:
+        run = _Run(grid, v0, at)
+        lo, n = 0, grid.size - 1
+        while lo < n:
+            hi = min(n, lo + room)
+            chunk.append((run, lo, hi))
+            room -= hi - lo
+            lo = hi
+            if room == 0:
+                yield from _rk4_chunk(matrices, chunk)
+                chunk, room = [], _BLOCK
+    if chunk:
+        yield from _rk4_chunk(matrices, chunk)
+
+
+def _rk4_chunk(matrices, chunk):
+    """Build and apply one chunk of :func:`_rk4`; yield the runs it finishes."""
+    nodes, mids, steps = [], [], []
+    for run, lo, hi in chunk:
+        z = run.grid[lo : hi + 1]
+        z_mid = 0.5 * (z[:-1] + z[1:])
+        nodes.append(run.nodes[lo : hi + 1])
+        mids.append(z_mid if run.at is None else run.at(z_mid))
+        steps.append(z[1:] - z[:-1])
+    h = np.concatenate(steps)
+    a = matrices(np.concatenate(nodes + mids))
+    # each piece adds one node more than steps, so step i starts at node i + piece
+    start = np.arange(h.size) + np.repeat(np.arange(len(chunk)), [x.size for x in steps])
+    r = _rk4_step_matrices(a[start], a[h.size + len(chunk) :], a[start + 1], h)
+    entries = [r[:, row, col].tolist() for row in (0, 1) for col in (0, 1)]
+    i = 0
+    for run, lo, hi in chunk:
+        n = hi - lo
+        ps, qs = _apply_steps(*(e[i : i + n] for e in entries), *run.state)
+        run.state = ps[-1], qs[-1]
+        run.blocks.append(np.array((ps, qs), dtype=np.result_type(r, run.blocks[0])))
+        i += n
+        if hi == run.grid.size - 1:
+            states = np.concatenate(run.blocks, axis=1).T
+            run.blocks = None
+            yield run.grid, run.nodes, states
 
 
 def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
@@ -255,6 +343,43 @@ def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
     m[..., 1, 0] = u
     m[..., 1, 1] = decay
     return m
+
+
+def _lab_matrices(theta: np.ndarray) -> np.ndarray:
+    """``-1/2 P(theta)`` for every angle in ``theta``, P the rank-one projector."""
+    return -0.5 * np.moveaxis(projector_matrix(theta), -1, 0)
+
+
+def propagate_reduced_many(
+    runs: Iterable[tuple[ThetaProfile, IntegratorOptions]],
+    initial: FieldState = FieldState(1.0, 0.0),
+) -> Iterator[Trajectory]:
+    """:func:`propagate_reduced` of each ``(profile, opts)`` pair, batched.
+
+    The propagations share one RK4 driver: their steps are built and applied
+    in chunks of :data:`_BLOCK` that may span several of them, each chunk
+    with one evaluation of ``-1/2 P(theta)`` and one step-matrix build.
+    Each profile's angle is evaluated once at its grid nodes, which become
+    ``Trajectory.theta``, and once at its step midpoints.  Trajectories are
+    yielded in order as they finish and equal those of
+    :func:`propagate_reduced`, bit for bit; pairs are read from ``runs`` only
+    as the chunks reach them, so the working memory is one chunk plus the
+    trajectory being yielded.
+    """
+    v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
+
+    def lab_runs():
+        for profile, opts in runs:
+            knots = profile.knots or ()
+            for (z0, t0), (z1, t1) in zip(knots[:-1], knots[1:]):
+                if not math.isfinite((t1 - t0) / (z1 - z0)):
+                    raise NonFinite("segment slope overflows; its angle change is lost")
+            grid = _segment_grid(
+                profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
+            yield grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float)
+
+    for grid, theta, v in _rk4(_lab_matrices, lab_runs()):
+        yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1], theta=theta)
 
 
 def propagate_reduced(
@@ -268,28 +393,11 @@ def propagate_reduced(
     knots), where the slope changes, so kinked tables keep fourth order.
     Boundary jumps leave the fields untouched.  Knots so close that a slope
     overflows (closer than the smallest normal float) leave the angle
-    between them undefined and raise :class:`NonFinite`.
+    between them undefined and raise :class:`NonFinite`.  This is the batch
+    of one of :func:`propagate_reduced_many`.
     """
-    knots = profile.knots or ()
-    for (z0, t0), (z1, t1) in zip(knots[:-1], knots[1:]):
-        if not math.isfinite((t1 - t0) / (z1 - z0)):
-            raise NonFinite("segment slope overflows; its angle change is lost")
-    grid = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
-
-    def lab_matrices(z):
-        # -1/2 P(theta), with P the rank-one projector of the mixing angle
-        theta = np.asarray(profile.interior(z), dtype=float)
-        return -0.5 * np.moveaxis(projector_matrix(theta), -1, 0)
-
-    v = _rk4_linear(
-        lab_matrices, grid, np.array([float(initial.omega_p), float(initial.omega_s)])
-    )
-    return Trajectory(
-        zeta=grid,
-        omega_p=v[:, 0],
-        omega_s=v[:, 1],
-        theta=np.asarray(profile.interior(grid), dtype=float),
-    )
+    (traj,) = propagate_reduced_many([(profile, opts)], initial)
+    return traj
 
 
 def _rotate(y: float, x: float, delta: float) -> tuple[float, float]:
@@ -310,11 +418,8 @@ def propagate_adiabatic(
     the ``y`` component is exactly conserved and ``x`` decays at rate 1/2.
     """
     grid = np.linspace(0.0, schedule.alpha, opts.resolve_steps(schedule.alpha) + 1)
-    v = _rk4_linear(
-        lambda z: _slope_matrices(schedule.u(z), -0.5),
-        grid,
-        np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation)),
-    )
+    v0 = np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation))
+    ((_, _, v),) = _rk4(lambda z: _slope_matrices(schedule.u(z), -0.5), [(grid, v0, None)])
     y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
     return AdiabaticTrajectory(
         zeta=grid,
@@ -361,7 +466,7 @@ def propagate_exact(
     if not np.all(np.isfinite(v0)):
         raise NonFinite("input fields are not finite")
     grid = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
-    v = _rk4_linear(matrices, grid, v0)
+    ((_, _, v),) = _rk4(matrices, [(grid, v0, None)])
     return Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
 
 
@@ -499,13 +604,12 @@ def dissipation_order(
     """Observed convergence order of the dissipation-identity residual.
 
     Returns the log-log slope of max residual versus step size over the
-    given step counts, together with the residual maxima.
+    given step counts, together with the residual maxima.  The runs are
+    one batch of :func:`propagate_reduced_many`.
     """
-    res = []
-    hs = []
-    for n in steps_list:
-        traj = propagate_reduced(profile, opts=IntegratorOptions(step_count=int(n)))
-        res.append(float(np.max(np.abs(dissipation_residual(traj)))))
-        hs.append(profile.alpha / n)
+    runs = [(profile, IntegratorOptions(step_count=int(n))) for n in steps_list]
+    res = [float(np.max(np.abs(dissipation_residual(traj))))
+           for traj in propagate_reduced_many(runs)]
+    hs = [profile.alpha / n for n in steps_list]
     slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
     return slope, np.asarray(res)

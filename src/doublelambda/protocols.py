@@ -28,6 +28,7 @@ constant).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -120,6 +121,7 @@ def theta0_residual(theta0, alpha):
     return (alpha / 4.0) * np.sin(2.0 * np.asarray(theta0)) - 2.0 * np.asarray(theta0) + HALF_PI
 
 
+@functools.lru_cache(maxsize=1024)
 def theta0_complement(alpha: float) -> float:
     """``pi/2 - theta0`` of the optimal protocol, to full relative precision.
 
@@ -130,7 +132,9 @@ def theta0_complement(alpha: float) -> float:
     factor of two for every finite ``alpha > 0`` (the root tends to
     ``pi/alpha`` as ``alpha`` grows), so bisection to adjacent floats takes
     a few dozen halvings and keeps ``e`` accurate where ``theta0`` itself
-    rounds to pi/2.
+    rounds to pi/2.  The result is a pure function of ``alpha`` and is
+    cached, so the closed-form efficiency and the protocol at one ``alpha``
+    share one bisection; errors are not cached.
     """
     alpha = _check_alpha(alpha)
     lo, hi = math.pi / (alpha + 4.0), min(math.pi / 4, math.pi / alpha)

@@ -14,6 +14,7 @@ from doublelambda import (
     adiabatic_protocol,
     build_profile,
     constant_protocol,
+    optimal_efficiency_closed,
     optimal_protocol,
     singular_slope,
     solve_theta0,
@@ -66,6 +67,26 @@ def test_theta0_complement_solves_the_condition_at_any_alpha():
         assert 0.0 < e <= math.pi / 4
         assert abs(0.25 * alpha * math.sin(2.0 * e) + 2.0 * e - HALF_PI) <= 1e-15
         assert solve_theta0(alpha) == HALF_PI - e
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.3, 37.5, 1e5])
+def test_theta0_solve_is_shared_and_bit_identical(alpha):
+    # the closed-form efficiency and the protocol at one alpha share a bisection
+    theta0_complement.cache_clear()
+    optimal_efficiency_closed(alpha)
+    profile = optimal_protocol(alpha)
+    info = theta0_complement.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert profile.knots[-1][1] == theta0_complement.__wrapped__(alpha)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+def test_theta0_errors_are_not_cached(alpha):
+    theta0_complement.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InvalidAlpha):
+            theta0_complement(alpha)
+    assert theta0_complement.cache_info().currsize == 0
 
 
 def test_residual_bracketing_signs():
