@@ -28,6 +28,7 @@ from .bloch_steady import Rates
 from .efficiency import (
     closed_efficiency,
     constant_efficiency_closed,
+    numerical_efficiency,
     optimal_efficiency_closed,
 )
 from .errors import DoubleLambdaError, InvalidAlpha, NonFinite
@@ -44,7 +45,6 @@ from .propagation import (
     dissipation_order,
     propagate_exact,
     propagate_reduced,
-    propagate_reduced_many,
 )
 from .protocols import (
     HALF_PI,
@@ -114,11 +114,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    """Write closed-form and numeric efficiencies, one row per protocol and alpha.
-
-    The numeric column is one batch of :func:`propagate_reduced_many` over
-    all rows.
-    """
     if args.alpha:
         alphas = [_check_alpha(a) for a in args.alpha]
     else:
@@ -135,19 +130,21 @@ def cmd_efficiency(args) -> int:
     protocols = args.protocol or ["optimal", "constant"]
     opts = _integrator(args)
 
-    keys = [(kind, alpha) for kind in sorted(protocols) for alpha in sorted(alphas)]
-    eta_closed = eta_numeric = [None] * len(keys)
-    if args.method in ("closed", "both"):
-        eta_closed = [closed_efficiency(kind, alpha) for kind, alpha in keys]
-    if args.method in ("numeric", "both"):
-        runs = ((build_profile(kind, alpha, args.zeta0, args.zbar), opts) for kind, alpha in keys)
-        eta_numeric = [traj.efficiency for traj in propagate_reduced_many(runs)]
+    rows = []
+    for kind in sorted(protocols):
+        for alpha in sorted(alphas):
+            eta_closed = None
+            if args.method in ("closed", "both"):
+                eta_closed = closed_efficiency(kind, alpha)
+            eta_numeric = None
+            if args.method in ("numeric", "both"):
+                eta_numeric = numerical_efficiency(kind, alpha, opts, args.zeta0, args.zbar)
+            rows.append([_fmt(alpha), kind, _fmt(eta_closed), _fmt(eta_numeric)])
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alpha", "protocol", "eta_closed", "eta_numeric"])
-        writer.writerows([_fmt(alpha), kind, _fmt(closed), _fmt(numeric)]
-                         for (kind, alpha), closed, numeric in zip(keys, eta_closed, eta_numeric))
+        writer.writerows(rows)
     return 0
 
 
@@ -179,14 +176,12 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
              "threshold": float(threshold), "status": status}
         )
 
-    # Reduced vs microscopically closed propagation, all three protocols; the
-    # reduced runs are one batch.
-    profiles = [build_profile(kind, alpha) for kind in ("optimal", "constant", "adiabatic")]
-    reduced = propagate_reduced_many((profile, opts) for profile in profiles)
-    for profile, tr_reduced in zip(profiles, reduced):
-        kind = profile.kind
+    # Reduced vs microscopically closed propagation, all three protocols.
+    for kind in ("optimal", "constant", "adiabatic"):
+        profile = build_profile(kind, alpha)
         tr_exact = propagate_exact(functools.partial(theta_to_controls, profile), alpha,
                                    Rates(), opts=opts, breakpoints=profile.breakpoints)
+        tr_reduced = propagate_reduced(profile, opts=opts)
         diff = max(
             abs(complex(tr_exact.omega_p[-1]) - tr_reduced.omega_p[-1]),
             abs(complex(tr_exact.omega_s[-1]) - tr_reduced.omega_s[-1]),

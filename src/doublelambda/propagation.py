@@ -15,11 +15,12 @@ Three routes integrate the same physics at different levels of reduction:
 
 Each route is the linear system ``dv/dzeta = A(zeta) v`` with a 2x2 matrix
 ``A`` and supplies only that matrix to one shared fixed-step classical
-fourth-order Runge-Kutta driver, :func:`_rk4`, on one grid per propagation
-with a node at every interior knot of the profile; deterministic output is
-preferred over adaptivity.  The driver builds the step matrices of a chunk
-of :data:`_BLOCK` steps at once (:func:`_rk4_step_matrices`) and applies
-them in order on Python scalars (:func:`_apply_steps`).  Independent
+fourth-order Runge-Kutta integrator, :func:`_rk4`, on one grid per
+propagation with a node at every interior knot of the profile;
+deterministic output is preferred over adaptivity.  The integrator builds
+the step matrices of a chunk of :data:`_BLOCK` steps at once
+(:func:`_rk4_step_matrices`) and applies them in order on Python scalars
+(:func:`_apply_steps`).  Independent
 propagations are batched through it, their steps walked in chunks that may
 span several of them, with results equal bit for bit to propagating each
 alone: :func:`propagate_reduced_many`.  The rotated-frame matrix holds the
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bloch_steady import DriveFields, Rates, projector_matrix, steady_coherences
+from .bloch_steady import DriveFields, Rates, steady_coherences
 from .errors import DoubleLambdaError, NonFinite, ProfileDomainMismatch
 from .protocols import ThetaProfile, _check_alpha
 
@@ -213,6 +214,8 @@ def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> n
 #: propagations in a batch.
 _BLOCK = 1024
 
+_EYE = np.eye(2)
+
 
 def _rk4_step_matrices(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray,
                        h: np.ndarray) -> np.ndarray:
@@ -226,33 +229,37 @@ def _rk4_step_matrices(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray,
     and ``K4 = A(zeta + h) (I + h K3)``.  Each step's matrix depends on its
     own inputs only, so steps of independent propagations may share a call.
     """
-    eye = np.eye(2)
     h = h[:, None, None]
+    half_h = 0.5 * h
+    r = a0.copy()
     k = a0
-    r = k.copy()
-    for a_stage, frac, weight in ((a_mid, 0.5, 2.0), (a_mid, 0.5, 2.0), (a1, 1.0, 1.0)):
-        k = a_stage @ (eye + frac * h * k)
+    for a_stage, frac_h, weight in ((a_mid, half_h, 2.0), (a_mid, half_h, 2.0), (a1, h, 1.0)):
+        y = frac_h * k
+        y += _EYE
+        k = a_stage @ y
         r += weight * k
     r *= h / 6.0
-    r += eye
+    r += _EYE
     return r
 
 
-def _apply_steps(r00: list, r01: list, r10: list, r11: list, p, q) -> tuple[list, list]:
-    """Apply step matrices, given entry by entry, in order to the state ``(p, q)``.
+def _apply_steps(entries: list, p, q, out: list) -> tuple[float, float]:
+    """Apply step matrices in order to the state ``(p, q)``.
 
-    Runs on Python floats (or complex numbers), carrying one state, so
-    rounding accumulates as in a stage-by-stage integration; a prefix-product
-    scan would be faster but loses accuracy at large ``alpha``.  Returns the
-    lists of ``p`` and of ``q`` after each step.
+    ``entries`` holds the matrices flat, row by row (``r00, r01, r10, r11``
+    of each step in turn).  Runs on Python floats (or complex numbers),
+    carrying one state, so rounding accumulates as in a stage-by-stage
+    integration; a prefix-product scan would be faster but loses accuracy at
+    large ``alpha``.  Appends ``p`` and ``q`` after each step to ``out`` and
+    returns the last state.
     """
-    ps, qs = [], []
-    append_p, append_q = ps.append, qs.append
-    for a, b, c, d in zip(r00, r01, r10, r11):
+    append = out.append
+    it = iter(entries)
+    for a, b, c, d in zip(it, it, it, it):
         p, q = a * p + b * q, c * p + d * q
-        append_p(p)
-        append_q(q)
-    return ps, qs
+        append(p)
+        append(q)
+    return p, q
 
 
 class _Run:
@@ -264,8 +271,9 @@ class _Run:
         # parameters of A at the grid nodes, evaluated once
         self.nodes = grid if at is None else at(grid)
         v0 = np.asarray(v0)
+        self.dtype = v0.dtype
         self.state = tuple(v0.tolist())
-        self.blocks = [v0[:, None]]  # states as columns
+        self.blocks = []  # (steps, 2) state arrays of the chunks applied so far
 
 
 def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
@@ -287,8 +295,9 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
     Yields ``(grid, nodes, states)`` for each run, in order, as soon as its
     last step is applied: the parameters at the grid nodes and the
     ``(len(grid), 2)`` states, starting with ``v0``.  Runs are pulled only
-    as the chunks reach them, so the working memory is one chunk plus the
-    runs it touches.
+    as the chunks reach them, and a run that spans chunks is yielded as soon
+    as it ends, before the next run's grid is built; so the working memory
+    is one chunk, the short runs it holds, and the run being yielded.
     """
     chunk = []  # (run, lo, hi): steps lo..hi of a run
     room = _BLOCK
@@ -300,7 +309,8 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
             chunk.append((run, lo, hi))
             room -= hi - lo
             lo = hi
-            if room == 0:
+            # flush a full chunk, and one that ends a run begun in an earlier chunk
+            if room == 0 or (hi == n and chunk[0][1] > 0):
                 yield from _rk4_chunk(matrices, chunk)
                 chunk, room = [], _BLOCK
     if chunk:
@@ -317,21 +327,26 @@ def _rk4_chunk(matrices, chunk):
         mids.append(z_mid if run.at is None else run.at(z_mid))
         steps.append(z[1:] - z[:-1])
     h = np.concatenate(steps)
+    n = h.size
     a = matrices(np.concatenate(nodes + mids))
-    # each piece adds one node more than steps, so step i starts at node i + piece
-    start = np.arange(h.size) + np.repeat(np.arange(len(chunk)), [x.size for x in steps])
-    r = _rk4_step_matrices(a[start], a[h.size + len(chunk) :], a[start + 1], h)
-    entries = [r[:, row, col].tolist() for row in (0, 1) for col in (0, 1)]
+    if len(chunk) == 1:
+        a0, a1 = a[:n], a[1 : n + 1]
+    else:
+        # each piece adds one node more than steps, so step i starts at node i + piece
+        start = np.arange(n) + np.repeat(np.arange(len(chunk)), [x.size for x in steps])
+        a0, a1 = a[start], a[start + 1]
+    r = _rk4_step_matrices(a0, a[n + len(chunk) :], a1, h)
     i = 0
     for run, lo, hi in chunk:
-        n = hi - lo
-        ps, qs = _apply_steps(*(e[i : i + n] for e in entries), *run.state)
-        run.state = ps[-1], qs[-1]
-        run.blocks.append(np.array((ps, qs), dtype=np.result_type(r, run.blocks[0])))
-        i += n
+        m = hi - lo
+        out = list(run.state) if lo == 0 else []
+        run.state = _apply_steps(r[i : i + m].ravel().tolist(), *run.state, out)
+        i += m
+        dtype = np.result_type(r, run.dtype)
+        run.blocks.append(np.fromiter(out, dtype, len(out)).reshape(-1, 2))
         if hi == run.grid.size - 1:
-            states = np.concatenate(run.blocks, axis=1).T
-            run.blocks = None
+            blocks, run.blocks = run.blocks, None
+            states = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             yield run.grid, run.nodes, states
 
 
@@ -346,8 +361,18 @@ def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
 
 
 def _lab_matrices(theta: np.ndarray) -> np.ndarray:
-    """``-1/2 P(theta)`` for every angle in ``theta``, P the rank-one projector."""
-    return -0.5 * np.moveaxis(projector_matrix(theta), -1, 0)
+    """``-1/2 P(theta)`` for every angle in ``theta``, P the rank-one projector.
+
+    The entries are those of :func:`projector_matrix`, written straight into
+    the ``(n, 2, 2)`` layout that :func:`_rk4` takes.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    m = np.empty(theta.shape + (2, 2))
+    m[:, 0, 0] = c * c
+    m[:, 0, 1] = m[:, 1, 0] = -s * c
+    m[:, 1, 1] = s * s
+    m *= -0.5
+    return m
 
 
 def propagate_reduced_many(
@@ -356,15 +381,16 @@ def propagate_reduced_many(
 ) -> Iterator[Trajectory]:
     """:func:`propagate_reduced` of each ``(profile, opts)`` pair, batched.
 
-    The propagations share one RK4 driver: their steps are built and applied
+    The propagations share one RK4 integrator: their steps are built and applied
     in chunks of :data:`_BLOCK` that may span several of them, each chunk
     with one evaluation of ``-1/2 P(theta)`` and one step-matrix build.
     Each profile's angle is evaluated once at its grid nodes, which become
     ``Trajectory.theta``, and once at its step midpoints.  Trajectories are
     yielded in order as they finish and equal those of
-    :func:`propagate_reduced`, bit for bit; pairs are read from ``runs`` only
-    as the chunks reach them, so the working memory is one chunk plus the
-    trajectory being yielded.
+    :func:`propagate_reduced`, bit for bit.  Pairs are read from ``runs``
+    only as the chunks reach them, and a run longer than what is left of a
+    chunk is yielded before the next pair is read, so the working memory is
+    one chunk, the short runs it holds, and the trajectory being yielded.
     """
     v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
 

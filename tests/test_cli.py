@@ -17,7 +17,6 @@ from doublelambda import (
     propagate_reduced,
     tabulated_protocol,
 )
-from doublelambda import propagation
 from doublelambda.cli import MAX_ALPHA_STEPS, MAX_SAMPLES, build_parser, main
 from doublelambda.pmp_search import MAX_SEGMENTS
 
@@ -259,30 +258,6 @@ def test_efficiency_invalid_explicit_alpha_exits_two(tmp_path, capsys, protocol,
     assert "InvalidAlpha" in capsys.readouterr().err
 
 
-def test_efficiency_builds_step_matrices_per_chunk_not_per_row(tmp_path, monkeypatch):
-    # 3 protocols x 8 alphas are one batch: full chunks of _BLOCK steps that
-    # span rows, not one build (or more) per row
-    builds = []
-    build = propagation._rk4_step_matrices
-
-    def counting(a0, a_mid, a1, h):
-        builds.append(h.size)
-        return build(a0, a_mid, a1, h)
-
-    monkeypatch.setattr(propagation, "_rk4_step_matrices", counting)
-    alphas = [0.07, 0.3, 1.1, 4.0, 13.0, 40.0, 110.0, 290.0]
-    argv = ["efficiency", "--method", "both", "--out", str(tmp_path / "eff.csv")]
-    for protocol in ("adiabatic", "constant", "optimal"):
-        argv += ["--protocol", protocol]
-    for alpha in alphas:
-        argv += ["--alpha", repr(alpha)]
-    assert main(argv) == 0
-    total = 3 * sum(IntegratorOptions().resolve_steps(a) for a in alphas)
-    assert len(builds) == math.ceil(total / propagation._BLOCK)
-    assert sum(builds) == total
-    assert set(builds[:-1]) == {propagation._BLOCK}
-
-
 @pytest.mark.parametrize("argv, cap", [
     (["efficiency", "--alpha-min", "1", "--alpha-max", "2",
       "--alpha-steps", str(MAX_ALPHA_STEPS + 1)], MAX_ALPHA_STEPS),
@@ -369,8 +344,8 @@ def test_verify_overflowing_samples_exit_two_before_any_work(monkeypatch, capsys
     def unreachable(*args, **kwargs):
         raise AssertionError("worked before checking the sample bound")
 
-    for name in ("propagate_exact", "propagate_reduced", "propagate_reduced_many",
-                 "dissipation_order", "verify_singular_arc", "sampled_profile_efficiencies"):
+    for name in ("propagate_exact", "propagate_reduced", "dissipation_order",
+                 "verify_singular_arc", "sampled_profile_efficiencies"):
         monkeypatch.setattr(cli, name, unreachable)
     assert main(["verify", "--alpha", alpha, "--samples", "2"]) == 2
     err = capsys.readouterr().err

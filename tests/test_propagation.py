@@ -23,6 +23,7 @@ from doublelambda import (
     ProfileDomainMismatch,
     Rates,
     adiabatic_protocol,
+    build_profile,
     constant_efficiency_closed,
     constant_protocol,
     dissipation_order,
@@ -39,7 +40,13 @@ from doublelambda import (
     tabulated_protocol,
     to_adiabatic,
 )
-from doublelambda.propagation import MAX_STEPS, adiabatic_initial
+from doublelambda import propagation
+from doublelambda.propagation import (
+    _BLOCK,
+    MAX_STEPS,
+    adiabatic_initial,
+    propagate_reduced_many,
+)
 
 HALF_PI = np.pi / 2
 
@@ -527,3 +534,58 @@ def test_dissipation_residual_requires_uniform_grid():
     traj = propagate_reduced(prof)
     with pytest.raises(ValueError):
         dissipation_residual(traj)
+
+
+# ---------------------------------------------------------------------------
+# Batched propagation: chunking of the shared RK4 integrator
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch) -> list[int]:
+    """Record the step count of every step-matrix build."""
+    builds = []
+    build = propagation._rk4_step_matrices
+
+    def counting(a0, a_mid, a1, h):
+        builds.append(h.size)
+        return build(a0, a_mid, a1, h)
+
+    monkeypatch.setattr(propagation, "_rk4_step_matrices", counting)
+    return builds
+
+
+def test_batch_builds_step_matrices_per_chunk_not_per_run(monkeypatch):
+    # the runs of an efficiency curve, 3 protocols x 8 alphas at 10 steps per
+    # unit: per protocol, runs of 2, 3, 11, 40, 130 and 400 steps and the
+    # first 438 of the 1100-step run fill one chunk; that run then ends in a
+    # chunk of 662 steps and the 2900-step run in chunks of 1024, 1024 and
+    # 852, each flushed as its run ends -- 15 builds where one per run and
+    # per chunk of a run would take 33
+    assert _BLOCK == 1024
+    builds = _count_builds(monkeypatch)
+    alphas = [0.07, 0.3, 1.1, 4.0, 13.0, 40.0, 110.0, 290.0]
+    runs = [(build_profile(kind, alpha), IntegratorOptions())
+            for kind in ("adiabatic", "constant", "optimal") for alpha in alphas]
+    trajectories = list(propagate_reduced_many(runs))
+    assert [len(t.zeta) - 1 for t in trajectories[:8]] == [2, 3, 11, 40, 130, 400, 1100, 2900]
+    assert builds == [1024, 662, 1024, 1024, 852] * 3
+
+
+def test_dissipation_order_runs_share_one_build(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    dissipation_order(build_profile("constant", 1.0), [10, 20, 40, 80])
+    assert builds == [150]
+
+
+def test_batch_yields_run_spanning_chunks_before_pulling_the_next():
+    # a run longer than a chunk is yielded before the next run's grid exists
+    pulled = []
+
+    def runs():
+        for i, n in enumerate([10, 3 * _BLOCK, 10]):
+            pulled.append(i)
+            yield build_profile("constant", 1.0 + i), IntegratorOptions(step_count=n)
+
+    batch = propagate_reduced_many(runs())
+    assert len(next(batch).zeta) == 11 and pulled == [0, 1]
+    assert len(next(batch).zeta) == 3 * _BLOCK + 1 and pulled == [0, 1]
+    assert len(next(batch).zeta) == 11 and pulled == [0, 1, 2]

@@ -2,7 +2,7 @@
 
 ``reference_rk4`` is the kernel the routes used while each propagation built
 and applied its own step matrices, one block of up to 1024 steps at a time.
-The shared build/apply driver must reproduce it bit for bit
+The shared build/apply integrator must reproduce it bit for bit
 (``np.array_equal``) on every route, alone and in batches whose chunks of
 ``_BLOCK`` steps end both inside and between propagations.
 """
@@ -188,10 +188,10 @@ def test_adjoint_route_matches_reference(alpha):
     z = arc.zeta[::-1]
     exact = np.column_stack([arc.lambda_y, arc.lambda_x])[::-1]
     lam = reference_rk4(lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5), z, exact[0])
-    states, driver = [], pmp_search._rk4
+    states, integrate = [], pmp_search._rk4
 
     def recording(matrices, runs):
-        for grid, nodes, v in driver(matrices, runs):
+        for grid, nodes, v in integrate(matrices, runs):
             states.append(v)
             yield grid, nodes, v
 
