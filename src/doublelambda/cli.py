@@ -71,6 +71,12 @@ def _integrator(args) -> IntegratorOptions:
     return IntegratorOptions(steps_per_unit=args.steps_per_unit)
 
 
+def _check_seed(args) -> None:
+    # numpy rejects a negative seed only once it draws, after the propagations
+    if args.seed < 0:
+        raise DoubleLambdaError("--seed must be non-negative")
+
+
 #: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`.
 SIMULATE_CHUNK = 1024
 
@@ -217,6 +223,7 @@ def _verify_one_alpha(alpha: float, args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    _check_seed(args)
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise DoubleLambdaError(f"--samples must be in [1, {MAX_SAMPLES}]")
     alphas = [_check_alpha(a) for a in (args.alpha or [1.0, 10.0, 100.0])]
@@ -247,6 +254,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     if args.alpha is None:
         raise DoubleLambdaError("--alpha is required")
+    _check_seed(args)
     result = optimize_piecewise(
         float(args.alpha), args.segments, seed=args.seed, budget=args.budget,
         n_starts=args.starts,

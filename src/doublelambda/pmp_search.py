@@ -215,71 +215,67 @@ def piecewise_efficiency(thetas: np.ndarray, alpha: float) -> float:
 _DES_SERIES = tuple((2 * n + 2) / math.factorial(2 * n + 3) for n in range(7))
 
 
-def _segment_derivatives(u: float, dz: float, ec: float, es: float) -> tuple[float, float]:
-    """Derivatives in ``u`` of the :func:`_segment_exponential` pair ``ec, es``.
-
-    With ``k^2 = 1/16 - u^2`` they are ``d ec/du = -u dz es`` on every branch
-    and ``d es/du = -u (dz ec - es) / k^2``; the latter cancels as
-    ``k^2 dz^2 -> 0`` and is summed from its series there, which also covers
-    ``k = 0``.
-    """
-    k2 = 0.0625 - u * u
-    q = k2 * dz * dz
-    if abs(q) < 0.5:
-        series = 0.0
-        for c in reversed(_DES_SERIES):
-            series = series * q + c
-        des = -u * math.exp(-0.25 * dz) * dz**3 * series
-    else:
-        des = -u * (dz * ec - es) / k2
-    return -u * dz * es, des
-
-
 def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     """:func:`piecewise_efficiency` and its exact gradient in the knots.
 
-    The gradient is the discrete adjoint of the segment propagator: a forward
-    pass stores the rotated-frame state at every knot, and a backward pass
-    carries ``d eta / d(y, x)`` through the transposed segment matrices,
-    collecting ``d eta / du`` of each segment on the way.  The segment
-    exponential is the one :func:`segment_step` uses; only its derivatives
-    in ``u`` are added here.  The slope of a segment is
-    ``(theta_i - theta_{i+1}) / dz``, and the entry and exit angles also
-    enter through the frame rotations at the two ends.  The value equals :func:`piecewise_efficiency` bit for bit.  Knots are clipped
+    The gradient is the discrete adjoint of the segment propagator.  The
+    forward pass applies the segment exponential of :func:`segment_step` and
+    its derivatives in the slope ``u``: with ``k^2 = 1/16 - u^2``,
+    ``d ec/du = -u dz es`` on every branch and ``d es/du = -u (dz ec - es) /
+    k^2``, which cancels as ``k^2 dz^2 -> 0`` and is summed from its series
+    there (this also covers ``k = 0``).  Per segment it keeps the matrix and
+    the ``u``-derivative of the segment map applied to the state at its start,
+    so the backward pass carries ``d eta / d(y, x)`` through the transposed
+    matrices and collects ``d eta / du`` without revisiting the states.  The
+    slope of a segment is ``(theta_i - theta_{i+1}) / dz``, and the entry and
+    exit angles also enter through the frame rotations at the two ends.  The
+    value equals :func:`piecewise_efficiency` bit for bit.  Knots are clipped
     to [0, pi/2] like there; the gradient is that of the unclipped
     expression, which is the one-sided derivative into the box at a bound.
     """
     th = np.clip(np.asarray(thetas, dtype=float), 0.0, HALF_PI).tolist()
     n_seg = len(th) - 1
     dz = alpha / n_seg
+    e = math.exp(-0.25 * dz)
+    try:
+        dz3 = dz**3
+    except OverflowError:  # segments this long never take the series branch
+        dz3 = math.inf
+    c0, c1, c2, c3, c4, c5, c6 = _DES_SERIES
     y = math.sin(th[0])
     x = math.cos(th[0])
-    states = [(y, x)]
+    # per segment: the slope derivative of its map applied to the state at its
+    # start, then its matrix [[a, -b], [b, d]]
     coeffs = []
-    for i in range(n_seg):
-        u = (th[i] - th[i + 1]) / dz
+    for t0, t1 in zip(th, th[1:]):
+        u = (t0 - t1) / dz
         ec, es = _segment_exponential(u, dz)
-        dec, des = _segment_derivatives(u, dz, ec, es)
-        y, x = (ec + 0.25 * es) * y - es * u * x, es * u * y + (ec - 0.25 * es) * x
-        states.append((y, x))
-        coeffs.append((u, ec, es, dec, des))
+        k2 = 0.0625 - u * u
+        q = k2 * dz * dz
+        if abs(q) < 0.5:
+            des = -u * e * dz3 * ((((((c6 * q + c5) * q + c4) * q + c3) * q + c2) * q + c1) * q + c0)
+        else:
+            des = -u * (dz * ec - es) / k2
+        dec = -u * dz * es
+        dues = es + u * des  # d(u es)/du
+        a, b, d = ec + 0.25 * es, es * u, ec - 0.25 * es
+        coeffs.append(((dec + 0.25 * des) * y - dues * x, dues * y + (dec - 0.25 * des) * x,
+                       a, b, d))
+        y, x = a * y - b * x, b * y + d * x
     cos_n, sin_n = math.cos(th[-1]), math.sin(th[-1])
     s = cos_n * y - sin_n * x
 
-    grad = np.empty(n_seg + 1)
-    grad[-1] = -2.0 * s * (sin_n * y + cos_n * x)
+    grad = [0.0] * (n_seg + 1)
+    g_next = -2.0 * s * (sin_n * y + cos_n * x)
     ly, lx = 2.0 * s * cos_n, -2.0 * s * sin_n  # d eta / d(y, x) at the exit
     for i in range(n_seg - 1, -1, -1):
-        u, ec, es, dec, des = coeffs[i]
-        y, x = states[i]
-        dues = es + u * des  # d(u es)/du
-        g = (ly * ((dec + 0.25 * des) * y - dues * x)
-             + lx * (dues * y + (dec - 0.25 * des) * x)) / dz
-        grad[i + 1] -= g
-        grad[i] = g
-        ly, lx = (ec + 0.25 * es) * ly + es * u * lx, -es * u * ly + (ec - 0.25 * es) * lx
-    grad[0] += ly * math.cos(th[0]) - lx * math.sin(th[0])
-    return s * s, grad
+        gy, gx, a, b, d = coeffs[i]
+        g = (ly * gy + lx * gx) / dz
+        grad[i + 1] = g_next - g
+        g_next = g
+        ly, lx = a * ly + b * lx, -b * ly + d * lx
+    grad[0] = g_next + (ly * math.cos(th[0]) - lx * math.sin(th[0]))
+    return s * s, np.array(grad)
 
 
 def sampled_profile_efficiencies(alpha: float, n_profiles: int, seed: int) -> np.ndarray:
@@ -321,28 +317,39 @@ class _BudgetExceeded(Exception):
 
 
 class _BudgetedObjective:
-    """Counts evaluations, tracks the best point, enforces a hard budget.
+    """The negated efficiency under a hard evaluation budget.
 
-    ``fun`` returns ``(value, gradient)``; one such fused call is one
-    evaluation.
+    :meth:`value` and :meth:`grad` are L-BFGS-B's ``fun`` and ``jac``.  One
+    evaluation is one :func:`piecewise_efficiency_and_grad` call, which gives
+    both: :meth:`value` evaluates, counts, tracks the best point and keeps
+    the gradient, and :meth:`grad` returns the kept one when asked at the
+    point last evaluated, and evaluates (and counts) any other point.
     """
 
-    def __init__(self, fun, budget):
-        self.fun = fun
+    def __init__(self, alpha, budget):
+        self.alpha = alpha
         self.budget = budget
         self.count = 0
         self.best_f = np.inf
         self.best_x = None
+        self._x = self._grad = None  # the point last evaluated and its gradient
 
-    def __call__(self, x):
+    def value(self, x):
         if self.count >= self.budget:
             raise _BudgetExceeded
         self.count += 1
-        f, g = self.fun(x)
+        eta, grad = piecewise_efficiency_and_grad(x, self.alpha)
+        f = -eta
+        self._x, self._grad = x, -grad
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=float)
-        return f, g
+        return f
+
+    def grad(self, x):
+        if not (x == self._x).all():
+            self.value(x)
+        return self._grad
 
 
 #: Projected-gradient tolerance of the local runs, about sqrt(machine
@@ -351,11 +358,6 @@ class _BudgetedObjective:
 #: cannot resolve a smaller gradient and would end in a failed search
 #: instead of a converged one.
 _GTOL = 1e-7
-
-
-def _negated_efficiency(thetas, alpha):
-    eta, grad = piecewise_efficiency_and_grad(thetas, alpha)
-    return -eta, -grad
 
 
 def optimize_piecewise(
@@ -369,13 +371,14 @@ def optimize_piecewise(
 
     Multi-start L-BFGS-B over the knot values, boxed to [0, pi/2], fed the
     exact discrete-adjoint gradient of :func:`piecewise_efficiency_and_grad`.
-    The first start is the linear ramp from pi/2 to 0, the others are seeded
-    random decreasing profiles.  One evaluation is one fused value-and-gradient
-    call; ``budget`` caps their total over all starts, and a start that would
-    exceed it is cut off there.  ``restarts`` counts the local runs made, and
-    ``converged`` is true when every start ran and each local run reported
-    success.  Deterministic for a given seed; ties between starts resolve to
-    the lowest start index.
+    The first start is the linear ramp from pi/2 to 0, the others are random
+    decreasing profiles from ``default_rng(seed)``, ``seed >= 0``, each drawn
+    when its run begins.  One evaluation computes value and gradient together,
+    once (see :class:`_BudgetedObjective`); ``budget`` caps their total over
+    all starts, and a start that would exceed it is cut off there.
+    ``restarts`` counts the local runs made, and ``converged`` is true when
+    every start ran and each local run reported success.  Deterministic for a
+    given seed; ties between starts resolve to the lowest start index.
     """
     alpha = _check_alpha(alpha)
     if not 2 <= n_segments <= MAX_SEGMENTS:
@@ -384,34 +387,33 @@ def optimize_piecewise(
         raise InvalidSearchSettings("budget must be positive")
     if n_starts < 1:
         raise InvalidSearchSettings("n_starts must be at least 1")
+    if seed < 0:
+        raise InvalidSearchSettings("seed must be non-negative")
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)
     n_knots = n_segments + 1
-
-    starts = [np.linspace(HALF_PI, 0.0, n_knots)]
-    for _ in range(n_starts - 1):
-        starts.append(np.sort(rng.uniform(0.0, HALF_PI, n_knots))[::-1].copy())
-
     bounds = [(0.0, HALF_PI)] * n_knots
+    ramp = np.linspace(HALF_PI, 0.0, n_knots)
     best_eff = -np.inf
-    best_knots = starts[0]
+    best_knots = ramp
     best_start = 0
     runs = 0
     used = 0
     converged = True
-    for idx, x0 in enumerate(starts):
+    for idx in range(n_starts):
         remaining = budget - used
         if remaining <= 0:
             converged = False
             break
-        objective = _BudgetedObjective(lambda th: _negated_efficiency(th, alpha), remaining)
+        x0 = ramp if idx == 0 else np.sort(rng.uniform(0.0, HALF_PI, n_knots))[::-1].copy()
+        objective = _BudgetedObjective(alpha, remaining)
         runs += 1
         try:
             res = minimize(
-                objective,
+                objective.value,
                 x0,
-                jac=True,
+                jac=objective.grad,
                 method="L-BFGS-B",
                 bounds=bounds,
                 options={"maxfun": remaining, "maxiter": remaining,

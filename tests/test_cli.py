@@ -336,6 +336,22 @@ def test_verify_step_cap_exits_two_before_any_propagation(monkeypatch, capsys):
     assert "RK4 steps requested" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "--alpha", "1"],
+                                     ["search", "--alpha", "10", "--out", "x.json"]],
+                         ids=["verify", "search"])
+def test_negative_seed_exits_two_before_any_work(monkeypatch, capsys, command):
+    import doublelambda.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("worked before checking the seed")
+
+    monkeypatch.setattr(cli, "propagate_exact", unreachable)
+    monkeypatch.setattr(cli, "optimize_piecewise", unreachable)
+    assert main([*command, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed must be non-negative" in err
+
+
 @pytest.mark.parametrize("alpha", ["1e-307", "1.3e-307"])
 def test_verify_overflowing_samples_exit_two_before_any_work(monkeypatch, capsys, alpha):
     # segments of alpha/16 under 16 (pi/2)/max_float: a sampled slope may overflow

@@ -28,7 +28,12 @@ from doublelambda import (
     tabulated_protocol,
     verify_singular_arc,
 )
-from doublelambda.pmp_search import SAMPLE_CHUNK, SAMPLED_KNOTS
+from doublelambda.pmp_search import (
+    SAMPLE_CHUNK,
+    SAMPLED_KNOTS,
+    _BudgetedObjective,
+    _BudgetExceeded,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +249,37 @@ def test_search_validation():
         optimize_piecewise(10.0, 4, seed=0, budget=0)
     with pytest.raises(InvalidSearchSettings):
         optimize_piecewise(10.0, 4, seed=0, n_starts=0)
+    with pytest.raises(InvalidSearchSettings):
+        optimize_piecewise(10.0, 4, seed=-1, budget=100)
     for alpha in (0.0, -5.0, math.nan, math.inf):
         with pytest.raises(InvalidAlpha):
             optimize_piecewise(alpha, 4, seed=0, budget=100)
+
+
+def test_objective_gradient_reuses_the_last_evaluation():
+    objective = _BudgetedObjective(10.0, budget=2)
+    x1, x2 = np.linspace(math.pi / 2, 0.0, 9), np.linspace(1.2, 0.1, 9)
+    eta1, grad1 = piecewise_efficiency_and_grad(x1, 10.0)
+    assert objective.value(x1.copy()) == -eta1
+    assert np.array_equal(objective.grad(x1.copy()), -grad1)
+    assert objective.count == 1
+    # a gradient at another point is one more evaluation, counted and tracked
+    assert np.array_equal(objective.grad(x2), -piecewise_efficiency_and_grad(x2, 10.0)[1])
+    assert objective.count == 2
+    assert objective.best_f == min(-eta1, -piecewise_efficiency(x2, 10.0))
+    with pytest.raises(_BudgetExceeded):
+        objective.grad(x1)
+
+
+def test_search_draws_starts_only_when_their_run_begins():
+    # the budget ends the search in its first run; no start after it is drawn
+    import scipy.optimize  # noqa: F401  (imported outside the timed call)
+
+    t0 = time.perf_counter()
+    res = optimize_piecewise(10.0, 64, budget=10, n_starts=10**7)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.evaluations <= 10
+    assert res.restarts == 1 and not res.converged
 
 
 def test_search_runtime_within_budget():
