@@ -305,7 +305,11 @@ def tabulated_protocol(
 
 def load_profile_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column whitespace-separated (zeta, theta) table; '#' comments."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as exc:  # a non-numeric field or a ragged row
+        raise ProfileDomainMismatch(
+            f"cannot read a (zeta, theta) table from {path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ProfileDomainMismatch(f"expected two columns in {path}, got {data.shape[1]}")
     return data[:, 0], data[:, 1]

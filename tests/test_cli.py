@@ -171,6 +171,21 @@ def test_simulate_overflowing_slope_exits_two_without_output(tmp_path, capsys):
     assert err.count("\n") == 1 and "NonFinite" in err
 
 
+@pytest.mark.parametrize("table", ["0 1.4\n5 abc\n10 0.1\n",
+                                   "0 1.4\n5 0.8 0.3\n10 0.1\n",
+                                   "0 1.4\n5\n10 0.1\n"],
+                         ids=["non-numeric-field", "ragged-extra-column", "ragged-short-row"])
+def test_unparsable_profile_table_exits_two(tmp_path, capsys, table):
+    prof = tmp_path / "prof.txt"
+    prof.write_text(table)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--protocol", "custom", "--profile-file", str(prof),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ProfileDomainMismatch")
+
+
 # ---------------------------------------------------------------------------
 # efficiency
 # ---------------------------------------------------------------------------

@@ -439,6 +439,61 @@ def test_final_state_keeps_complex_amplitudes():
     assert fs.norm_sq == pytest.approx(traj.norm_sq[-1], rel=1e-15)
 
 
+def _complex_exact_run(controls, alpha, opts, breakpoints=()):
+    """States of the exact route with A and the input kept complex throughout."""
+    unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+
+    def matrices(z):
+        oc, od = (np.broadcast_to(c, z.shape) for c in controls(z))
+        sol = steady_coherences(DriveFields(unit_p, unit_s, oc, od), Rates())
+        return np.moveaxis(np.stack([0.5j * sol.rho31, 0.5j * sol.rho41]), -1, 0)
+
+    grid = propagation._segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
+    v0 = np.array([1.0, 0.0], dtype=complex)
+    ((_, _, v),) = propagation._rk4(matrices, [(grid, v0, None)])
+    return v
+
+
+def test_exact_route_real_system_matches_complex_kernel(monkeypatch):
+    # Real controls at gamma21 = 0 give a real A, which the route builds and
+    # applies in real arithmetic; the states must be the complex kernel's.
+    dtypes = []
+    build = propagation._rk4_step_matrices
+
+    def recording(a0, a_mid, a1, h):
+        dtypes.append(a0.dtype)
+        return build(a0, a_mid, a1, h)
+
+    monkeypatch.setattr(propagation, "_rk4_step_matrices", recording)
+    alpha = 150.0  # 1500 steps: two chunks
+    for kind in ("optimal", "constant", "adiabatic"):
+        prof = build_profile(kind, alpha)
+        dtypes.clear()
+        traj = propagate_exact(controls_of(prof), alpha, breakpoints=prof.breakpoints)
+        assert dtypes == [np.float64, np.float64]
+        ref = _complex_exact_run(controls_of(prof), alpha, IntegratorOptions(),
+                                 prof.breakpoints)
+        assert traj.omega_p.dtype == traj.omega_s.dtype == complex
+        assert np.array_equal(traj.omega_p, ref[:, 0])
+        assert np.array_equal(traj.omega_s, ref[:, 1])
+        assert traj.final_state == FieldState(ref[-1, 0].item(), ref[-1, 1].item())
+
+    # a control phase switched on halfway: two real chunks, then three complex
+    prof = constant_protocol(alpha)
+    opts = IntegratorOptions(steps_per_unit=30.0)
+
+    def phased(z):
+        th = prof.theta(z)
+        return np.where(z < 0.5 * alpha, 1.0, cmath.exp(0.7j)) * np.sin(th), np.cos(th)
+
+    dtypes.clear()
+    traj = propagate_exact(phased, alpha, opts=opts)
+    assert dtypes == [np.float64] * 2 + [np.complex128] * 3
+    ref = _complex_exact_run(phased, alpha, opts)
+    assert (traj.omega_p == ref[:, 0]).all() and (traj.omega_s == ref[:, 1]).all()
+    assert traj.omega_s[-1].imag != 0.0
+
+
 # ---------------------------------------------------------------------------
 # Closed-form segment propagator
 # ---------------------------------------------------------------------------

@@ -137,6 +137,27 @@ def test_array_segment_exponential_matches_scalar(u, dz):
         _segment_exponential_array(np.array(u + [bad]), dz)
 
 
+#: One slope of each kind, on both signs: hyperbolic, trigonometric, the
+#: k = 0 limit, within 1e-9 of it on either side, and u^2 overflowing.
+MIXED_SLOPES = [s * u for s in (1.0, -1.0) for u in (
+    0.0, 0.1, 0.9, 0.25, 0.25 + 1e-9, 0.25 - 1e-9, 0.25 + 1e-15, 2e154, 1e300)]
+
+
+@PROPERTY
+@given(u=st.lists(st.one_of(SLOPES, st.sampled_from(MIXED_SLOPES),
+                            st.floats(-1e-9, 1e-9).map(lambda e: 0.25 + e)),
+                  max_size=40),
+       dz=log_uniform(1e-6, 1e4))
+def test_array_segment_exponential_is_elementwise(u, dz):
+    # each slope evaluates its own branch: the array result is the one-element
+    # result at every position, whatever the other slopes take
+    u = MIXED_SLOPES + u
+    ec, es = _segment_exponential_array(np.array(u), dz)
+    for i, ui in enumerate(u):
+        one = _segment_exponential_array(np.array([ui]), dz)
+        assert (ec[i], es[i]) == (one[0][0], one[1][0])
+
+
 @PROPERTY
 @given(alpha=log_uniform(1e-3, 1e3),
        thetas=st.lists(st.floats(0.0, np.pi / 2), min_size=3, max_size=33))
