@@ -342,8 +342,9 @@ def _rk4_chunk(matrices, chunk):
         out = list(run.state) if lo == 0 else []
         run.state = _apply_steps(r[i : i + m].ravel().tolist(), *run.state, out)
         i += m
-        dtype = np.result_type(r, run.dtype)
-        run.blocks.append(np.fromiter(out, dtype, len(out)).reshape(-1, 2))
+        # a run stays complex once a chunk has made it so
+        run.dtype = np.result_type(r, run.dtype)
+        run.blocks.append(np.fromiter(out, run.dtype, len(out)).reshape(-1, 2))
         if hi == run.grid.size - 1:
             blocks, run.blocks = run.blocks, None
             states = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -479,9 +480,10 @@ def propagate_exact(
 
     Real controls at ``gamma21 = 0`` make ``A`` real.  A chunk of steps
     whose ``A`` has no imaginary part is built and applied in real
-    arithmetic, as is a real ``initial`` state, and the run turns complex at
-    the first chunk that is not; the states equal those of the complex
-    kernel bit for bit, and the trajectory is returned complex either way.
+    arithmetic, as is a real ``initial`` state; the run turns complex at the
+    first chunk that is not and stays complex after it.  The states equal
+    those of the complex kernel bit for bit, and the trajectory is returned
+    complex either way.
     """
     alpha = _check_alpha(alpha)
     g31, g41 = rates.gamma31, rates.gamma41
@@ -547,38 +549,31 @@ def _segment_exponential(u: float, dzeta: float) -> tuple[float, float]:
     return ec, ec * dzeta
 
 
-def _segment_exponential_array(u: np.ndarray, dzeta: float) -> tuple[np.ndarray, np.ndarray]:
+def _segment_exponential_array(u: np.ndarray, dzeta) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_segment_exponential` elementwise over an array of slopes ``u``.
 
-    The same three branches, thresholds and ``w = |u|`` rule; each element
-    evaluates only the branch it takes, so the ``k = 0`` limit is the fill
-    and the hyperbolic and trigonometric branches run on their own elements.
-    numpy's ``exp`` and ``expm1`` may differ from :mod:`math`'s in the last
-    place, so the pair agrees with the scalar form to within 4 ulp, not bit
-    for bit; the profile search and :func:`segment_step` keep the scalar
-    form.  An infinite slope raises :class:`NonFinite`.
+    The same three branches, thresholds and ``w = |u|`` rule, each evaluated
+    on every element and picked with ``np.where``.  numpy's ``exp`` and
+    ``expm1`` may differ from :mod:`math`'s in the last place, so the pair
+    agrees with the scalar form to within 4 ulp, not bit for bit; the
+    profile search and :func:`segment_step` keep the scalar form.  An
+    infinite slope raises :class:`NonFinite`.
     """
     u = np.asarray(u, dtype=float)
     if np.isinf(u).any():
         raise NonFinite("segment slope overflows; its angle change is lost")
-    # u^2 may overflow, and w dzeta with it on a long segment
-    with np.errstate(over="ignore", invalid="ignore"):
+    # every branch runs on every element; the ones not picked may overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k2 = 0.0625 - u * u
+        # k on the hyperbolic branch, w on the trigonometric one
+        r = np.where(np.isinf(k2), np.abs(u), np.sqrt(np.abs(k2)))
+        grow = np.exp((r - 0.25) * dzeta)
+        m = -np.expm1(-2.0 * r * dzeta)
         e = np.exp(-0.25 * dzeta)
-        ec = np.full(u.shape, e)
-        es = np.full(u.shape, e * dzeta)
-        hyp = k2 > 1e-14
-        k = np.sqrt(k2[hyp])
-        grow = np.exp((k - 0.25) * dzeta)
-        m = -np.expm1(-2.0 * k * dzeta)
-        ec[hyp] = grow * (1.0 - 0.5 * m)
-        es[hyp] = grow * m / (2.0 * k)
-        trig = k2 < -1e-14
-        w = np.sqrt(-k2[trig])
-        w[np.isinf(w)] = np.abs(u[np.isinf(k2)])  # u^2 overflowed: w = |u|
-        wz = w * dzeta
-        ec[trig] = e * np.cos(wz)
-        es[trig] = e * np.sin(wz) / w
+        hyp, trig = k2 > 1e-14, k2 < -1e-14
+        ec = np.where(hyp, grow * (1.0 - 0.5 * m), np.where(trig, e * np.cos(r * dzeta), e))
+        es = np.where(hyp, grow * m / (2.0 * r),
+                      np.where(trig, e * np.sin(r * dzeta) / r, e * dzeta))
     return ec, es
 
 
@@ -631,6 +626,9 @@ def dissipation_residual(traj: Trajectory) -> np.ndarray:
     """
     z = traj.zeta
     h = z[1] - z[0]
+    # np.allclose(np.diff(z), h, rtol=1e-9, atol=1e-12) written out: the same
+    # decision on a finite grid, without the broadcasting and inf handling that
+    # make np.allclose cost about three times the comparison itself
     if not np.all(np.abs(np.diff(z) - h) <= 1e-12 + 1e-9 * abs(h)):
         raise ValueError("dissipation residual requires a uniform grid")
     if traj.theta is None:

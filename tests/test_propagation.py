@@ -478,20 +478,25 @@ def test_exact_route_real_system_matches_complex_kernel(monkeypatch):
         assert np.array_equal(traj.omega_s, ref[:, 1])
         assert traj.final_state == FieldState(ref[-1, 0].item(), ref[-1, 1].item())
 
-    # a control phase switched on halfway: two real chunks, then three complex
+    # a control phase on one half of the medium, 4500 steps in five chunks:
+    # switched on halfway (real chunks, then complex ones) and switched off
+    # halfway (complex chunks, then real ones on a complex state)
     prof = constant_protocol(alpha)
     opts = IntegratorOptions(steps_per_unit=30.0)
+    phase = cmath.exp(0.7j)
+    for first, second, chunks in ((1.0, phase, [np.float64] * 2 + [np.complex128] * 3),
+                                  (phase, 1.0, [np.complex128] * 3 + [np.float64] * 2)):
 
-    def phased(z):
-        th = prof.theta(z)
-        return np.where(z < 0.5 * alpha, 1.0, cmath.exp(0.7j)) * np.sin(th), np.cos(th)
+        def phased(z, first=first, second=second):
+            th = prof.theta(z)
+            return np.where(z < 0.5 * alpha, first, second) * np.sin(th), np.cos(th)
 
-    dtypes.clear()
-    traj = propagate_exact(phased, alpha, opts=opts)
-    assert dtypes == [np.float64] * 2 + [np.complex128] * 3
-    ref = _complex_exact_run(phased, alpha, opts)
-    assert (traj.omega_p == ref[:, 0]).all() and (traj.omega_s == ref[:, 1]).all()
-    assert traj.omega_s[-1].imag != 0.0
+        dtypes.clear()
+        traj = propagate_exact(phased, alpha, opts=opts)
+        assert dtypes == chunks
+        ref = _complex_exact_run(phased, alpha, opts)
+        assert (traj.omega_p == ref[:, 0]).all() and (traj.omega_s == ref[:, 1]).all()
+        assert traj.omega_s[-1].imag != 0.0
 
 
 # ---------------------------------------------------------------------------
