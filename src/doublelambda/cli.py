@@ -78,7 +78,7 @@ def _check_seed(args) -> None:
 
 
 #: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`.
-SIMULATE_CHUNK = 1024
+SIMULATE_CHUNK = 512
 
 #: Most optical densities ``efficiency --alpha-steps`` may request; each is a
 #: row per protocol, so the cap bounds the rows held before the CSV is written.
@@ -92,11 +92,15 @@ MAX_SAMPLES = 1_000_000
 def cmd_simulate(args) -> int:
     """Write one protocol's trajectory as CSV, one row per grid point.
 
-    Rows are formatted column-wise and streamed in chunks of
-    :data:`SIMULATE_CHUNK`, so beyond the trajectory and its float columns
-    the writer holds one chunk of text at any grid length.  Every field is
-    ``repr`` of a float64, the full-precision form of :func:`_fmt`.
+    Rows are stacked and formatted in chunks of :data:`SIMULATE_CHUNK`, so
+    beyond the trajectory and its float columns the writer holds one chunk
+    of text at any grid length.  Every field is byte for byte ``repr`` of a
+    float64, the full-precision form of :func:`_fmt`.
     """
+    # imported here: without cached bytecode, compiling the formatter would
+    # add to every import of the CLI
+    from ._floatrepr import format_rows
+
     if args.protocol == "custom":
         if args.profile_file is None:
             raise DoubleLambdaError("custom protocol requires --profile-file")
@@ -111,11 +115,10 @@ def cmd_simulate(args) -> int:
     columns = (traj.zeta, traj.theta, np.sin(traj.theta), np.cos(traj.theta),
                traj.omega_p, traj.omega_s, pp, ss, pp + ss)
 
-    with open(args.out, "w", newline="") as fh:
-        fh.write("zeta,theta,omega_c,omega_d,omega_p,omega_s,intensity_p,intensity_s,norm\n")
+    with open(args.out, "wb") as fh:
+        fh.write(b"zeta,theta,omega_c,omega_d,omega_p,omega_s,intensity_p,intensity_s,norm\n")
         for lo in range(0, len(traj.zeta), SIMULATE_CHUNK):
-            fields = [map(repr, c[lo:lo + SIMULATE_CHUNK].tolist()) for c in columns]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
+            fh.write(format_rows(np.stack([c[lo:lo + SIMULATE_CHUNK] for c in columns], axis=1)))
     return 0
 
 

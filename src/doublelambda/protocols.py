@@ -305,11 +305,16 @@ def tabulated_protocol(
 
 def load_profile_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column whitespace-separated (zeta, theta) table; '#' comments."""
-    try:
-        data = np.loadtxt(path, comments="#", ndmin=2)
-    except ValueError as exc:  # a non-numeric field or a ragged row
-        raise ProfileDomainMismatch(
-            f"cannot read a (zeta, theta) table from {path}: {exc}") from exc
+    with warnings.catch_warnings():
+        # an empty table is refused below, with the reason, instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except ValueError as exc:  # a non-numeric field or a ragged row
+            raise ProfileDomainMismatch(
+                f"cannot read a (zeta, theta) table from {path}: {exc}") from exc
+    if data.size == 0:
+        raise ProfileDomainMismatch(f"no data rows in {path}")
     if data.shape[1] != 2:
         raise ProfileDomainMismatch(f"expected two columns in {path}, got {data.shape[1]}")
     return data[:, 0], data[:, 1]

@@ -173,8 +173,11 @@ def test_simulate_overflowing_slope_exits_two_without_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("table", ["0 1.4\n5 abc\n10 0.1\n",
                                    "0 1.4\n5 0.8 0.3\n10 0.1\n",
-                                   "0 1.4\n5\n10 0.1\n"],
-                         ids=["non-numeric-field", "ragged-extra-column", "ragged-short-row"])
+                                   "0 1.4\n5\n10 0.1\n",
+                                   "",
+                                   "# zeta theta\n# no rows\n"],
+                         ids=["non-numeric-field", "ragged-extra-column", "ragged-short-row",
+                              "empty", "comments-only"])
 def test_unparsable_profile_table_exits_two(tmp_path, capsys, table):
     prof = tmp_path / "prof.txt"
     prof.write_text(table)
