@@ -129,13 +129,14 @@ def cmd_efficiency(args) -> int:
         if args.alpha_min is None or args.alpha_max is None:
             raise DoubleLambdaError("give --alpha or --alpha-min/--alpha-max/--alpha-steps")
         for flag, bound in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
-            if not math.isfinite(bound):
-                raise InvalidAlpha(f"{flag} must be finite, got {bound}")
-        if args.alpha_min <= 0:
-            raise InvalidAlpha("alpha range must start above 0")
+            if not (bound >= sys.float_info.min and math.isfinite(bound)):
+                raise InvalidAlpha(
+                    f"{flag} must be finite and at least {sys.float_info.min!r}, got {bound}")
         if not 1 <= args.alpha_steps <= MAX_ALPHA_STEPS:
             raise DoubleLambdaError(f"--alpha-steps must be in [1, {MAX_ALPHA_STEPS}]")
-        alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
+        # near the largest float, linspace overflows its last point, then sets it
+        with np.errstate(over="ignore"):
+            alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
     protocols = args.protocol or ["optimal", "constant"]
     opts = _integrator(args)
 
@@ -255,8 +256,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.alpha is None:
-        raise DoubleLambdaError("--alpha is required")
     _check_seed(args)
     result = optimize_piecewise(
         float(args.alpha), args.segments, seed=args.seed, budget=args.budget,
@@ -309,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="trajectory of one protocol -> CSV")
     p_sim.add_argument("--protocol", choices=PROTOCOLS, default="optimal")
     p_sim.add_argument("--alpha", type=float, default=None, help="optical density")
-    p_sim.add_argument("--zeta0", type=float, default=None,
-                       help="adiabatic midpoint (default alpha/2)")
-    p_sim.add_argument("--zbar", type=float, default=None,
-                       help="adiabatic length scale (default 5)")
     p_sim.add_argument("--profile-file", default=None,
                        help="two-column zeta/theta table for --protocol custom")
     p_sim.add_argument("--out", required=True)
@@ -326,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eff.add_argument("--alpha-max", type=float, default=None)
     p_eff.add_argument("--alpha-steps", type=int, default=200)
     p_eff.add_argument("--method", choices=("closed", "numeric", "both"), default="both")
-    p_eff.add_argument("--zeta0", type=float, default=None,
-                       help="adiabatic midpoint (default alpha/2)")
-    p_eff.add_argument("--zbar", type=float, default=None,
-                       help="adiabatic length scale (default 5)")
     p_eff.add_argument("--out", required=True)
 
     p_ver = sub.add_parser("verify", help="cross-check suite -> JSON, exit code")
@@ -349,6 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sea.add_argument("--profile-out", default=None,
                        help="profile table path (default derived from --out)")
 
+    for p in (p_sim, p_eff):
+        p.add_argument("--zeta0", type=float, default=None,
+                       help="adiabatic midpoint (default alpha/2)")
+        p.add_argument("--zbar", type=float, default=None,
+                       help="adiabatic length scale (default 5)")
     for p in (p_sim, p_eff, p_ver):
         p.add_argument("--steps-per-unit", type=float, default=10.0,
                        help="RK4 steps per unit optical density (default 10)")

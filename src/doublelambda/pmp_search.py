@@ -30,6 +30,7 @@ import numpy as np
 from .errors import InvalidSearchSettings
 from .propagation import (
     IntegratorOptions,
+    _five_point_derivative,
     _rk4,
     _segment_exponential,
     _segment_exponential_array,
@@ -136,13 +137,8 @@ def singular_arc_checks(arc: AdjointState) -> dict[str, float]:
     }
 
     h = z[1] - z[0]
-
-    def _d4(f):
-        # five-point central derivative, fourth order like the integrator
-        return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-
-    dlx = _d4(arc.lambda_x)
-    dly = _d4(arc.lambda_y)
+    dlx = _five_point_derivative(arc.lambda_x, h)
+    dly = _five_point_derivative(arc.lambda_y, h)
     rhs_lx = u * arc.lambda_y[2:-2] + 0.5 * arc.lambda_x[2:-2]
     rhs_ly = -u * arc.lambda_x[2:-2]
     checks["adjoint_fd_residual"] = float(
@@ -317,11 +313,12 @@ class _BudgetExceeded(Exception):
 
 
 class _BudgetedObjective:
-    """The negated efficiency under a hard evaluation budget.
+    """The negated efficiency under a hard evaluation budget, for one search.
 
-    :meth:`value` and :meth:`grad` are L-BFGS-B's ``fun`` and ``jac``.  One
-    evaluation is one :func:`piecewise_efficiency_and_grad` call, which gives
-    both: :meth:`value` evaluates, counts, tracks the best point and keeps
+    :meth:`value` and :meth:`grad` are L-BFGS-B's ``fun`` and ``jac`` in every
+    start.  One evaluation is one :func:`piecewise_efficiency_and_grad` call,
+    which gives both: :meth:`value` evaluates, counts, tracks the best point,
+    its value and its ``start`` (set by :func:`optimize_piecewise`), and keeps
     the gradient, and :meth:`grad` returns the kept one when asked at the
     point last evaluated, and evaluates (and counts) any other point.
     """
@@ -330,8 +327,10 @@ class _BudgetedObjective:
         self.alpha = alpha
         self.budget = budget
         self.count = 0
+        self.start = 0
         self.best_f = np.inf
         self.best_x = None
+        self.best_start = 0
         self._x = self._grad = None  # the point last evaluated and its gradient
 
     def value(self, x):
@@ -344,6 +343,7 @@ class _BudgetedObjective:
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=float)
+            self.best_start = self.start
         return f
 
     def grad(self, x):
@@ -373,12 +373,14 @@ def optimize_piecewise(
     exact discrete-adjoint gradient of :func:`piecewise_efficiency_and_grad`.
     The first start is the linear ramp from pi/2 to 0, the others are random
     decreasing profiles from ``default_rng(seed)``, ``seed >= 0``, each drawn
-    when its run begins.  One evaluation computes value and gradient together,
-    once (see :class:`_BudgetedObjective`); ``budget`` caps their total over
-    all starts, and a start that would exceed it is cut off there.
-    ``restarts`` counts the local runs made, and ``converged`` is true when
-    every start ran and each local run reported success.  Deterministic for a
-    given seed; ties between starts resolve to the lowest start index.
+    when its run begins.  One :class:`_BudgetedObjective` serves every start;
+    an evaluation computes value and gradient together, once, and ``budget``
+    caps their total over all starts, cutting off a start that would exceed
+    it.  The result is the best point the objective evaluated, and the value
+    it found there.  ``restarts`` counts the local runs made, and
+    ``converged`` is true when every start ran and each local run reported
+    success.  Deterministic for a given seed; ties between starts resolve to
+    the lowest start index.
     """
     alpha = _check_alpha(alpha)
     if not 2 <= n_segments <= MAX_SEGMENTS:
@@ -394,50 +396,40 @@ def optimize_piecewise(
     rng = np.random.default_rng(seed)
     n_knots = n_segments + 1
     bounds = [(0.0, HALF_PI)] * n_knots
-    ramp = np.linspace(HALF_PI, 0.0, n_knots)
-    best_eff = -np.inf
-    best_knots = ramp
-    best_start = 0
-    runs = 0
-    used = 0
+    objective = _BudgetedObjective(alpha, budget)
     converged = True
     for idx in range(n_starts):
-        remaining = budget - used
-        if remaining <= 0:
+        if objective.count >= budget:
             converged = False
             break
-        x0 = ramp if idx == 0 else np.sort(rng.uniform(0.0, HALF_PI, n_knots))[::-1].copy()
-        objective = _BudgetedObjective(alpha, remaining)
-        runs += 1
+        x0 = (np.linspace(HALF_PI, 0.0, n_knots) if idx == 0
+              else np.sort(rng.uniform(0.0, HALF_PI, n_knots))[::-1].copy())
+        objective.start = idx
         try:
+            # the objective's budget stops a run before either limit can
             res = minimize(
                 objective.value,
                 x0,
                 jac=objective.grad,
                 method="L-BFGS-B",
                 bounds=bounds,
-                options={"maxfun": remaining, "maxiter": remaining,
+                options={"maxfun": budget, "maxiter": budget,
                          "ftol": 1e-15, "gtol": _GTOL},
             )
             converged = converged and bool(res.success)
         except _BudgetExceeded:
             converged = False
-        used += objective.count
-        if objective.best_x is not None and -objective.best_f > best_eff:
-            best_eff = -objective.best_f
-            best_knots = objective.best_x
-            best_start = idx
 
-    thetas = np.clip(best_knots, 0.0, HALF_PI)
+    thetas = np.clip(objective.best_x, 0.0, HALF_PI)
     zeta = np.linspace(0.0, alpha, n_knots)
     return SearchResult(
         alpha=alpha,
         n_segments=n_segments,
         knots=np.column_stack([zeta, thetas]),
-        efficiency=float(piecewise_efficiency(thetas, alpha)),
-        evaluations=used,
-        restarts=runs,
+        efficiency=-objective.best_f,
+        evaluations=objective.count,
+        restarts=objective.start + 1,
         converged=converged,
-        best_start=best_start,
+        best_start=objective.best_start,
         seed=seed,
     )

@@ -243,37 +243,36 @@ def _rk4_step_matrices(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray,
     return r
 
 
-def _apply_steps(entries: list, p, q, out: list) -> tuple[float, float]:
+def _apply_steps(entries: list, p, q) -> list:
     """Apply step matrices in order to the state ``(p, q)``.
 
     ``entries`` holds the matrices flat, row by row (``r00, r01, r10, r11``
     of each step in turn).  Runs on Python floats (or complex numbers),
     carrying one state, so rounding accumulates as in a stage-by-stage
     integration; a prefix-product scan would be faster but loses accuracy at
-    large ``alpha``.  Appends ``p`` and ``q`` after each step to ``out`` and
-    returns the last state.
+    large ``alpha``.  Returns ``p`` and ``q`` after each step, flat.
     """
+    out = []
     append = out.append
     it = iter(entries)
     for a, b, c, d in zip(it, it, it, it):
         p, q = a * p + b * q, c * p + d * q
         append(p)
         append(q)
-    return p, q
+    return out
 
 
 class _Run:
-    """One propagation in flight through :func:`_rk4`."""
+    """One propagation in flight through :func:`_rk4`; it owns its states."""
 
     def __init__(self, grid: np.ndarray, v0: np.ndarray, at):
         self.grid = grid
         self.at = at
         # parameters of A at the grid nodes, evaluated once
         self.nodes = grid if at is None else at(grid)
-        v0 = np.asarray(v0)
-        self.dtype = v0.dtype
-        self.state = tuple(v0.tolist())
-        self.blocks = []  # (steps, 2) state arrays of the chunks applied so far
+        # (len(grid), 2), v0 in row 0; each chunk writes the rows of its steps
+        self.states = np.empty((grid.size, 2), np.result_type(v0, float))
+        self.states[0] = v0
 
 
 def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
@@ -294,10 +293,11 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
 
     Yields ``(grid, nodes, states)`` for each run, in order, as soon as its
     last step is applied: the parameters at the grid nodes and the
-    ``(len(grid), 2)`` states, starting with ``v0``.  Runs are pulled only
-    as the chunks reach them, and a run that spans chunks is yielded as soon
-    as it ends, before the next run's grid is built; so the working memory
-    is one chunk, the short runs it holds, and the run being yielded.
+    ``(len(grid), 2)`` states, starting with ``v0``, in the one array the
+    run owns from when it is pulled.  Runs are pulled only as the chunks
+    reach them, and a run that spans chunks is yielded as soon as it ends,
+    before the next run's grid is built; so the working memory is one
+    chunk, the short runs it holds, and the run being yielded.
     """
     chunk = []  # (run, lo, hi): steps lo..hi of a run
     room = _BLOCK
@@ -339,16 +339,13 @@ def _rk4_chunk(matrices, chunk):
     i = 0
     for run, lo, hi in chunk:
         m = hi - lo
-        out = list(run.state) if lo == 0 else []
-        run.state = _apply_steps(r[i : i + m].ravel().tolist(), *run.state, out)
+        out = _apply_steps(r[i : i + m].ravel().tolist(), *run.states[lo].tolist())
         i += m
         # a run stays complex once a chunk has made it so
-        run.dtype = np.result_type(r, run.dtype)
-        run.blocks.append(np.fromiter(out, run.dtype, len(out)).reshape(-1, 2))
+        run.states = run.states.astype(np.result_type(r, run.states), copy=False)
+        run.states[lo + 1 : hi + 1] = np.fromiter(out, run.states.dtype, 2 * m).reshape(m, 2)
         if hi == run.grid.size - 1:
-            blocks, run.blocks = run.blocks, None
-            states = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            yield run.grid, run.nodes, states
+            yield run.grid, run.nodes, run.states
 
 
 def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
@@ -617,6 +614,14 @@ def propagate_piecewise_exact(
 # Diagnostics
 # ---------------------------------------------------------------------------
 
+def _five_point_derivative(f: np.ndarray, h: float) -> np.ndarray:
+    """Central five-point derivative of samples ``f`` at spacing ``h``.
+
+    Fourth order, like the integrator; defined on ``f[2:-2]``.
+    """
+    return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+
+
 def dissipation_residual(traj: Trajectory) -> np.ndarray:
     """Pointwise residual of d(norm)/dzeta = -(lossy amplitude)^2.
 
@@ -633,10 +638,8 @@ def dissipation_residual(traj: Trajectory) -> np.ndarray:
         raise ValueError("dissipation residual requires a uniform grid")
     if traj.theta is None:
         raise ValueError("trajectory carries no mixing angle")
-    norm = traj.norm_sq
     x = np.real(traj.omega_p) * np.cos(traj.theta) - np.real(traj.omega_s) * np.sin(traj.theta)
-    d = (norm[:-4] - 8.0 * norm[1:-3] + 8.0 * norm[3:-1] - norm[4:]) / (12.0 * h)
-    return d + x[2:-2] ** 2
+    return _five_point_derivative(traj.norm_sq, h) + x[2:-2] ** 2
 
 
 def dissipation_order(

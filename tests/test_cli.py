@@ -266,6 +266,38 @@ def test_efficiency_non_finite_range_exits_two(tmp_path, capsys, flag, value):
     assert "InvalidAlpha" in err and flag in err
 
 
+@pytest.mark.parametrize("bounds, flag", [
+    (["--alpha-min", "0.5", "--alpha-max", "0", "--alpha-steps", "2"], "--alpha-max"),
+    (["--alpha-min", "1", "--alpha-max", "-1", "--alpha-steps", "3"], "--alpha-max"),
+    (["--alpha-min", "1e-320", "--alpha-max", "1", "--alpha-steps", "3"], "--alpha-min"),
+    (["--alpha-min", "1", "--alpha-max", "1e-320", "--alpha-steps", "3"], "--alpha-max"),
+])
+@pytest.mark.parametrize("protocol", ["optimal", "adiabatic"])
+def test_efficiency_invalid_range_bound_exits_two(tmp_path, capsys, bounds, flag, protocol):
+    # each bound is checked like an explicit --alpha, so no density of the
+    # grid between them is zero, negative or subnormal
+    out = tmp_path / "eff.csv"
+    assert main(["efficiency", *bounds, "--method", "closed", "--protocol", protocol,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "InvalidAlpha" in err and flag in err
+
+
+def test_efficiency_range_up_to_the_largest_float(tmp_path, capsys):
+    # linspace's last product overflows here before it is set to the bound;
+    # that must not reach stderr as a numpy warning
+    out = tmp_path / "eff.csv"
+    assert main(["efficiency", "--alpha-min", repr(sys.float_info.max), "--alpha-max", "1",
+                 "--alpha-steps", "4", "--method", "closed", "--protocol", "adiabatic",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    alphas = [float(r[0]) for r in rows]
+    assert len(alphas) == 4 and alphas[0] == 1.0 and alphas[-1] == sys.float_info.max
+    assert all(math.isfinite(a) for a in alphas)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "1e-320"])
 @pytest.mark.parametrize("protocol", ["constant", "adiabatic"])
 def test_efficiency_invalid_explicit_alpha_exits_two(tmp_path, capsys, protocol, value):

@@ -8,6 +8,7 @@ and the microscopically closed integration.
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -649,3 +650,19 @@ def test_batch_yields_run_spanning_chunks_before_pulling_the_next():
     assert len(next(batch).zeta) == 11 and pulled == [0, 1]
     assert len(next(batch).zeta) == 3 * _BLOCK + 1 and pulled == [0, 1]
     assert len(next(batch).zeta) == 11 and pulled == [0, 1, 2]
+
+
+def test_long_run_holds_its_states_once():
+    # a run owns one (len(grid), 2) state array that its chunks write into;
+    # the grid, angles and states it returns take 32 bytes per step
+    n = 200_000
+    profile = build_profile("optimal", 100.0)
+    propagate_reduced(build_profile("optimal", 1.0))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        traj = propagate_reduced(profile, opts=IntegratorOptions(step_count=n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.zeta) == n + 1
+    assert peak / n < 40

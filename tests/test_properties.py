@@ -261,3 +261,38 @@ def test_simulate_writes_finite_rows_or_exits_two(kind, alpha, spu, data):
     assert np.isfinite(rows).all()
     assert rows[0, 0] == 0.0 and rows[-1, 0] == alpha
     assert np.all(np.diff(rows[:, 8]) <= 1e-12)
+
+
+BOUNDS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-320, sys.float_info.min, 1.0,
+                     sys.float_info.max, math.inf, -math.inf, math.nan]),
+    st.floats(-1e3, 1e3),
+    log_uniform(1e-310, 1e300),
+)
+
+
+@PROPERTY
+@given(lo=BOUNDS, hi=BOUNDS, steps=st.integers(1, 5),
+       kind=st.sampled_from(["optimal", "constant", "adiabatic"]))
+def test_efficiency_range_writes_valid_alphas_or_exits_two(lo, hi, steps, kind):
+    # the adiabatic protocol has no closed form, so only the range check can
+    # refuse a density; "--flag=value", as argparse reads "-inf" or "-1e-05"
+    # after a space as a flag
+    argv = ["efficiency", f"--alpha-min={lo!r}", f"--alpha-max={hi!r}",
+            "--alpha-steps", str(steps), "--method", "closed", "--protocol", kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "eff.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        if code == 2:
+            assert err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+            return
+        assert code == 0
+        with open(out) as fh:
+            alphas = [float(line.split(",")[0]) for line in fh.readlines()[1:]]
+    assert len(alphas) == steps
+    for alpha in alphas:
+        assert math.isfinite(alpha) and alpha >= sys.float_info.min
+        assert min(lo, hi) <= alpha <= max(lo, hi)
