@@ -134,6 +134,9 @@ def cmd_efficiency(args) -> int:
                     f"{flag} must be finite and at least {sys.float_info.min!r}, got {bound}")
         if not 1 <= args.alpha_steps <= MAX_ALPHA_STEPS:
             raise DoubleLambdaError(f"--alpha-steps must be in [1, {MAX_ALPHA_STEPS}]")
+        if args.alpha_steps == 1 and args.alpha_min != args.alpha_max:
+            raise DoubleLambdaError(
+                "--alpha-steps 1 would drop --alpha-max; give it equal to --alpha-min")
         # near the largest float, linspace overflows its last point, then sets it
         with np.errstate(over="ignore"):
             alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))

@@ -37,7 +37,6 @@ from .propagation import (
     _slope_matrices,
     propagate_adiabatic,
     schedule_from_profile,
-    segment_step,
 )
 from .protocols import HALF_PI, _check_alpha, optimal_protocol
 
@@ -193,17 +192,11 @@ def piecewise_efficiency(thetas: np.ndarray, alpha: float) -> float:
 
     ``thetas`` are angle knots at uniform spacing on [0, alpha] (values
     clipped to [0, pi/2]); the boundary jumps from pi/2 and to 0 are free and
-    do not affect the lab-frame fields.
+    do not affect the lab-frame fields.  The value is that of
+    :func:`piecewise_efficiency_and_grad`, whose forward pass applies the
+    segment exponentials of :func:`segment_step` knot by knot.
     """
-    th = np.clip(np.asarray(thetas, dtype=float), 0.0, HALF_PI).tolist()
-    n_seg = len(th) - 1
-    dz = alpha / n_seg
-    y = math.sin(th[0])
-    x = math.cos(th[0])
-    for i in range(n_seg):
-        y, x = segment_step(y, x, (th[i] - th[i + 1]) / dz, dz)
-    s = math.cos(th[-1]) * y - math.sin(th[-1]) * x
-    return s * s
+    return piecewise_efficiency_and_grad(thetas, alpha)[0]
 
 
 #: Taylor coefficients (2n + 2)/(2n + 3)! of (dz cosh(k dz) - sinh(k dz)/k)/k^2
@@ -225,7 +218,7 @@ def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[flo
     matrices and collects ``d eta / du`` without revisiting the states.  The
     slope of a segment is ``(theta_i - theta_{i+1}) / dz``, and the entry and
     exit angles also enter through the frame rotations at the two ends.  The
-    value equals :func:`piecewise_efficiency` bit for bit.  Knots are clipped
+    value is the one :func:`piecewise_efficiency` returns.  Knots are clipped
     to [0, pi/2] like there; the gradient is that of the unclipped
     expression, which is the one-sided derivative into the box at a bound.
     """
@@ -421,7 +414,9 @@ def optimize_piecewise(
             converged = False
 
     thetas = np.clip(objective.best_x, 0.0, HALF_PI)
-    zeta = np.linspace(0.0, alpha, n_knots)
+    # near the largest float, linspace overflows its last point, then sets it
+    with np.errstate(over="ignore"):
+        zeta = np.linspace(0.0, alpha, n_knots)
     return SearchResult(
         alpha=alpha,
         n_segments=n_segments,

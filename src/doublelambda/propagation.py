@@ -270,9 +270,10 @@ class _Run:
         self.at = at
         # parameters of A at the grid nodes, evaluated once
         self.nodes = grid if at is None else at(grid)
-        # (len(grid), 2), v0 in row 0; each chunk writes the rows of its steps
+        # (len(grid), 2) of v0's dtype, v0 in row 0; each chunk writes the rows of its steps
         self.states = np.empty((grid.size, 2), np.result_type(v0, float))
         self.states[0] = v0
+        self.real = not v0.imag.any()  # true while v0 and every chunk so far are real
 
 
 def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
@@ -290,6 +291,11 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
     steps in order, restarting from ``v0`` at each run's first step.  A
     step's matrix and its application do not depend on the chunk it falls
     in, so the states are those of each run integrated alone, bit for bit.
+
+    A run's states take the dtype of its ``v0``; a route whose ``A`` can be
+    complex passes a complex ``v0``.  A chunk whose ``A`` has no imaginary
+    part is built real, and a run is applied in real arithmetic until its
+    ``v0`` or a chunk is not real, with the bits of the complex kernel.
 
     Yields ``(grid, nodes, states)`` for each run, in order, as soon as its
     last step is applied: the parameters at the grid nodes and the
@@ -329,6 +335,8 @@ def _rk4_chunk(matrices, chunk):
     h = np.concatenate(steps)
     n = h.size
     a = matrices(np.concatenate(nodes + mids))
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = np.ascontiguousarray(a.real)
     if len(chunk) == 1:
         a0, a1 = a[:n], a[1 : n + 1]
     else:
@@ -339,11 +347,13 @@ def _rk4_chunk(matrices, chunk):
     i = 0
     for run, lo, hi in chunk:
         m = hi - lo
-        out = _apply_steps(r[i : i + m].ravel().tolist(), *run.states[lo].tolist())
+        v = run.states[lo].real if run.real else run.states[lo]
+        out = _apply_steps(r[i : i + m].ravel().tolist(), *v.tolist())
         i += m
-        # a run stays complex once a chunk has made it so
-        run.states = run.states.astype(np.result_type(r, run.states), copy=False)
-        run.states[lo + 1 : hi + 1] = np.fromiter(out, run.states.dtype, 2 * m).reshape(m, 2)
+        run.real = run.real and not np.iscomplexobj(r)
+        # read as floats while real: fromiter converts floats to complex slowly
+        rows = np.fromiter(out, float if run.real else run.states.dtype, 2 * m)
+        run.states[lo + 1 : hi + 1] = rows.reshape(m, 2)
         if hi == run.grid.size - 1:
             yield run.grid, run.nodes, run.states
 
@@ -441,7 +451,7 @@ def propagate_adiabatic(
     ``final_state`` is the state after the exit rotation.  With ``u == 0``
     the ``y`` component is exactly conserved and ``x`` decays at rate 1/2.
     """
-    grid = np.linspace(0.0, schedule.alpha, opts.resolve_steps(schedule.alpha) + 1)
+    grid = _segment_grid(schedule.alpha, (), opts.resolve_steps(schedule.alpha))
     v0 = np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation))
     ((_, _, v),) = _rk4(lambda z: _slope_matrices(schedule.u(z), -0.5), [(grid, v0, None)])
     y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
@@ -473,14 +483,9 @@ def propagate_exact(
     ``A`` on a block of points, both unit fields stacked.  Under the
     reduction assumptions (equal decay rates, no dephasing, real controls)
     the matrix is ``-1/2 P(theta)`` and this reproduces
-    :func:`propagate_reduced` to rounding.
-
-    Real controls at ``gamma21 = 0`` make ``A`` real.  A chunk of steps
-    whose ``A`` has no imaginary part is built and applied in real
-    arithmetic, as is a real ``initial`` state; the run turns complex at the
-    first chunk that is not and stays complex after it.  The states equal
-    those of the complex kernel bit for bit, and the trajectory is returned
-    complex either way.
+    :func:`propagate_reduced` to rounding.  The trajectory is complex; real
+    controls at ``gamma21 = 0`` make ``A`` real, and :func:`_rk4` then
+    integrates in real arithmetic.
     """
     alpha = _check_alpha(alpha)
     g31, g41 = rates.gamma31, rates.gamma41
@@ -491,17 +496,13 @@ def propagate_exact(
         oc, od = (np.broadcast_to(c, z.shape) for c in controls(z))
         sol = steady_coherences(DriveFields(unit_p, unit_s, oc, od), rates)
         # sol.rho31[j, i]: coherence at point i driven by unit field j (column j)
-        a = np.moveaxis(np.stack([0.5j * g31 * sol.rho31, 0.5j * g41 * sol.rho41]), -1, 0)
-        return a if a.imag.any() else np.ascontiguousarray(a.real)
+        return np.moveaxis(np.stack([0.5j * g31 * sol.rho31, 0.5j * g41 * sol.rho41]), -1, 0)
 
     v0 = np.array([initial.omega_p, initial.omega_s], dtype=complex)
     if not np.all(np.isfinite(v0)):
         raise NonFinite("input fields are not finite")
-    if not v0.imag.any():
-        v0 = v0.real
     grid = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
     ((_, _, v),) = _rk4(matrices, [(grid, v0, None)])
-    v = v.astype(complex, copy=False)
     return Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
 
 

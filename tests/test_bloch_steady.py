@@ -217,6 +217,13 @@ def test_non_finite_input_raises():
         first_order_coherences(np.nan, 0.0, 0.3)
 
 
+def test_overflowing_solve_raises():
+    # finite fields whose coherences overflow: rho21 ~ -Op/Oc = -1e458
+    fields = DriveFields(omega_p=1e308, omega_s=0.0, omega_c=1e-150, omega_d=1e-150)
+    with pytest.raises(NonFinite, match="overflowed"):
+        steady_coherences(fields, Rates(1.0, 1.0, 0.0))
+
+
 def test_rates_validation():
     with pytest.raises(ValueError):
         Rates(gamma31=0.0)

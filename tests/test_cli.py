@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import doublelambda
 from doublelambda import (
     IntegratorOptions,
     build_profile,
@@ -175,9 +179,10 @@ def test_simulate_overflowing_slope_exits_two_without_output(tmp_path, capsys):
                                    "0 1.4\n5 0.8 0.3\n10 0.1\n",
                                    "0 1.4\n5\n10 0.1\n",
                                    "",
-                                   "# zeta theta\n# no rows\n"],
+                                   "# zeta theta\n# no rows\n",
+                                   "0 1.4 0\n5 0.8 0\n10 0.1 0\n"],
                          ids=["non-numeric-field", "ragged-extra-column", "ragged-short-row",
-                              "empty", "comments-only"])
+                              "empty", "comments-only", "three-columns"])
 def test_unparsable_profile_table_exits_two(tmp_path, capsys, table):
     prof = tmp_path / "prof.txt"
     prof.write_text(table)
@@ -570,6 +575,56 @@ def test_verify_report_identical_across_reruns(tmp_path):
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_simulate_without_alpha_exits_two(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--protocol", "constant", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--alpha is required" in err
+
+
+def test_output_in_missing_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "eff.csv"
+    assert main(["efficiency", "--alpha", "1", "--method", "closed", "--out", str(out)]) == 2
+    assert not out.parent.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err
+
+
+def test_verify_without_out_prints_the_report(capsys):
+    assert main(["verify", "--alpha", "1", "--samples", "10"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["alphas"] == [1.0] and report["passed"] is True
+    assert captured.err == ""
+
+
+def run_module(*argv):
+    """``python -m doublelambda argv`` in a fresh interpreter, on this package."""
+    src = Path(doublelambda.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "doublelambda", *argv],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_module_entry_point_writes_a_curve(tmp_path):
+    out = tmp_path / "eff.csv"
+    result = run_module("efficiency", "--alpha", "1", "--method", "closed", "--out", str(out))
+    assert result.returncode == 0 and result.stderr == ""
+    header, rows = read_csv(out)
+    assert header == ["alpha", "protocol", "eta_closed", "eta_numeric"]
+    assert [r[:2] for r in rows] == [["1.0", "constant"], ["1.0", "optimal"]]
+
+
+def test_module_entry_point_exits_two_on_a_usage_error(tmp_path):
+    out = tmp_path / "eff.csv"
+    result = run_module("efficiency", "--alpha-min", "1", "--alpha-max", "10",
+                        "--alpha-steps", "1", "--out", str(out))
+    assert result.returncode == 2 and not out.exists()
+    assert result.stderr.count("\n") == 1 and "--alpha-steps" in result.stderr
 
 
 def test_usage_error_exit_code(capsys):

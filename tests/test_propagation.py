@@ -48,6 +48,7 @@ from doublelambda.propagation import (
     adiabatic_initial,
     propagate_reduced_many,
 )
+from test_rk4_reference import reference_rk4
 
 HALF_PI = np.pi / 2
 
@@ -441,7 +442,11 @@ def test_final_state_keeps_complex_amplitudes():
 
 
 def _complex_exact_run(controls, alpha, opts, breakpoints=()):
-    """States of the exact route with A and the input kept complex throughout."""
+    """States of the exact route with A and the input kept complex throughout.
+
+    Integrated by the frozen reference kernel, which never drops to real
+    arithmetic, rather than by the shared driver under test.
+    """
     unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
 
     def matrices(z):
@@ -450,9 +455,7 @@ def _complex_exact_run(controls, alpha, opts, breakpoints=()):
         return np.moveaxis(np.stack([0.5j * sol.rho31, 0.5j * sol.rho41]), -1, 0)
 
     grid = propagation._segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
-    v0 = np.array([1.0, 0.0], dtype=complex)
-    ((_, _, v),) = propagation._rk4(matrices, [(grid, v0, None)])
-    return v
+    return reference_rk4(matrices, grid, np.array([1.0, 0.0], dtype=complex))
 
 
 def test_exact_route_real_system_matches_complex_kernel(monkeypatch):
@@ -597,6 +600,14 @@ def test_dissipation_residual_requires_uniform_grid():
         dissipation_residual(traj)
 
 
+def test_dissipation_residual_requires_the_mixing_angle():
+    # the exact route is driven by controls, so its trajectory carries no angle
+    traj = propagate_exact(controls_of(constant_protocol(1.0)), 1.0)
+    assert traj.theta is None
+    with pytest.raises(ValueError, match="no mixing angle"):
+        dissipation_residual(traj)
+
+
 # ---------------------------------------------------------------------------
 # Batched propagation: chunking of the shared RK4 integrator
 # ---------------------------------------------------------------------------
@@ -666,3 +677,22 @@ def test_long_run_holds_its_states_once():
         tracemalloc.stop()
     assert len(traj.zeta) == n + 1
     assert peak / n < 40
+
+
+def test_exact_run_holds_its_states_once():
+    # the exact route's run takes a complex v0, so its real steps write into
+    # the one complex state array it returns, with no copy at the end: the
+    # grid and states take 40 bytes per step (56 with a real array copied)
+    n = 200_000
+    profile = build_profile("optimal", 100.0)
+    propagate_exact(controls_of(profile), 1.0)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        traj = propagate_exact(controls_of(profile), 100.0, breakpoints=profile.breakpoints,
+                               opts=IntegratorOptions(step_count=n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.zeta) == n + 1
+    assert traj.omega_p.dtype == traj.omega_s.dtype == complex
+    assert peak / n < 48

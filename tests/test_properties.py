@@ -6,6 +6,7 @@ still sees a spread of alphas, segment counts, seeds, rates and fields.
 
 import contextlib
 import io
+import json
 import math
 import os
 import sys
@@ -13,7 +14,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,6 +27,7 @@ from doublelambda import (
     coherence_residuals,
     constant_efficiency_closed,
     constant_protocol,
+    load_profile_table,
     optimal_efficiency_closed,
     optimal_protocol,
     optimize_piecewise,
@@ -37,7 +39,8 @@ from doublelambda import (
     tabulated_protocol,
     theta0_complement,
 )
-from doublelambda.cli import main
+from doublelambda.cli import MAX_SAMPLES, main
+from doublelambda.pmp_search import MAX_SEGMENTS
 from doublelambda.propagation import _segment_exponential, _segment_exponential_array
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -274,10 +277,13 @@ BOUNDS = st.one_of(
 @PROPERTY
 @given(lo=BOUNDS, hi=BOUNDS, steps=st.integers(1, 5),
        kind=st.sampled_from(["optimal", "constant", "adiabatic"]))
+@example(lo=1.0, hi=10.0, steps=1, kind="adiabatic")
+@example(lo=1.0, hi=1.0, steps=1, kind="adiabatic")
 def test_efficiency_range_writes_valid_alphas_or_exits_two(lo, hi, steps, kind):
     # the adiabatic protocol has no closed form, so only the range check can
     # refuse a density; "--flag=value", as argparse reads "-inf" or "-1e-05"
-    # after a space as a flag
+    # after a space as a flag.  Every written range keeps both bounds, so one
+    # step is refused unless they are equal.
     argv = ["efficiency", f"--alpha-min={lo!r}", f"--alpha-max={hi!r}",
             "--alpha-steps", str(steps), "--method", "closed", "--protocol", kind]
     with tempfile.TemporaryDirectory() as tmp:
@@ -293,6 +299,69 @@ def test_efficiency_range_writes_valid_alphas_or_exits_two(lo, hi, steps, kind):
         with open(out) as fh:
             alphas = [float(line.split(",")[0]) for line in fh.readlines()[1:]]
     assert len(alphas) == steps
+    assert alphas[0] == min(lo, hi) and alphas[-1] == max(lo, hi)
     for alpha in alphas:
         assert math.isfinite(alpha) and alpha >= sys.float_info.min
         assert min(lo, hi) <= alpha <= max(lo, hi)
+
+
+ALPHA_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 3e-308, sys.float_info.min,
+                               1e-300, 1e300, sys.float_info.max, math.inf, -math.inf,
+                               math.nan])
+SEEDS = st.one_of(st.sampled_from([-1, 0, 2**32, 2**64]), st.integers(0, 100))
+
+
+def run_cli(argv, outputs):
+    """Exit code of ``main(argv)``; exit 2 prints one stderr line and writes no ``outputs``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1
+        assert not any(os.path.exists(path) for path in outputs)
+    return code
+
+
+def load_finite_json(path):
+    def refuse(name):
+        raise AssertionError(f"{name} in {path}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@PROPERTY
+@given(alpha=st.one_of(ALPHA_EDGES, log_uniform(1e-6, 1e4)),
+       segments=st.one_of(st.sampled_from([-1, 0, 1, MAX_SEGMENTS + 1]), st.integers(2, 64)),
+       budget=st.sampled_from([-1, 0, 1, 2, 50, 200]), starts=st.integers(0, 3), seed=SEEDS)
+@example(alpha=sys.float_info.max, segments=3, budget=1, starts=1, seed=0)
+def test_search_writes_a_result_or_exits_two(alpha, segments, budget, starts, seed):
+    argv = ["search", f"--alpha={alpha!r}", f"--segments={segments}", f"--budget={budget}",
+            f"--starts={starts}", f"--seed={seed}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out, table = os.path.join(tmp, "search.json"), os.path.join(tmp, "profile.txt")
+        if run_cli(argv + ["--out", out, "--profile-out", table], [out, table]) == 2:
+            return
+        report = load_finite_json(out)
+        zeta, theta = load_profile_table(table)
+    assert 1 <= report["evaluations"] <= budget
+    assert 0.0 <= report["efficiency"] <= 1.0 + 1e-12  # a unit input, up to rounding
+    assert len(zeta) == len(theta) == segments + 1
+    assert zeta[0] == 0.0 and zeta[-1] == alpha
+
+
+@PROPERTY
+@given(alpha=st.one_of(ALPHA_EDGES, log_uniform(1e-6, 300.0)),
+       samples=st.one_of(st.sampled_from([-1, 0, MAX_SAMPLES + 1]), st.integers(1, 200)),
+       seed=SEEDS)
+def test_verify_writes_a_report_or_exits_two(alpha, samples, seed):
+    argv = ["verify", f"--alpha={alpha!r}", f"--samples={samples}", f"--seed={seed}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        code = run_cli(argv + ["--out", out], [out])
+        if code == 2:
+            return
+        report = load_finite_json(out)
+    assert report["alphas"] == [alpha]
+    assert report["passed"] is (code == 0)
