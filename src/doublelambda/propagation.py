@@ -10,8 +10,10 @@ Three routes integrate the same physics at different levels of reduction:
 * :func:`propagate_adiabatic` -- the rotated-frame system
   ``dy/dzeta = -u x``, ``dx/dzeta = u y - x/2`` where ``u = -dtheta/dzeta``;
   boundary jumps of the angle become instantaneous rotations of ``(y, x)``.
-* :func:`propagate_exact` -- the field equations closed microscopically
-  through the exact steady-state coherence solve, for general decay rates.
+* :func:`propagate_exact` (and :func:`propagate_exact_many`, its batch
+  over several control maps sharing the decay rates) -- the field equations
+  closed microscopically through the exact steady-state coherence solve, for
+  general decay rates.
 
 Each route is the linear system ``dv/dzeta = A(zeta) v`` with a 2x2 matrix
 ``A`` and supplies only that matrix to one shared fixed-step classical
@@ -20,11 +22,13 @@ propagation with a node at every interior knot of the profile;
 deterministic output is preferred over adaptivity.  The integrator builds
 the step matrices of a chunk of :data:`_BLOCK` steps at once
 (:func:`_rk4_step_matrices`) and applies them in order on Python scalars
-(:func:`_apply_steps`).  Independent
-propagations are batched through it, their steps walked in chunks that may
-span several of them, with results equal bit for bit to propagating each
-alone: :func:`propagate_reduced_many`.  The rotated-frame matrix holds the
-slope, which jumps at a knot, so that route takes continuous slopes only.
+(:func:`_apply_steps`), evaluating the parameters of ``A`` (the angle, or
+the controls) chunk by chunk.  Independent propagations are batched through
+it, their steps walked in chunks that may span several of them, with results
+equal bit for bit to propagating each alone: :func:`propagate_reduced_many`
+and :func:`propagate_exact_many`, whose chunks make one steady-state solve
+each.  The rotated-frame matrix holds the slope, which jumps at a knot, so
+that route takes continuous slopes only.
 For piecewise-linear profiles the rotated-frame system has a closed-form
 matrix exponential, exposed as :func:`segment_step` /
 :func:`propagate_piecewise_exact`; exact to rounding, it is an independent
@@ -200,11 +204,18 @@ def adiabatic_initial(profile: ThetaProfile, initial: FieldState) -> AdiabaticSt
 
 
 def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> np.ndarray:
-    """Grid on [0, alpha] with a node at every breakpoint, uniform in between."""
+    """Grid on [0, alpha] with a node at every breakpoint, uniform in between.
+
+    Each piece takes its share ``n_steps * (b - a) / alpha`` of the steps; a
+    share whose product overflows raises :class:`NonFinite`.
+    """
     cuts = [0.0, *sorted({float(b) for b in breakpoints if 0.0 < b < alpha}), alpha]
     pieces = [np.zeros(1)]
     for a, b in zip(cuts[:-1], cuts[1:]):
-        n = max(1, round(n_steps * (b - a) / alpha))
+        share = n_steps * (b - a)
+        if share == math.inf:
+            raise NonFinite(f"{n_steps} steps over a span of {b - a!r} overflow the grid")
+        n = max(1, round(share / alpha))
         pieces.append(np.linspace(a, b, n + 1)[1:])
     return np.concatenate(pieces)
 
@@ -265,11 +276,10 @@ def _apply_steps(entries: list, p, q) -> list:
 class _Run:
     """One propagation in flight through :func:`_rk4`; it owns its states."""
 
-    def __init__(self, grid: np.ndarray, v0: np.ndarray, at):
+    def __init__(self, grid: np.ndarray, v0: np.ndarray, at, nodes):
         self.grid = grid
         self.at = at
-        # parameters of A at the grid nodes, evaluated once
-        self.nodes = grid if at is None else at(grid)
+        self.nodes = nodes
         # (len(grid), 2) of v0's dtype, v0 in row 0; each chunk writes the rows of its steps
         self.states = np.empty((grid.size, 2), np.result_type(v0, float))
         self.states[0] = v0
@@ -279,18 +289,22 @@ class _Run:
 def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
     """Classical RK4 for ``dv/dzeta = A v`` over a stream of independent runs.
 
-    Each run is ``(grid, v0, at)``: a grid, the initial state, and the map
-    ``at`` from positions to the parameters of ``A`` (``None`` when they
-    are the positions themselves).  ``matrices(x)`` returns ``A`` for the
-    parameters ``x`` as an ``(n, 2, 2)`` array and serves every run.
+    Each run is ``(grid, v0, at, nodes)``: a grid, the initial state, the
+    map ``at`` from positions to the parameters of ``A`` (``None`` when they
+    are the positions themselves), as an array whose last axis runs over the
+    positions, and ``nodes``, ``None`` or an array that the chunks fill with
+    the parameters at the grid nodes, for a route that returns them.
+    ``matrices(x)`` returns ``A`` for the parameters ``x`` as an
+    ``(n, 2, 2)`` array and serves every run.
 
     The runs' steps are walked in order, in chunks of up to :data:`_BLOCK`
-    steps that may span several runs.  Each chunk makes one ``matrices``
-    call, over its step nodes and midpoints, and one
-    :func:`_rk4_step_matrices` call; :func:`_apply_steps` then applies the
-    steps in order, restarting from ``v0`` at each run's first step.  A
-    step's matrix and its application do not depend on the chunk it falls
-    in, so the states are those of each run integrated alone, bit for bit.
+    steps that may span several runs.  Each chunk evaluates ``at`` on each
+    run's step nodes and midpoints in it, and makes one ``matrices`` call
+    over all of them and one :func:`_rk4_step_matrices` call;
+    :func:`_apply_steps` then applies the steps in order, restarting from
+    ``v0`` at each run's first step.  A step's matrix and its application
+    do not depend on the chunk it falls in, so the states are those of each
+    run integrated alone, bit for bit.
 
     A run's states take the dtype of its ``v0``; a route whose ``A`` can be
     complex passes a complex ``v0``.  A chunk whose ``A`` has no imaginary
@@ -298,7 +312,7 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
     ``v0`` or a chunk is not real, with the bits of the complex kernel.
 
     Yields ``(grid, nodes, states)`` for each run, in order, as soon as its
-    last step is applied: the parameters at the grid nodes and the
+    last step is applied: ``nodes`` as passed, now filled, and the
     ``(len(grid), 2)`` states, starting with ``v0``, in the one array the
     run owns from when it is pulled.  Runs are pulled only as the chunks
     reach them, and a run that spans chunks is yielded as soon as it ends,
@@ -307,8 +321,8 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
     """
     chunk = []  # (run, lo, hi): steps lo..hi of a run
     room = _BLOCK
-    for grid, v0, at in runs:
-        run = _Run(grid, v0, at)
+    for grid, v0, at, nodes in runs:
+        run = _Run(grid, v0, at, nodes)
         lo, n = 0, grid.size - 1
         while lo < n:
             hi = min(n, lo + room)
@@ -329,12 +343,17 @@ def _rk4_chunk(matrices, chunk):
     for run, lo, hi in chunk:
         z = run.grid[lo : hi + 1]
         z_mid = 0.5 * (z[:-1] + z[1:])
-        nodes.append(run.nodes[lo : hi + 1])
-        mids.append(z_mid if run.at is None else run.at(z_mid))
         steps.append(z[1:] - z[:-1])
+        if run.at is not None:
+            x = run.at(np.concatenate((z, z_mid)))
+            z, z_mid = x[..., : z.size], x[..., z.size :]
+        if run.nodes is not None:
+            run.nodes[..., lo : hi + 1] = z
+        nodes.append(z)
+        mids.append(z_mid)
     h = np.concatenate(steps)
     n = h.size
-    a = matrices(np.concatenate(nodes + mids))
+    a = matrices(np.concatenate(nodes + mids, axis=-1))
     if np.iscomplexobj(a) and not a.imag.any():
         a = np.ascontiguousarray(a.real)
     if len(chunk) == 1:
@@ -342,7 +361,8 @@ def _rk4_chunk(matrices, chunk):
     else:
         # each piece adds one node more than steps, so step i starts at node i + piece
         start = np.arange(n) + np.repeat(np.arange(len(chunk)), [x.size for x in steps])
-        a0, a1 = a[start], a[start + 1]
+        # take, not a[start]: numpy's fancy indexing of (n, 2, 2) is about 5x slower
+        a0, a1 = a.take(start, axis=0), a.take(start + 1, axis=0)
     r = _rk4_step_matrices(a0, a[n + len(chunk) :], a1, h)
     i = 0
     for run, lo, hi in chunk:
@@ -392,13 +412,14 @@ def propagate_reduced_many(
     The propagations share one RK4 integrator: their steps are built and applied
     in chunks of :data:`_BLOCK` that may span several of them, each chunk
     with one evaluation of ``-1/2 P(theta)`` and one step-matrix build.
-    Each profile's angle is evaluated once at its grid nodes, which become
-    ``Trajectory.theta``, and once at its step midpoints.  Trajectories are
-    yielded in order as they finish and equal those of
-    :func:`propagate_reduced`, bit for bit.  Pairs are read from ``runs``
-    only as the chunks reach them, and a run longer than what is left of a
-    chunk is yielded before the next pair is read, so the working memory is
-    one chunk, the short runs it holds, and the trajectory being yielded.
+    Each profile's angle is evaluated chunk by chunk at its step nodes and
+    midpoints, and the chunks write its values at the grid nodes into
+    ``Trajectory.theta``.  Trajectories are yielded in order as they finish
+    and equal those of :func:`propagate_reduced`, bit for bit.  Pairs are
+    read from ``runs`` only as the chunks reach them, and a run longer than
+    what is left of a chunk is yielded before the next pair is read, so the
+    working memory is one chunk, the short runs it holds, and the trajectory
+    being yielded.
     """
     v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
 
@@ -410,7 +431,8 @@ def propagate_reduced_many(
                     raise NonFinite("segment slope overflows; its angle change is lost")
             grid = _segment_grid(
                 profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
-            yield grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float)
+            theta = np.empty(grid.size)  # Trajectory.theta, filled by the chunks
+            yield grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float), theta
 
     for grid, theta, v in _rk4(_lab_matrices, lab_runs()):
         yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1], theta=theta)
@@ -453,7 +475,8 @@ def propagate_adiabatic(
     """
     grid = _segment_grid(schedule.alpha, (), opts.resolve_steps(schedule.alpha))
     v0 = np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation))
-    ((_, _, v),) = _rk4(lambda z: _slope_matrices(schedule.u(z), -0.5), [(grid, v0, None)])
+    ((_, _, v),) = _rk4(lambda z: _slope_matrices(schedule.u(z), -0.5),
+                        [(grid, v0, None, None)])
     y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
     return AdiabaticTrajectory(
         zeta=grid,
@@ -461,6 +484,55 @@ def propagate_adiabatic(
         y=v[:, 0],
         final_state=AdiabaticState(x=x_out, y=y_out),
     )
+
+
+def propagate_exact_many(
+    runs: Iterable[tuple[Callable, float, IntegratorOptions, Sequence[float]]],
+    rates: Rates = Rates(),
+    initial: FieldState = FieldState(1.0, 0.0),
+) -> Iterator[Trajectory]:
+    """:func:`propagate_exact` of each ``(controls, alpha, opts, breakpoints)``, batched.
+
+    The propagations share one RK4 integrator, as in
+    :func:`propagate_reduced_many`: their steps are built and applied in
+    chunks of :data:`_BLOCK` that may span several of them.  Each chunk
+    evaluates every run's controls at its step nodes and midpoints in the
+    chunk and makes one steady-state solve over all of them and one
+    step-matrix build.  Trajectories are yielded in order as they finish and
+    equal those of :func:`propagate_exact`, bit for bit; a real run that
+    shares a chunk with a complex one is applied in complex arithmetic from
+    there on, which gives the bits of the real kernel.  Runs are read only
+    as the chunks reach them, and no run keeps its controls beyond a chunk,
+    so the working memory is one chunk, the short runs it holds, and the
+    trajectory being yielded.
+    """
+    g31, g41 = rates.gamma31, rates.gamma41
+    # unit probe and unit signal, one row each, against the controls' points
+    unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+
+    def matrices(x):
+        sol = steady_coherences(DriveFields(unit_p, unit_s, x[0], x[1]), rates)
+        # sol.rho31[j, i]: coherence at point i driven by unit field j (column j)
+        return np.moveaxis(np.stack([0.5j * g31 * sol.rho31, 0.5j * g41 * sol.rho41]), -1, 0)
+
+    v0 = np.array([initial.omega_p, initial.omega_s], dtype=complex)
+    if not np.all(np.isfinite(v0)):
+        raise NonFinite("input fields are not finite")
+
+    def controls_at(z, controls):
+        """The parameters of ``A``: a row of ``Omega_c`` and one of ``Omega_d`` at ``z``."""
+        x = np.empty((2, z.size), complex)
+        x[0], x[1] = controls(z)  # broadcasts scalar controls
+        return x
+
+    def exact_runs():
+        for controls, alpha, opts, breakpoints in runs:
+            alpha = _check_alpha(alpha)
+            grid = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
+            yield grid, v0, lambda z, f=controls: controls_at(z, f), None
+
+    for grid, _, v in _rk4(matrices, exact_runs()):
+        yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
 
 
 def propagate_exact(
@@ -476,8 +548,9 @@ def propagate_exact(
     ``controls`` maps an array of positions ``zeta`` to the complex control
     envelopes ``(Omega_c, Omega_d)`` there, as two arrays (or scalars, which
     are broadcast over ``zeta``); for a mixing-angle profile,
-    ``lambda z: theta_to_controls(profile, z)``.  The steady coherences are
-    linear in the weak fields, so the columns of the system matrix are
+    ``lambda z: theta_to_controls(profile, z)``.  It is evaluated chunk by
+    chunk, so it must act elementwise.  The steady coherences are linear in
+    the weak fields, so the columns of the system matrix are
     ``i gamma/2 rho`` from the steady-state solve at unit probe and at unit
     signal, taken at the local controls: one array solve per evaluation of
     ``A`` on a block of points, both unit fields stacked.  Under the
@@ -485,25 +558,11 @@ def propagate_exact(
     the matrix is ``-1/2 P(theta)`` and this reproduces
     :func:`propagate_reduced` to rounding.  The trajectory is complex; real
     controls at ``gamma21 = 0`` make ``A`` real, and :func:`_rk4` then
-    integrates in real arithmetic.
+    integrates in real arithmetic.  This is the batch of one of
+    :func:`propagate_exact_many`.
     """
-    alpha = _check_alpha(alpha)
-    g31, g41 = rates.gamma31, rates.gamma41
-    # unit probe and unit signal, one row each, against the controls' points
-    unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
-
-    def matrices(z):
-        oc, od = (np.broadcast_to(c, z.shape) for c in controls(z))
-        sol = steady_coherences(DriveFields(unit_p, unit_s, oc, od), rates)
-        # sol.rho31[j, i]: coherence at point i driven by unit field j (column j)
-        return np.moveaxis(np.stack([0.5j * g31 * sol.rho31, 0.5j * g41 * sol.rho41]), -1, 0)
-
-    v0 = np.array([initial.omega_p, initial.omega_s], dtype=complex)
-    if not np.all(np.isfinite(v0)):
-        raise NonFinite("input fields are not finite")
-    grid = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
-    ((_, _, v),) = _rk4(matrices, [(grid, v0, None)])
-    return Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
+    (traj,) = propagate_exact_many([(controls, alpha, opts, breakpoints)], rates, initial)
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,24 @@ def test_verify_default_alphas_exit_zero(tmp_path):
     assert report["passed"] is True
 
 
+def test_verify_solves_its_three_exact_runs_once_per_chunk(tmp_path, monkeypatch):
+    # at alpha = 2 the three exact runs take 20 steps each, one chunk: one
+    # steady-state solve over their 3 x 21 nodes and 3 x 20 midpoints
+    from doublelambda import propagation
+
+    points = []
+    solve = propagation.steady_coherences
+
+    def counting(fields, rates):
+        points.append(np.shape(fields.omega_c))
+        return solve(fields, rates)
+
+    monkeypatch.setattr(propagation, "steady_coherences", counting)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--alpha", "2", "--samples", "2", "--out", str(out)]) == 0
+    assert points == [(123,)]
+
+
 def test_verify_rejects_zero_alpha(tmp_path, capsys):
     for value in ("0", "-1", "inf", "nan", "1e-320"):
         assert main(["verify", "--alpha", value]) == 2
@@ -386,7 +404,7 @@ def test_verify_step_cap_exits_two_before_any_propagation(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("propagated before checking the step cap")
 
-    monkeypatch.setattr(cli, "propagate_exact", unreachable)
+    monkeypatch.setattr(cli, "propagate_exact_many", unreachable)
     assert main(["verify", "--alpha", "1.3e5", "--samples", "2"]) == 2
     assert "RK4 steps requested" in capsys.readouterr().err
 
@@ -400,7 +418,7 @@ def test_negative_seed_exits_two_before_any_work(monkeypatch, capsys, command):
     def unreachable(*args, **kwargs):
         raise AssertionError("worked before checking the seed")
 
-    monkeypatch.setattr(cli, "propagate_exact", unreachable)
+    monkeypatch.setattr(cli, "propagate_exact_many", unreachable)
     monkeypatch.setattr(cli, "optimize_piecewise", unreachable)
     assert main([*command, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
@@ -415,7 +433,7 @@ def test_verify_overflowing_samples_exit_two_before_any_work(monkeypatch, capsys
     def unreachable(*args, **kwargs):
         raise AssertionError("worked before checking the sample bound")
 
-    for name in ("propagate_exact", "propagate_reduced", "dissipation_order",
+    for name in ("propagate_exact_many", "propagate_reduced_many", "dissipation_order",
                  "verify_singular_arc", "sampled_profile_efficiencies"):
         monkeypatch.setattr(cli, name, unreachable)
     assert main(["verify", "--alpha", alpha, "--samples", "2"]) == 2

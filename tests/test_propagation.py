@@ -46,6 +46,7 @@ from doublelambda.propagation import (
     _BLOCK,
     MAX_STEPS,
     adiabatic_initial,
+    propagate_exact_many,
     propagate_reduced_many,
 )
 from test_rk4_reference import reference_rk4
@@ -592,6 +593,23 @@ def test_resolved_step_count_is_capped():
             opts.resolve_steps(alpha)
 
 
+@pytest.mark.parametrize("route", [
+    lambda p, opts: propagate_reduced(p, opts=opts),
+    lambda p, opts: propagate_adiabatic(schedule_from_profile(p), opts=opts),
+    lambda p, opts: propagate_exact(controls_of(p), p.alpha, opts=opts),
+], ids=["reduced", "adiabatic", "exact"])
+def test_grid_step_share_overflow_raises_non_finite(route):
+    # n_steps * alpha overflows: a NonFinite, not a bare OverflowError
+    with pytest.raises(NonFinite, match="overflow the grid"):
+        route(build_profile("constant", 1e308), IntegratorOptions(step_count=10))
+
+
+def test_grid_of_overflowing_depth_keeps_pieces_that_fit():
+    # n_steps * alpha overflows, but each piece's share does not: grid unchanged
+    grid = propagation._segment_grid(1e308, [5e307], 2)
+    assert grid.tolist() == [0.0, 5e307, 1e308]
+
+
 def test_dissipation_residual_requires_uniform_grid():
     # the short first segment forces a step size different from the rest
     prof = tabulated_protocol([0.0, 0.05, 10.0], [1.5, 1.2, 0.1])
@@ -658,6 +676,72 @@ def test_batch_yields_run_spanning_chunks_before_pulling_the_next():
             yield build_profile("constant", 1.0 + i), IntegratorOptions(step_count=n)
 
     batch = propagate_reduced_many(runs())
+    assert len(next(batch).zeta) == 11 and pulled == [0, 1]
+    assert len(next(batch).zeta) == 3 * _BLOCK + 1 and pulled == [0, 1]
+    assert len(next(batch).zeta) == 11 and pulled == [0, 1, 2]
+
+
+def assert_same_bits(traj, alone):
+    for name in ("zeta", "omega_p", "omega_s"):
+        a, b = getattr(traj, name), getattr(alone, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert traj.theta is None and alone.theta is None
+
+
+def _exact_runs(alpha):
+    """The three protocols and a kinked table, as ``propagate_exact_many`` runs."""
+    profiles = [build_profile(kind, alpha) for kind in ("optimal", "constant", "adiabatic")]
+    profiles.append(tabulated_protocol([0.0, 0.2 * alpha, 0.55 * alpha, alpha],
+                                       [1.4, 1.0, 0.6, 0.2]))
+    return [(controls_of(p), alpha, IntegratorOptions(), p.breakpoints) for p in profiles]
+
+
+@pytest.mark.parametrize("alpha, chunks", [
+    (2.0, [80]),                     # four runs of 20 steps in one chunk
+    (30.0, [1024, 176]),             # runs of 300: the fourth spans two chunks
+    (60.0, [1024, 176, 1024, 176]),  # runs of 600: every chunk ends inside a run
+])
+def test_exact_batch_matches_each_run_alone(alpha, chunks, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    runs = _exact_runs(alpha)
+    batch = list(propagate_exact_many(runs))
+    assert builds == chunks
+    for traj, (controls, a, opts, breakpoints) in zip(batch, runs, strict=True):
+        assert_same_bits(traj, propagate_exact(controls, a, opts=opts, breakpoints=breakpoints))
+
+
+@pytest.mark.parametrize("alpha", [2.0, 60.0])
+@pytest.mark.parametrize("switch", [0.0, 0.5], ids=["phased", "phase-on-halfway"])
+def test_exact_batch_with_a_phased_run_matches_each_run_alone(alpha, switch):
+    # a complex run between real ones makes the chunks it shares with them
+    # complex; the real runs there must keep the bits they have alone
+    profile = build_profile("constant", alpha)
+    phase = cmath.exp(0.7j)
+
+    def phased(z):
+        th = profile.theta(z)
+        return np.where(z < switch * alpha, 1.0, phase) * np.sin(th), np.cos(th)
+
+    real = _exact_runs(alpha)
+    runs = [real[0], (phased, alpha, IntegratorOptions(), ()), *real[1:]]
+    batch = list(propagate_exact_many(runs, Rates(), FieldState(0.8, 0.6)))
+    for traj, (controls, a, opts, breakpoints) in zip(batch, runs, strict=True):
+        alone = propagate_exact(controls, a, Rates(), FieldState(0.8, 0.6), opts, breakpoints)
+        assert_same_bits(traj, alone)
+    assert batch[1].omega_s[-1].imag != 0.0
+    assert not batch[0].omega_s.imag.any() and not batch[2].omega_s.imag.any()
+
+
+def test_exact_batch_yields_run_spanning_chunks_before_pulling_the_next():
+    pulled = []
+    profile = build_profile("constant", 1.0)
+
+    def runs():
+        for i, n in enumerate([10, 3 * _BLOCK, 10]):
+            pulled.append(i)
+            yield controls_of(profile), 1.0, IntegratorOptions(step_count=n), ()
+
+    batch = propagate_exact_many(runs())
     assert len(next(batch).zeta) == 11 and pulled == [0, 1]
     assert len(next(batch).zeta) == 3 * _BLOCK + 1 and pulled == [0, 1]
     assert len(next(batch).zeta) == 11 and pulled == [0, 1, 2]

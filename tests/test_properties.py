@@ -365,3 +365,32 @@ def test_verify_writes_a_report_or_exits_two(alpha, samples, seed):
         report = load_finite_json(out)
     assert report["alphas"] == [alpha]
     assert report["passed"] is (code == 0)
+
+
+SPU_EDGES = st.sampled_from([-1.0, 0.0, 0.5, math.nextafter(1.0, 0.0), 1.0,
+                             math.nextafter(10.0, 0.0), 10.0, 1e300, sys.float_info.max,
+                             math.inf, -math.inf, math.nan])
+
+
+@settings(PROPERTY, max_examples=150)  # three edge strategies: most draws exit 2 at once
+@given(alpha=st.one_of(ALPHA_EDGES, log_uniform(1e-6, 300.0)),
+       samples=st.one_of(st.sampled_from([-1, 0, MAX_SAMPLES + 1]), st.integers(1, 50)),
+       data=st.data())
+def test_verify_resolution_writes_a_complete_report_or_exits_two(alpha, samples, data):
+    # drawn resolutions put at most 2e3 steps on the medium; finer ones come
+    # from the edges, which the step cap refuses before any work
+    top = min(1e300, 2e3 / alpha) if 0.0 < alpha < math.inf else 1e3
+    spu = data.draw(st.one_of(SPU_EDGES, log_uniform(1.0, max(1.0, top))), label="spu")
+    argv = ["verify", f"--alpha={alpha!r}", f"--steps-per-unit={spu!r}",
+            f"--samples={samples}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        code = run_cli(argv + ["--out", out], [out])
+        if code == 2:
+            return
+        report = load_finite_json(out)
+    assert report["alphas"] == [alpha] and report["steps_per_unit"] == spu
+    assert report["samples"] == samples
+    assert len({c["name"] for c in report["checks"]}) == len(report["checks"]) == 14
+    assert all(c["status"] in ("pass", "warning", "fail") for c in report["checks"])
+    assert report["passed"] is (code == 0)
