@@ -2,8 +2,8 @@
 
 :func:`format_rows` turns a ``(rows, cols)`` block of finite float64 values
 into exactly the bytes of ``"".join(",".join(map(repr, row)) + "\\n" for row
-in block)``, with the whole block handled by numpy at once instead of one
-``repr`` call per value.  A NaN or infinite entry raises
+in block)``, with numpy handling :data:`CAPACITY` values at once instead of
+one ``repr`` call per value.  A NaN or infinite entry raises
 :class:`~doublelambda.errors.NonFinite`.
 
 Digits come from the Schubfach algorithm (R. Giulietti, "The Schubfach way
@@ -19,6 +19,17 @@ decimal point sits at position -3 … 16
 with at least two exponent digits; ``.0`` on integral values, a leading
 ``-``, and ``0.0``/``-0.0``.  Each field is built in a 32-byte slot whose
 unused bytes hold 0, and one mask over the block drops those bytes.
+
+Every intermediate lives in one resident workspace of :data:`CAPACITY`
+values, built on first use and kept, like the tables, for the life of the
+process; a larger block is formatted in pieces of that size.  Reusing the
+buffers spares each piece the page faults of fresh temporaries, which the
+C allocator would otherwise hand back to the system after every piece.
+Only the compacted text of a piece and the index of the values whose
+digits end in zeros are new arrays: numpy compacts into an existing buffer
+only through an index array eight times the text's size
+(``np.compress(..., out=)``).  The workspace is shared, so the formatter
+is single-threaded, as the CLI is.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import numpy as np
 from .errors import NonFinite
 
 _U64 = np.uint64
+_M32 = 0xFFFFFFFF
 
 #: Decimal exponents of the Schubfach multipliers: every finite float64 has
 #: its binary exponent q in [-1074, 971], which needs 10^e for e = -⌊q·log10 2⌋
@@ -46,10 +58,16 @@ _EXPONENTS = 308 + 324 + 2
 
 _POW10 = np.array([10 ** i for i in range(20)], dtype=_U64)
 
+#: Values formatted at once: 512 rows of ``simulate``'s nine columns.
+CAPACITY = 512 * 9
+
+#: Scratch rows of CAPACITY words and flags in the workspace.
+_WORDS, _FLAGS = 16, 5
+
 
 @functools.cache
 def _tables():
-    """Digit-search rows, slot masks and exponent words, built on first use."""
+    """Digit-search rows, digit-count rows, slot masks and exponent words."""
     # Schubfach multipliers g = ⌊10^e·2^-r⌋ + 1, with r chosen so that
     # 2^127 <= 10^e·2^-r < 2^128, as two 64-bit words; ⌊log2 10^e⌋
     mult, flog2 = [], []
@@ -76,6 +94,16 @@ def _tables():
     h = q + flog2[-k - _E_MIN] + 1
     search = np.concatenate([mult[-k - _E_MIN].T, np.array([h + 1, h + 1 - half, k]).astype(_U64)])
 
+    # Digit count of an integer s < 2^57 by the exponent field of float(s):
+    # 2^j <= s < 2^(j+1) has d or d + 1 digits, d + 1 from 10^d on.  Where
+    # float(s) rounds up to 2^(j+1), both rows still give the count, as no
+    # power of ten lies that close below a power of two.  Field 0 is s = 0.
+    digits = np.zeros((2, 2048), dtype=_U64)
+    digits[:, 0] = 1, 2 ** 64 - 1
+    for j in range(58):
+        d = len(str(2 ** j))
+        digits[:, 1023 + j] = d, 10 ** d
+
     # Slot masks by (visible cells, fraction cells, sign): bytes of the digit
     # string to keep in place, bytes to take from the string moved one byte
     # right (the fraction), and bytes to set (point and sign).
@@ -89,7 +117,8 @@ def _tables():
             if frac:
                 put[:, 3 + point] = ord(".")
             put[1, 2 + first] = ord("-")
-    masks = masks.view(_U64).reshape(-1, 3, 4).transpose(1, 2, 0).copy()
+    # by slot word: rows keep, moved and put
+    masks = masks.view(_U64).reshape(-1, 3, 4).transpose(2, 1, 0).copy()
 
     # exponent and separator from byte 25 on: "e-05," or "e+100\n"; a
     # fixed-notation field gets the separator alone
@@ -101,184 +130,411 @@ def _tables():
         exps[1, e + 324, 1 + len(text)] = ord("\n")
     exps[0, -1, 1] = ord(",")
     exps[1, -1, 1] = ord("\n")
-    return search, masks, exps.view(_U64).reshape(-1)
+    return search, digits, masks, exps.view(_U64).reshape(-1)
 
 
-def _product(high, low, cp):
+class _Workspace:
+    """Buffers for one piece of up to :data:`CAPACITY` values: a float block
+    for callers to fill, and the formatter's word and flag rows."""
+
+    def __init__(self):
+        self.values = np.empty(CAPACITY)
+        self.words = np.empty(_WORDS * CAPACITY, dtype=_U64)
+        self.flags = np.empty(_FLAGS * CAPACITY, dtype=bool)
+
+
+@functools.cache
+def _workspace():
+    return _Workspace()
+
+
+def value_block(rows, cols):
+    """The workspace's ``(rows, cols)`` float64 block, for a caller to fill.
+
+    Passing it to :func:`format_rows` formats it in place.  It holds at most
+    :data:`CAPACITY` values and is overwritten by the next caller.
+    """
+    if rows * cols > CAPACITY:
+        raise ValueError(f"a {rows} x {cols} block exceeds the {CAPACITY} values of the workspace")
+    return _workspace().values[:rows * cols].reshape(rows, cols)
+
+
+def _column(word, upper, c, col, hi, p, q, first=False):
+    """Add a 32-bit half of ``word`` times ``c`` to a column of a product.
+
+    ``col`` gets the low half of the partial product added, ``hi`` gets
+    (``first``) or adds its high half.
+    """
+    if upper:
+        np.right_shift(word, 32, out=p)
+    else:
+        np.bitwise_and(word, _M32, out=p)
+    p *= c
+    np.bitwise_and(p, _M32, out=q)
+    col += q
+    if first:
+        np.right_shift(p, 32, out=hi)
+    else:
+        np.right_shift(p, 32, out=q)
+        hi += q
+
+
+def _product(high, low, cp, out, scratch):
     """``g·cp`` for ``g`` = high·2^64 + low and ``cp`` < 2^60.
 
-    Returns the words of ``⌊g·cp / 2^64⌋`` (above and below 2^128) and
-    ``g·cp mod 2^64``; the product is summed in 32-bit columns.
+    Writes the words of ``⌊g·cp / 2^64⌋`` (above and below 2^128) and
+    ``g·cp mod 2^64`` to the three rows ``out``; the product is summed in
+    32-bit columns in the four ``scratch`` rows, and ``cp`` is overwritten.
     """
-    g0, g1, g2, g3 = low & 0xFFFFFFFF, low >> 32, high & 0xFFFFFFFF, high >> 32
-    c0, c1 = cp & 0xFFFFFFFF, cp >> 32
-    p = g0 * c0
-    low = p & 0xFFFFFFFF
-    col = p >> 32                           # column 2^32
-    p = g1 * c0
-    col += p & 0xFFFFFFFF
-    hi = p >> 32
-    p = g0 * c1
-    col += p & 0xFFFFFFFF
-    hi += p >> 32
-    low |= col << 32
-    col = hi + (col >> 32)                  # column 2^64
-    p = g2 * c0
-    col += p & 0xFFFFFFFF
-    hi = p >> 32
-    p = g1 * c1
-    col += p & 0xFFFFFFFF
-    hi += p >> 32
-    mid = col & 0xFFFFFFFF
-    col = hi + (col >> 32)                  # column 2^96
-    p = g3 * c0
-    col += p & 0xFFFFFFFF
-    hi = p >> 32
-    p = g2 * c1
-    col += p & 0xFFFFFFFF
-    hi += p >> 32
-    mid |= col << 32
-    return hi + (col >> 32) + g3 * c1, mid, low
+    top, mid, bottom = out
+    c1, p, q, col = scratch
+    np.right_shift(cp, 32, out=c1)
+    c0 = np.bitwise_and(cp, _M32, out=cp)
+    np.bitwise_and(low, _M32, out=p)
+    p *= c0
+    np.bitwise_and(p, _M32, out=bottom)
+    np.right_shift(p, 32, out=col)                   # column 2^32
+    _column(low, True, c0, col, top, p, q, first=True)
+    _column(low, False, c1, col, top, p, q)
+    np.left_shift(col, 32, out=q)
+    bottom |= q
+    col >>= 32
+    col += top                                       # column 2^64
+    _column(high, False, c0, col, top, p, q, first=True)
+    _column(low, True, c1, col, top, p, q)
+    np.bitwise_and(col, _M32, out=mid)
+    col >>= 32
+    col += top                                       # column 2^96
+    _column(high, True, c0, col, top, p, q, first=True)
+    _column(high, False, c1, col, top, p, q)
+    np.left_shift(col, 32, out=q)
+    mid |= q
+    col >>= 32
+    top += col
+    np.right_shift(high, 32, out=p)
+    p *= c1
+    top += p
 
 
-def _shifted(high, low, t):
+def _shifted(high, low, t, out):
     """Words of ``g·2^t`` above 2^128, at 2^64 and below, for 0 < ``t`` < 64."""
-    back = 64 - t
-    return high >> back, (high << t) | (low >> back), low << t
+    d2, d1, d0 = out
+    back = np.subtract(64, t, out=d0)
+    np.right_shift(high, back, out=d2)
+    np.left_shift(high, t, out=d1)
+    np.right_shift(low, back, out=d0)
+    d1 |= d0
+    np.left_shift(low, t, out=d0)
 
 
-def _interval(bits):
-    """Schubfach's scaled value and rounding interval of nonzero finite bits.
+def _interval(bits, g, out, scratch, flags):
+    """Schubfach's scaled value and rounding interval of finite bits.
 
-    Returns ``vb``, ``lower`` and ``upper``: the value and the ends of the
-    interval that rounds to it, times 4·10^-k and rounded to odd, with the
-    ends moved inward by one where they are excluded (odd significands); and
-    ``k``.  Figures 4 and 6 of the paper.
+    Writes to the rows ``out`` ``vb``, ``lower`` and ``upper``: the value and
+    the ends of the interval that rounds to it, times 4·10^-k and rounded to
+    odd, with the ends moved inward by one where they are excluded (odd
+    significands).  ``k`` is the last of the five table rows gathered into
+    ``g``.  Figures 4 and 6 of the paper.  ±0.0 go through as the smallest
+    subnormal, up to the parity of its significand: their digits are
+    discarded.  The seven ``scratch`` rows are overwritten.
     """
-    search, _, _ = _tables()
-    biased = (bits >> 52) & 0x7FF
-    frac = bits & 0xFFFFFFFFFFFFF
-    row = (biased + ((frac == 0).astype(_U64) << 11)).view(np.int64)
-    high, low, t_upper, t_lower = (np.take(search[i], row) for i in range(4))
-    c = frac | (np.minimum(biased, 1) << 52)
+    search = _tables()[0]
+    vb, lower, upper = out
+    c, mid, bottom, d2, d1, d0, m = scratch
+    high, low, t_upper, t_lower, _ = g
+    f0, f1, f2 = flags[:3]
+    zero = np.bitwise_and(bits, 0x7FFFFFFFFFFFFFFF, out=d0)
+    zero -= 1
+    zero >>= 63
+    np.bitwise_and(bits, 0xFFFFFFFFFFFFF, out=c)
+    c |= zero
+    biased = np.right_shift(bits, 52, out=d1)
+    biased &= 0x7FF
+    row = np.subtract(c, 1, out=d2)                  # 2048 where the significand field is 0
+    row >>= 63
+    row <<= 11
+    row += biased
+    np.take(search, row.view(np.int64), axis=1, out=g, mode="clip")
+    np.minimum(biased, 1, out=biased)
+    biased <<= 52
+    c |= biased                                      # the significand c
 
     # vb = rop(g·4c·2^h); the interval ends rop(g·(4c ± 2)·2^h) differ from
     # it by g·2^(h+1), or by g·2^h below a power of two, where the lower
     # neighbour is closer.
-    vb, mid, low_word = _product(high, low, c << (t_upper + 1))
-    odd = c & 1
-    d2, d1, d0 = _shifted(high, low, t_upper)
-    lo = low_word + d0
-    m = mid + d1
-    carry = (m < d1) | ((m + (lo < d0)) < m)
-    m += lo < d0
-    upper = ((vb + d2 + carry) | (m > 1)) - odd
-    if (t_lower != t_upper).any():
-        d2, d1, d0 = _shifted(high, low, t_lower)
-    m = mid - d1
-    borrow = (mid < d1) | (m < (low_word < d0))
-    m -= low_word < d0
-    lower = ((vb - d2 - borrow) | (m > 1)) + odd
-    return vb | (mid > 1), lower, upper, np.take(search[4], row).view(np.int64)
+    cp = c
+    cp <<= t_upper
+    cp <<= 1
+    _product(high, low, cp, (vb, mid, bottom), (lower, upper, m, d2))
+    tmp = c
+    _shifted(high, low, t_upper, (d2, d1, d0))
+    np.add(bottom, d0, out=tmp)
+    np.less(tmp, d0, out=f0)                         # carry out of the low word
+    np.add(mid, d1, out=m)
+    np.less(m, d1, out=f1)
+    np.copyto(tmp, f0)
+    tmp += m
+    np.less(tmp, m, out=f2)
+    np.logical_or(f1, f2, out=f1)                    # carry out of the middle word
+    np.add(vb, d2, out=upper)
+    np.copyto(m, f1)
+    upper += m
+    np.greater(tmp, 1, out=f0)
+    np.copyto(m, f0)
+    upper |= m
+    np.bitwise_and(bits, 1, out=m)                   # odd
+    upper -= m
+
+    if np.not_equal(t_lower, t_upper, out=f0).any():
+        _shifted(high, low, t_lower, (d2, d1, d0))
+    np.less(bottom, d0, out=f0)                      # borrow from the low word
+    np.copyto(tmp, f0)
+    np.subtract(mid, d1, out=m)
+    np.less(mid, d1, out=f1)
+    np.less(m, tmp, out=f2)
+    np.logical_or(f1, f2, out=f1)                    # borrow from the middle word
+    m -= tmp
+    np.subtract(vb, d2, out=lower)
+    np.copyto(tmp, f1)
+    lower -= tmp
+    np.greater(m, 1, out=f0)
+    np.copyto(tmp, f0)
+    lower |= tmp
+    np.bitwise_and(bits, 1, out=tmp)
+    lower += tmp
+    np.greater(mid, 1, out=f0)
+    np.copyto(tmp, f0)
+    vb |= tmp
 
 
-def _shortest(bits):
-    """Shortest round-trip decimal ``s·10^k`` of nonzero finite float64 bits."""
-    vb, lower, upper, k = _interval(bits)
-    s = vb >> 2
-    sp = s // 10
-    up_in = lower <= sp * 40
-    wp_in = sp * 40 + 40 <= upper
-    s4 = s << 2
-    u_in = lower <= s4
-    w_in = s4 + 4 <= upper
+def _shortest(vb, lower, upper, k, scratch, flags):
+    """Shortest round-trip decimal ``s·10^k`` from the interval of :func:`_interval`.
+
+    Returns ``s`` in the first of the ``scratch`` rows; ``k`` (int64) is
+    updated in place.
+    """
+    s, sp, x, y, *rest = scratch
+    up_in, wp_in, u_in, w_in, round_up = flags[:5]
+    np.right_shift(vb, 2, out=s)
+    np.floor_divide(s, 10, out=sp)
+    np.multiply(sp, 40, out=x)
+    np.less_equal(lower, x, out=up_in)
+    x += 40
+    np.less_equal(x, upper, out=wp_in)
+    np.left_shift(s, 2, out=x)
+    np.less_equal(lower, x, out=u_in)
+    x += 4
+    np.less_equal(x, upper, out=w_in)
     # vb - 4s is vb & 3: above the midpoint, or on it with s odd
-    round_up = (vb & 3) + (s & 1) > 2
-    s += np.where(u_in != w_in, w_in, round_up)
-    one_less = (sp != 0) & (up_in != wp_in)          # one digit fewer: sp or sp + 1
-    s = np.where(one_less, sp + wp_in, s)
-    k += one_less
+    np.bitwise_and(vb, 3, out=x)
+    np.bitwise_and(s, 1, out=y)
+    x += y
+    np.greater(x, 2, out=round_up)
+    # s + 1 where only w is in the interval, s where only u is, else rounded
+    np.not_equal(u_in, w_in, out=u_in)
+    np.logical_and(u_in, w_in, out=w_in)
+    np.logical_not(u_in, out=u_in)
+    np.logical_and(u_in, round_up, out=round_up)
+    np.logical_or(w_in, round_up, out=w_in)
+    np.copyto(x, w_in)
+    s += x
+    # one digit fewer: sp or sp + 1
+    one_less = np.not_equal(up_in, wp_in, out=up_in)
+    np.not_equal(sp, 0, out=u_in)
+    np.logical_and(one_less, u_in, out=one_less)
+    np.copyto(x, wp_in)
+    x += sp
+    x -= s
+    np.copyto(y, one_less)
+    x *= y
+    s += x
+    k += y.view(np.int64)
 
     # Strip trailing zeros: at most 15, since s < 10^17 and a multiple of
     # 10^16 is the one-digit-shorter candidate sp found above.
-    at = np.flatnonzero(s == s // 10 * 10)
+    np.floor_divide(s, 10, out=x)
+    x *= 10
+    at = np.flatnonzero(np.equal(x, s, out=u_in))
     if at.size:
-        sa, ka = s[at], k[at]
+        sa, ka, quot, z = (r[:at.size] for r in (x, y, *rest[:2]))
+        ka = ka.view(np.int64)
+        np.take(s, at, out=sa, mode="clip")
+        np.take(k, at, out=ka, mode="clip")
+        drop = w_in[:at.size]
         for step in (8, 4, 2, 1):
-            quot = sa // _POW10[step]
-            drop = quot * _POW10[step] == sa
-            sa = np.where(drop, quot, sa)
-            ka += drop * step
-        s[at], k[at] = sa, ka
-    return s, k
+            np.floor_divide(sa, _POW10[step], out=quot)
+            np.multiply(quot, _POW10[step], out=z)
+            np.equal(z, sa, out=drop)
+            np.subtract(sa, quot, out=z)
+            np.copyto(quot, drop)
+            z *= quot
+            sa -= z
+            quot *= step
+            ka += quot.view(np.int64)
+        s[at] = sa
+        k[at] = ka
+    return s
 
 
-def _ascii8(x):
-    """Eight decimal digits of each ``x`` < 10^8 as ASCII bytes of one uint64."""
-    hi = x // 10_000
-    x = hi | ((x - hi * 10_000) << 32)                       # two 4-digit lanes
-    hi = ((x * 5243) >> 19) & 0x0000007F0000007F             # lane // 100
-    x = hi | ((x - hi * 100) << 16)                          # four 2-digit lanes
-    hi = ((x * 103) >> 10) & 0x000F000F000F000F             # lane // 10
-    return (hi | ((x - hi * 10) << 8)) + 0x3030303030303030  # little-endian order
-
-
-def _notation(s, k, neg):
-    """Digit string, slot-mask row and exponent row of each field ``s·10^k``.
+def _notation(s, k, bits, code, e, scratch, flags):
+    """Slot-mask row ``code`` and exponent row ``e`` of each field ``s·10^k``.
 
     Fixed notation shows the digits with the zeros of ``0.000ddd`` in front
     and those up to ``ddd0`` (``.0`` on integral values) behind, so ``s`` is
-    padded on the right; scientific notation shows the digits with the point
-    after the first of them.
+    padded on the right, in place; scientific notation shows the digits with
+    the point after the first of them.  ``k``, ``code`` and ``e`` are int64
+    rows, the sign comes from the float64 ``bits``, and the seven ``scratch``
+    rows are overwritten.
     """
-    n = np.maximum(np.searchsorted(_POW10, s, side="right"), 1)
-    point = k + n                                    # digits before the point
-    sci = (point < -3) | (point > 16)
-    pad = np.maximum(point + 1 - n, 0)
-    visible = n + pad + np.maximum(1 - point, 0)
-    fraction = visible - np.maximum(point, 1)
-    pad[sci] = 0
-    visible[sci] = n[sci]
-    fraction[sci] = n[sci] - 1
-    code = (visible * _CELLS + fraction) * 2 + neg
-    exponent = np.where(sci, point + 323, _EXPONENTS - 1)   # the row of 10^(point - 1)
-    return s * np.take(_POW10, pad), code, exponent
+    digits = _tables()[1]
+    scratch = scratch.view(np.int64)
+    n, bound, point, sci, fixed, pad, t = scratch
+    below, above = flags[:2]
+    as_float = t.view(np.float64)
+    np.copyto(as_float, s, casting="unsafe")
+    field = np.right_shift(as_float.view(_U64), 52, out=t.view(_U64)).view(np.int64)
+    np.take(digits.view(np.int64), field, axis=1, out=scratch[:2], mode="clip")
+    np.greater_equal(s, bound.view(_U64), out=below)
+    np.copyto(bound, below)
+    n += bound                                       # digits of s
+
+    np.add(k, n, out=point)                          # digits before the point
+    np.less(point, -3, out=below)
+    np.greater(point, 16, out=above)
+    np.logical_or(below, above, out=below)
+    np.copyto(sci, below)
+    np.subtract(1, sci, out=fixed)
+    np.add(k, 1, out=pad)                            # zeros up to ddd0
+    np.maximum(pad, 0, out=pad)
+    pad *= fixed
+    np.subtract(1, point, out=t)                     # zeros of 0.000ddd
+    np.maximum(t, 0, out=t)
+    t *= fixed
+    np.add(n, pad, out=code)                         # visible cells
+    code += t
+    np.multiply(point, fixed, out=t)
+    np.maximum(t, 1, out=t)
+    np.subtract(code, t, out=t)                      # fraction cells
+    code *= _CELLS
+    code += t
+    code *= 2
+    np.right_shift(bits, 63, out=t.view(_U64))       # the sign
+    code += t
+    np.subtract(point, 310, out=e)                   # the row of 10^(point - 1),
+    e *= sci
+    e += _EXPONENTS - 1                              # or that of fixed notation
+    np.take(_POW10, pad, out=t.view(_U64), mode="clip")
+    s *= t.view(_U64)
 
 
-def format_rows(block) -> memoryview:
+def _ascii8(x, hi, t):
+    """Eight decimal digits of each ``x`` < 10^8 as ASCII bytes of one uint64, in place."""
+    np.floor_divide(x, 10_000, out=hi)
+    np.multiply(hi, 10_000, out=t)
+    x -= t
+    x <<= 32
+    x |= hi                                          # two 4-digit lanes
+    np.multiply(x, 5243, out=hi)
+    hi >>= 19
+    hi &= 0x0000007F0000007F                         # lane // 100
+    np.multiply(hi, 100, out=t)
+    x -= t
+    x <<= 16
+    x |= hi                                          # four 2-digit lanes
+    np.multiply(x, 103, out=hi)
+    hi >>= 10
+    hi &= 0x000F000F000F000F                         # lane // 10
+    np.multiply(hi, 10, out=t)
+    x -= t
+    x <<= 8
+    x |= hi
+    x += 0x3030303030303030                          # little-endian order
+
+
+def _layout(s, code, e, words, slots, selected):
+    """Build each field in a 32-byte slot, one of the ``(n, 4)`` words ``slots``.
+
+    The digit string sits in bytes 3..23 ("0000", the leading digit, then
+    16 more), kept in place up to the point and moved one byte right after
+    it; then come the point, the sign, the exponent and the separator.
+    ``s`` and the four ``words`` rows are overwritten, and the three
+    ``selected`` rows receive each slot word's masks.
+    """
+    _, _, masks, exps = _tables()
+    upper, lower, head, t = words
+    keep, moved, put = selected
+    np.floor_divide(s, 10 ** 16, out=head)
+    np.multiply(head, 10 ** 16, out=t)
+    s -= t
+    np.floor_divide(s, 10 ** 8, out=upper)
+    np.multiply(upper, 10 ** 8, out=t)
+    np.subtract(s, t, out=lower)
+    _ascii8(words[:2].reshape(-1), *slots.reshape(2, -1))
+    head <<= 56
+    head += 0x3030303030000000
+    digits = (head, upper, lower)
+    for i in range(4):
+        np.take(masks[i], code, axis=1, out=selected, mode="clip")
+        # the string moved one byte right: this word's bytes after the last of the one before
+        if i < 3:
+            np.left_shift(digits[i], 8, out=t)
+            if i:
+                np.right_shift(digits[i - 1], 56, out=s)
+                t |= s
+            keep &= digits[i]
+        else:
+            np.right_shift(lower, 56, out=t)
+            np.take(exps, e, out=keep, mode="clip")
+        moved &= t
+        put |= keep
+        put |= moved
+        slots[:, i] = put
+
+
+def _format(x, cols, start):
+    """Text of the flat float64 values ``x``, which start at flat position
+    ``start`` of a row-major block of ``cols`` columns."""
+    # The rows of u, stage by stage: the table rows (0-4, k last), the
+    # interval (5-7) and its scratch (8-14); s (8), the notation's code and
+    # exponent (5, 6) and its scratch (9-15); the layout's digit words
+    # (0-3), slots (9-12) and masks (13-15); the compaction mask (0-3).
+    n = x.size
+    ws = _workspace()
+    u = ws.words[:_WORDS * n].reshape(_WORDS, n)
+    f = ws.flags[:_FLAGS * n].reshape(_FLAGS, n)
+    if not np.isfinite(x, out=f[0]).all():
+        raise NonFinite("cannot format a non-finite value")
+    bits = x.view(_U64)
+    g = u[0:5]
+    k = g[4].view(np.int64)
+    vb, lower, upper = u[5:8]
+    _interval(bits, g, (vb, lower, upper), u[8:15], f)
+    s = _shortest(vb, lower, upper, k, u[8:14], f)
+    zero = np.bitwise_and(bits, 0x7FFFFFFFFFFFFFFF, out=u[5])
+    zero -= 1
+    zero >>= 63
+    zero -= 1                                        # 0 where the value is ±0.0
+    s &= zero
+    k &= zero.view(np.int64)
+    code, e = u[5:7].view(np.int64)
+    _notation(s, k, bits, code, e, u[9:16], f)
+    e[(cols - 1 - start) % cols::cols] += _EXPONENTS    # newline after the last column
+    slots = u[9:13].reshape(n, 4)
+    _layout(s, code, e, u[0:4], slots, u[13:16])
+    text = slots.view(np.uint8).reshape(-1)
+    return text[np.not_equal(text, 0, out=u[0:4].reshape(-1).view(bool))]
+
+
+def format_rows(block):
     """Bytes of ``",".join(map(repr, row)) + "\\n"`` for each row of ``block``.
 
     ``block`` is a 2-D float64 array of finite values; a NaN or infinity
-    raises :class:`NonFinite`.
+    raises :class:`NonFinite`.  It is formatted in pieces of
+    :data:`CAPACITY` values through the workspace.
     """
     x = np.ascontiguousarray(block, dtype=np.float64)
-    rows, cols = x.shape
-    if not np.isfinite(x).all():
-        raise NonFinite("cannot format a non-finite value")
-    _, masks, exps = _tables()
-    bits = x.view(_U64).ravel()
-    zero = (bits << 1) == 0
-    s, k = _shortest(bits | zero)                    # ±0.0 as the smallest subnormal
-    s[zero] = 0
-    k[zero] = 0
-    s, code, e = _notation(s, k, (bits >> 63).astype(np.int64))
-    e.reshape(rows, cols)[:, -1] += _EXPONENTS       # newline after the last column
-
-    # The digit string in bytes 3..23 of a 32-byte slot ("0000", the leading
-    # digit, then 16 more), kept in place up to the point and moved one byte
-    # right after it; then the point, the sign, the exponent and separator.
-    head = s // 10 ** 16
-    s -= head * 10 ** 16
-    upper = s // 10 ** 8
-    words = [(head << 56) + 0x3030303030000000, _ascii8(upper), _ascii8(s - upper * 10 ** 8), 0]
-    keep, moved, put = masks
-    slot = np.empty((rows * cols, 4), dtype=_U64)
-    before = 0
-    for i, word in enumerate(words):
-        moved_word = (word << 8) | (before >> 56)
-        slot[:, i] = ((word & np.take(keep[i], code)) | (moved_word & np.take(moved[i], code))
-                      | np.take(put[i], code))
-        before = word
-    slot[:, 3] |= np.take(exps, e)
-    out = slot.view(np.uint8)
-    return memoryview(out[out != 0])
+    _, cols = x.shape
+    flat = x.reshape(-1)
+    pieces = [_format(flat[lo:lo + CAPACITY], cols, lo)
+              for lo in range(0, max(flat.size, 1), CAPACITY)]
+    return memoryview(pieces[0]) if len(pieces) == 1 else b"".join(pieces)

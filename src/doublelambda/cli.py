@@ -71,13 +71,21 @@ def _integrator(args) -> IntegratorOptions:
     return IntegratorOptions(steps_per_unit=args.steps_per_unit)
 
 
+def _check_adiabatic_flags(args, adiabatic_run: bool) -> None:
+    # build_profile ignores them for any other protocol
+    if not adiabatic_run and (args.zeta0 is not None or args.zbar is not None):
+        raise DoubleLambdaError("--zeta0 and --zbar apply only to a numeric run of "
+                                "--protocol adiabatic")
+
+
 def _check_seed(args) -> None:
     # numpy rejects a negative seed only once it draws, after the propagations
     if args.seed < 0:
         raise DoubleLambdaError("--seed must be non-negative")
 
 
-#: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`.
+#: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`; at
+#: most 512, the rows of nine columns the formatter's workspace holds.
 SIMULATE_CHUNK = 512
 
 #: Most optical densities ``efficiency --alpha-steps`` may request; each is a
@@ -92,15 +100,19 @@ MAX_SAMPLES = 1_000_000
 def cmd_simulate(args) -> int:
     """Write one protocol's trajectory as CSV, one row per grid point.
 
-    Rows are stacked and formatted in chunks of :data:`SIMULATE_CHUNK`, so
-    beyond the trajectory and its float columns the writer holds one chunk
-    of text at any grid length.  Every field is byte for byte ``repr`` of a
-    float64, the full-precision form of :func:`_fmt`.
+    Rows go out in chunks of :data:`SIMULATE_CHUNK`.  Each chunk's nine
+    columns are written straight into the float block of the formatter's
+    resident workspace (θ, the fields and ζ copied, the controls,
+    intensities and norm computed there) and turned into CSV text in place,
+    so beyond the trajectory the writer allocates little more than each
+    chunk's text, at any grid length.  Every field is byte for byte ``repr`` of a float64,
+    the full-precision form of :func:`_fmt`.
     """
     # imported here: without cached bytecode, compiling the formatter would
     # add to every import of the CLI
-    from ._floatrepr import format_rows
+    from ._floatrepr import format_rows, value_block
 
+    _check_adiabatic_flags(args, args.protocol == "adiabatic")
     if args.protocol == "custom":
         if args.profile_file is None:
             raise DoubleLambdaError("custom protocol requires --profile-file")
@@ -110,15 +122,24 @@ def cmd_simulate(args) -> int:
     else:
         profile = build_profile(args.protocol, args.alpha, args.zeta0, args.zbar)
     traj = propagate_reduced(profile, opts=_integrator(args))
-    # elementwise float64 products round as Python floats do: same fields
-    pp, ss = traj.omega_p * traj.omega_p, traj.omega_s * traj.omega_s
-    columns = (traj.zeta, traj.theta, np.sin(traj.theta), np.cos(traj.theta),
-               traj.omega_p, traj.omega_s, pp, ss, pp + ss)
 
     with open(args.out, "wb") as fh:
         fh.write(b"zeta,theta,omega_c,omega_d,omega_p,omega_s,intensity_p,intensity_s,norm\n")
         for lo in range(0, len(traj.zeta), SIMULATE_CHUNK):
-            fh.write(format_rows(np.stack([c[lo:lo + SIMULATE_CHUNK] for c in columns], axis=1)))
+            rows = slice(lo, lo + SIMULATE_CHUNK)
+            theta, p, s = traj.theta[rows], traj.omega_p[rows], traj.omega_s[rows]
+            block = value_block(len(theta), 9)
+            block[:, 0] = traj.zeta[rows]
+            block[:, 1] = theta
+            np.sin(theta, out=block[:, 2])
+            np.cos(theta, out=block[:, 3])
+            block[:, 4] = p
+            block[:, 5] = s
+            # elementwise float64 products round as Python floats do: same fields
+            np.multiply(p, p, out=block[:, 6])
+            np.multiply(s, s, out=block[:, 7])
+            np.add(block[:, 6], block[:, 7], out=block[:, 8])
+            fh.write(format_rows(block))
     return 0
 
 
@@ -141,6 +162,7 @@ def cmd_efficiency(args) -> int:
         with np.errstate(over="ignore"):
             alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
     protocols = args.protocol or ["optimal", "constant"]
+    _check_adiabatic_flags(args, "adiabatic" in protocols and args.method != "closed")
     opts = _integrator(args)
 
     rows = []

@@ -18,6 +18,7 @@ from doublelambda import (
     IntegratorOptions,
     build_profile,
     load_profile_table,
+    numerical_efficiency,
     propagate_reduced,
     tabulated_protocol,
 )
@@ -140,7 +141,8 @@ def test_simulate_bytes_with_exponent_fields(tmp_path):
 
 def test_simulate_memory_is_bounded_per_row(tmp_path):
     # Building every row as Python floats before writing traced about 243
-    # bytes per row; streaming chunks of text traces about 86.
+    # bytes per row; streaming chunks of text through fresh numpy temporaries
+    # about 101, and through the formatter's resident workspace about 61.
     out = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
@@ -192,6 +194,59 @@ def test_unparsable_profile_table_exits_two(tmp_path, capsys, table):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ProfileDomainMismatch")
+
+
+def test_simulate_bytes_at_chunk_edges_after_a_longer_run(tmp_path):
+    # the formatter's workspace is cached: shorter runs after a longer one
+    # must not show its stale rows
+    import doublelambda.cli as cli
+
+    for rows in (3 * cli.SIMULATE_CHUNK + 5, cli.SIMULATE_CHUNK - 1, cli.SIMULATE_CHUNK,
+                 cli.SIMULATE_CHUNK + 1):
+        alpha = (rows - 1) / 10
+        out = tmp_path / f"traj{rows}.csv"
+        assert main(["simulate", "--alpha", repr(alpha), "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.count(b"\n") == 1 + rows
+        assert data == reference_simulate_csv(build_profile("optimal", alpha))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "optimal", "--alpha", "3", "--zeta0", "1", "--zbar", "2"],
+    ["simulate", "--protocol", "constant", "--alpha", "3", "--zbar", "2"],
+    ["simulate", "--protocol", "custom", "--profile-file", "unread.txt", "--zeta0", "1"],
+    ["efficiency", "--alpha", "3", "--zeta0", "1"],
+    ["efficiency", "--alpha", "3", "--protocol", "optimal", "--method", "numeric",
+     "--zbar", "2"],
+    ["efficiency", "--alpha", "3", "--protocol", "adiabatic", "--method", "closed",
+     "--zeta0", "1"],
+], ids=["simulate-optimal", "simulate-constant", "simulate-custom", "efficiency-default",
+        "efficiency-optimal", "efficiency-closed"])
+def test_adiabatic_flags_without_an_adiabatic_run_exit_two(tmp_path, capsys, monkeypatch, argv):
+    import doublelambda.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagated before the usage check")
+
+    monkeypatch.setattr(cli, "propagate_reduced", refuse)
+    monkeypatch.setattr(cli, "numerical_efficiency", refuse)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "--zeta0 and --zbar" in err
+
+
+def test_adiabatic_flags_with_an_adiabatic_run_are_used(tmp_path):
+    out = tmp_path / "eff.csv"
+    assert main(["efficiency", "--alpha", "30", "--protocol", "adiabatic", "--protocol",
+                 "optimal", "--method", "numeric", "--zeta0", "10", "--zbar", "2",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    eta = {r[1]: float(r[3]) for r in rows}
+    assert eta["adiabatic"] == numerical_efficiency("adiabatic", 30.0, zeta0=10.0, zbar=2.0)
+    assert eta["adiabatic"] != numerical_efficiency("adiabatic", 30.0)
 
 
 # ---------------------------------------------------------------------------

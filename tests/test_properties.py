@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -394,3 +395,58 @@ def test_verify_resolution_writes_a_complete_report_or_exits_two(alpha, samples,
     assert len({c["name"] for c in report["checks"]}) == len(report["checks"]) == 14
     assert all(c["status"] in ("pass", "warning", "fail") for c in report["checks"])
     assert report["passed"] is (code == 0)
+
+
+ZETA0_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+                               sys.float_info.max, math.inf, -math.inf, math.nan])
+ZBAR_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 0.5, 0.51, 1e300,
+                              sys.float_info.max, math.inf, -math.inf, math.nan])
+
+
+@settings(PROPERTY, max_examples=150)  # three edge strategies: many draws exit 2 at once
+@given(alpha=st.one_of(ALPHA_EDGES, log_uniform(1e-6, 300.0)),
+       zeta0=st.one_of(ZETA0_EDGES, st.floats(-1e3, 1e3)),
+       zbar=st.one_of(ZBAR_EDGES, log_uniform(1e-3, 1e3)), data=st.data())
+def test_numeric_adiabatic_efficiency_writes_a_row_or_exits_two(alpha, zeta0, zbar, data):
+    # drawn resolutions put at most 2e3 steps on the medium, as in the verify property
+    top = min(1e300, 2e3 / alpha) if 0.0 < alpha < math.inf else 1e3
+    spu = data.draw(st.one_of(SPU_EDGES, log_uniform(1.0, max(1.0, top))), label="spu")
+    argv = ["efficiency", "--method", "numeric", "--protocol", "adiabatic",
+            f"--alpha={alpha!r}", f"--zeta0={zeta0!r}", f"--zbar={zbar!r}",
+            f"--steps-per-unit={spu!r}"]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # the documented warning of a profile too steep to be adiabatic
+        warnings.filterwarnings("ignore", "zbar <= 1/2", UserWarning)
+        out = os.path.join(tmp, "eff.csv")
+        if run_cli(argv + ["--out", out], [out]) == 2:
+            return
+        with open(out) as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    assert header == ["alpha", "protocol", "eta_closed", "eta_numeric"]
+    assert len(rows) == 1
+    row_alpha, protocol, eta_closed, eta_numeric = rows[0]
+    assert float(row_alpha) == alpha and protocol == "adiabatic" and eta_closed == ""
+    assert 0.0 <= float(eta_numeric) <= 1.0
+
+
+@PROPERTY
+@given(alpha=st.one_of(ALPHA_EDGES, log_uniform(1e-6, 1e4)), segments=st.integers(2, 24),
+       budget=st.sampled_from([1, 2, 50, 200]),
+       starts=st.one_of(st.integers(4, 64), st.sampled_from([1000, 2**63, 10**30])),
+       seed=SEEDS)
+def test_search_with_many_starts_writes_a_result_or_exits_two(alpha, segments, budget,
+                                                              starts, seed):
+    argv = ["search", f"--alpha={alpha!r}", f"--segments={segments}", f"--budget={budget}",
+            f"--starts={starts}", f"--seed={seed}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out, table = os.path.join(tmp, "search.json"), os.path.join(tmp, "profile.txt")
+        if run_cli(argv + ["--out", out, "--profile-out", table], [out, table]) == 2:
+            return
+        report = load_finite_json(out)
+        zeta, theta = load_profile_table(table)
+    assert 1 <= report["evaluations"] <= budget
+    # every start evaluates at least once, so the budget bounds the starts run
+    assert 1 <= report["restarts"] <= min(starts, budget)
+    assert 0 <= report["best_start"] < report["restarts"]
+    assert 0.0 <= report["efficiency"] <= 1.0 + 1e-12
+    assert len(zeta) == len(theta) == segments + 1
