@@ -763,3 +763,153 @@ def test_cached_parser_dispatches_to_rebound_handler(monkeypatch):
     build_parser()
     monkeypatch.setattr(cli, "cmd_simulate", lambda args: 7)
     assert main(["simulate", "--alpha", "1", "--out", "unused.csv"]) == 7
+
+
+# ---------------------------------------------------------------------------
+# rewriting existing artefacts in place
+# ---------------------------------------------------------------------------
+
+REWRITE_COMMANDS = {
+    "simulate": ["simulate", "--alpha", "3", "--out", "a.out"],
+    "efficiency": ["efficiency", "--alpha", "1", "--alpha", "5", "--method", "both",
+                   "--out", "a.out"],
+    "verify": ["verify", "--alpha", "2", "--samples", "20", "--out", "a.out"],
+    # relative paths: the JSON names its profile table as given
+    "search": ["search", "--alpha", "10", "--segments", "4", "--budget", "50",
+               "--out", "a.out", "--profile-out", "a_profile.out"],
+}
+
+
+def run_in(directory, argv, monkeypatch):
+    """``main(argv)`` with ``directory`` as the working directory; the
+    artefacts' bytes by name."""
+    directory.mkdir(exist_ok=True)
+    monkeypatch.chdir(directory)
+    assert main(argv) == 0
+    return {p.name: p.read_bytes() for p in directory.glob("*.out")}
+
+
+@pytest.mark.parametrize("junk", ["longer", "shorter"])
+@pytest.mark.parametrize("command", sorted(REWRITE_COMMANDS))
+def test_rewrite_over_an_existing_artefact_equals_a_fresh_write(tmp_path, monkeypatch,
+                                                                capsys, command, junk):
+    argv = REWRITE_COMMANDS[command]
+    fresh = run_in(tmp_path / "fresh", argv, monkeypatch)
+    assert fresh and all(fresh.values())
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for name, data in fresh.items():
+        size = len(data) + 4097 if junk == "longer" else len(data) // 2
+        (stale / name).write_bytes(b"#" * size)
+    assert run_in(stale, argv, monkeypatch) == fresh
+
+
+def test_simulate_that_raises_mid_write_leaves_only_what_it_wrote(tmp_path, monkeypatch,
+                                                                  capsys):
+    import doublelambda._floatrepr as floatrepr
+    import doublelambda.cli as cli
+    from doublelambda.errors import NonFinite
+
+    argv = ["simulate", "--alpha", "200"]  # 2001 rows: four chunks
+    full = tmp_path / "full.csv"
+    assert main(argv + ["--out", str(full)]) == 0
+    lines = full.read_bytes().splitlines(keepends=True)
+    out = tmp_path / "traj.csv"
+    out.write_bytes(full.read_bytes() + b"stale tail\n")
+
+    real, calls = floatrepr.format_rows, []
+
+    def failing(block):
+        calls.append(len(block))
+        if len(calls) == 2:
+            raise NonFinite("second chunk")
+        return real(block)
+
+    monkeypatch.setattr(floatrepr, "format_rows", failing)
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "NonFinite: second chunk" in capsys.readouterr().err
+    assert out.read_bytes() == b"".join(lines[:1 + cli.SIMULATE_CHUNK])
+
+
+def test_artefacts_to_dev_null_exit_zero(capsys):
+    assert main(["simulate", "--alpha", "3", "--out", os.devnull]) == 0
+    # two artefacts on one non-regular file are not a clash
+    assert main(["search", "--alpha", "10", "--segments", "4", "--budget", "50",
+                 "--out", os.devnull, "--profile-out", os.devnull]) == 0
+
+
+def test_simulate_into_a_pipe(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--alpha", "3", "--out", str(out)]) == 0
+    result = run_module("simulate", "--alpha", "3", "--out", "/dev/stdout")
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout == out.read_text()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_artefact_gets_the_permissions_of_a_plain_open(tmp_path, umask):
+    out, ref = tmp_path / "eff.csv", tmp_path / "ref.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["efficiency", "--alpha", "1", "--method", "closed",
+                     "--out", str(out)]) == 0
+        open(ref, "w").close()
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode == ref.stat().st_mode == 0o100666 & ~umask
+
+
+def test_search_with_one_path_for_both_artefacts_exits_two_before_work(tmp_path, capsys,
+                                                                        monkeypatch):
+    import doublelambda.cli as cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cli, "optimize_piecewise", no_search)
+    out = tmp_path / "P"
+    argv = ["search", "--alpha", "10", "--segments", "4", "--budget", "50", "--out", str(out)]
+    assert main(argv + ["--profile-out", str(out)]) == 2
+    assert not out.exists()
+    # the same new file spelt two ways
+    assert main(argv + ["--profile-out", str(tmp_path / "." / "P")]) == 2
+    assert not out.exists()
+    # an existing profile path hard-linked to the JSON's
+    out.write_text("old\n")
+    os.link(out, tmp_path / "Q")
+    assert main(argv + ["--profile-out", str(tmp_path / "Q")]) == 2
+    assert out.read_text() == "old\n"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 3
+    assert all(line.startswith("error: DoubleLambdaError: --out and --profile-out name "
+                               "the same file") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("alias", ["same", "symlink"])
+def test_simulate_over_its_own_profile_table_exits_two(tmp_path, capsys, alias):
+    table = tmp_path / "T"
+    table.write_text("0 1.4\n10 0.1\n")
+    out = table
+    if alias == "symlink":
+        out = tmp_path / "L"
+        out.symlink_to(table)
+    assert main(["simulate", "--protocol", "custom", "--profile-file", str(table),
+                 "--out", str(out)]) == 2
+    assert table.read_text() == "0 1.4\n10 0.1\n"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: DoubleLambdaError: --profile-file and --out name the same")
+
+
+@pytest.mark.parametrize("exc", [OverflowError("x"), FloatingPointError("x"),
+                                 ZeroDivisionError("x"), np.linalg.LinAlgError("x")],
+                         ids=lambda e: type(e).__name__)
+def test_arithmetic_and_linalg_errors_exit_two_with_one_line(monkeypatch, capsys, exc):
+    import doublelambda.cli as cli
+
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_efficiency", handler)
+    assert main(["efficiency", "--alpha", "1", "--out", "unused.csv"]) == 2
+    assert capsys.readouterr().err == f"error: {type(exc).__name__}: x\n"
