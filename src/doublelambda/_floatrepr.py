@@ -20,9 +20,10 @@ with at least two exponent digits; ``.0`` on integral values, a leading
 ``-``, and ``0.0``/``-0.0``.  Each field is built in a 32-byte slot whose
 unused bytes hold 0, and one mask over the block drops those bytes.
 
-Every intermediate lives in one resident workspace of :data:`CAPACITY`
-values, built on first use and kept, like the tables, for the life of the
-process; a larger block is formatted in pieces of that size.  Reusing the
+Every intermediate lives in one resident workspace, word and flag rows for
+:data:`CAPACITY` values (about 0.61 MB), built on first use and kept, like
+the tables, for the life of the process; a larger block is formatted in
+pieces of that size.  The caller's block is only read.  Reusing the
 buffers spares each piece the page faults of fresh temporaries, which the
 C allocator would otherwise hand back to the system after every piece.
 Only the compacted text of a piece and the index of the values whose
@@ -58,7 +59,7 @@ _EXPONENTS = 308 + 324 + 2
 
 _POW10 = np.array([10 ** i for i in range(20)], dtype=_U64)
 
-#: Values formatted at once: 512 rows of ``simulate``'s nine columns.
+#: Values formatted at once; a larger block goes in pieces of this size.
 CAPACITY = 512 * 9
 
 #: Scratch rows of CAPACITY words and flags in the workspace.
@@ -133,30 +134,10 @@ def _tables():
     return search, digits, masks, exps.view(_U64).reshape(-1)
 
 
-class _Workspace:
-    """Buffers for one piece of up to :data:`CAPACITY` values: a float block
-    for callers to fill, and the formatter's word and flag rows."""
-
-    def __init__(self):
-        self.values = np.empty(CAPACITY)
-        self.words = np.empty(_WORDS * CAPACITY, dtype=_U64)
-        self.flags = np.empty(_FLAGS * CAPACITY, dtype=bool)
-
-
 @functools.cache
 def _workspace():
-    return _Workspace()
-
-
-def value_block(rows, cols):
-    """The workspace's ``(rows, cols)`` float64 block, for a caller to fill.
-
-    Passing it to :func:`format_rows` formats it in place.  It holds at most
-    :data:`CAPACITY` values and is overwritten by the next caller.
-    """
-    if rows * cols > CAPACITY:
-        raise ValueError(f"a {rows} x {cols} block exceeds the {CAPACITY} values of the workspace")
-    return _workspace().values[:rows * cols].reshape(rows, cols)
+    """The word and flag rows of one piece of up to :data:`CAPACITY` values."""
+    return np.empty(_WORDS * CAPACITY, dtype=_U64), np.empty(_FLAGS * CAPACITY, dtype=bool)
 
 
 def _column(word, upper, c, col, hi, p, q, first=False):
@@ -499,9 +480,9 @@ def _format(x, cols, start):
     # exponent (5, 6) and its scratch (9-15); the layout's digit words
     # (0-3), slots (9-12) and masks (13-15); the compaction mask (0-3).
     n = x.size
-    ws = _workspace()
-    u = ws.words[:_WORDS * n].reshape(_WORDS, n)
-    f = ws.flags[:_FLAGS * n].reshape(_FLAGS, n)
+    words, flags = _workspace()
+    u = words[:_WORDS * n].reshape(_WORDS, n)
+    f = flags[:_FLAGS * n].reshape(_FLAGS, n)
     if not np.isfinite(x, out=f[0]).all():
         raise NonFinite("cannot format a non-finite value")
     bits = x.view(_U64)

@@ -35,6 +35,8 @@ class Rates:
     gamma21: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite((self.gamma31, self.gamma41, self.gamma21)).all():
+            raise NonFinite("relaxation rates must be finite")
         if not (self.gamma31 > 0 and self.gamma41 > 0):
             raise ValueError("excited-state decay rates must be positive")
         if self.gamma21 < 0:

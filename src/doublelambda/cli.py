@@ -11,7 +11,13 @@ search      direct profile search -> JSON + profile table
 All outputs are deterministic functions of the configuration and seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 arithmetic or linear-algebra error escaping a command, and an artefact path
-naming the same file as another artefact or an input).
+naming the same file as another artefact or an input).  ``verify`` checks
+every density's bounds and step caps before it verifies any of them.
+
+Each writer builds its own bytes: ``simulate`` formats its own float block
+with ``_floatrepr.format_rows``, ``efficiency`` joins ``repr`` fields and
+protocol names with commas, ``verify`` and ``search`` write JSON, and
+``search`` also a profile table.
 
 Each artefact is rewritten in place (:func:`_artefact`): an existing file is
 opened without truncation, overwritten, and cut at the end of the new bytes
@@ -29,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -116,7 +121,7 @@ def _check_distinct(paths: dict) -> None:
 
 
 @contextlib.contextmanager
-def _artefact(path, mode: str, newline=None):
+def _artefact(path, mode: str):
     """``open(path, mode)`` for writing, but rewriting ``path`` in place.
 
     The file is opened without ``O_TRUNC``; on exit, normal or by an
@@ -126,7 +131,7 @@ def _artefact(path, mode: str, newline=None):
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     old = os.fstat(fd)
-    with open(fd, mode, newline=newline) as fh:
+    with open(fd, mode) as fh:
         try:
             yield fh
         finally:
@@ -141,8 +146,8 @@ def _check_seed(args) -> None:
         raise DoubleLambdaError("--seed must be non-negative")
 
 
-#: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`; at
-#: most 512, the rows of nine columns the formatter's workspace holds.
+#: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`, the
+#: rows of its float block.
 SIMULATE_CHUNK = 512
 
 #: Most optical densities ``efficiency --alpha-steps`` may request; each is a
@@ -158,16 +163,16 @@ def cmd_simulate(args) -> int:
     """Write one protocol's trajectory as CSV, one row per grid point.
 
     Rows go out in chunks of :data:`SIMULATE_CHUNK`.  Each chunk's nine
-    columns are written straight into the float block of the formatter's
-    resident workspace (θ, the fields and ζ copied, the controls,
-    intensities and norm computed there) and turned into CSV text in place,
-    so beyond the trajectory the writer allocates little more than each
-    chunk's text, at any grid length.  Every field is byte for byte ``repr`` of a float64,
+    columns are written straight into one float block the command allocates
+    once (θ, the fields and ζ copied, the controls, intensities and norm
+    computed there) and turned into CSV text by the formatter, so beyond the
+    trajectory the writer allocates little more than each chunk's text, at
+    any grid length.  Every field is byte for byte ``repr`` of a float64,
     the full-precision form of :func:`_fmt`.
     """
     # imported here: without cached bytecode, compiling the formatter would
     # add to every import of the CLI
-    from ._floatrepr import format_rows, value_block
+    from ._floatrepr import format_rows
 
     _check_adiabatic_flags(args, args.protocol == "adiabatic")
     if args.protocol == "custom":
@@ -181,12 +186,13 @@ def cmd_simulate(args) -> int:
         profile = build_profile(args.protocol, args.alpha, args.zeta0, args.zbar)
     traj = propagate_reduced(profile, opts=_integrator(args))
 
+    values = np.empty((SIMULATE_CHUNK, 9))
     with _artefact(args.out, "wb") as fh:
         fh.write(b"zeta,theta,omega_c,omega_d,omega_p,omega_s,intensity_p,intensity_s,norm\n")
         for lo in range(0, len(traj.zeta), SIMULATE_CHUNK):
             rows = slice(lo, lo + SIMULATE_CHUNK)
             theta, p, s = traj.theta[rows], traj.omega_p[rows], traj.omega_s[rows]
-            block = value_block(len(theta), 9)
+            block = values[:len(theta)]
             block[:, 0] = traj.zeta[rows]
             block[:, 1] = theta
             np.sin(theta, out=block[:, 2])
@@ -234,32 +240,36 @@ def cmd_efficiency(args) -> int:
                 eta_numeric = numerical_efficiency(kind, alpha, opts, args.zeta0, args.zbar)
             rows.append([_fmt(alpha), kind, _fmt(eta_closed), _fmt(eta_numeric)])
 
-    with _artefact(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha", "protocol", "eta_closed", "eta_numeric"])
-        writer.writerows(rows)
+    # no field holds a comma, quote or newline, so none needs CSV quoting
+    with _artefact(args.out, "w") as fh:
+        fh.write("alpha,protocol,eta_closed,eta_numeric\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
     return 0
 
 
-def _verify_one_alpha(alpha: float, args) -> list[dict]:
-    opts = _integrator(args)
+def _verify_orders(alpha: float, opts: IntegratorOptions) -> list[int]:
+    """The dissipation-order step counts at ``alpha``, after checking that
+    its sampled slopes cannot overflow and no grid passes the step cap."""
+    # Below this alpha a drop of up to pi/2 over one segment of a sampled
+    # dominance profile overflows its slope.
+    min_alpha = (SAMPLED_KNOTS - 1) * HALF_PI / sys.float_info.max
+    if alpha < min_alpha:
+        raise NonFinite(f"alpha {alpha!r} is below {min_alpha!r}, where the slopes of the "
+                        f"{SAMPLED_KNOTS}-knot dominance samples may overflow")
+    opts.resolve_steps(alpha)  # also keeps alpha * steps_per_unit finite for ``base``
+    ARC_OPTIONS.resolve_steps(alpha)
+    base = max(5, int(round(alpha * opts.steps_per_unit)))
+    orders = [base, 2 * base, 4 * base, 8 * base]
+    IntegratorOptions(step_count=orders[-1]).resolve_steps(alpha)
+    return orders
+
+
+def _verify_one_alpha(alpha: float, orders: list[int], opts: IntegratorOptions, args):
     # Below the default resolution the user has asked for a deliberately
     # coarse run: accuracy-bound checks may then only warn.  Structural
     # checks (same-grid oracle equivalence, arc residuals, dominance) keep
     # hard thresholds at any resolution.
     coarse = args.steps_per_unit < 10.0
-    # Below this alpha a drop of up to pi/2 over one segment of a sampled
-    # dominance profile overflows its slope; fail before any work.
-    min_alpha = (SAMPLED_KNOTS - 1) * HALF_PI / sys.float_info.max
-    if alpha < min_alpha:
-        raise NonFinite(f"alpha {alpha!r} is below {min_alpha!r}, where the slopes of the "
-                        f"{SAMPLED_KNOTS}-knot dominance samples may overflow")
-    # Resolve the largest grids first, so a run past the step cap fails before any work.
-    opts.resolve_steps(alpha)  # also keeps alpha * steps_per_unit finite for ``base``
-    ARC_OPTIONS.resolve_steps(alpha)
-    base = max(5, int(round(alpha * args.steps_per_unit)))
-    orders = [base, 2 * base, 4 * base, 8 * base]
-    IntegratorOptions(step_count=orders[-1]).resolve_steps(alpha)
     checks = []
 
     def record(name, value, threshold, warn_only=False):
@@ -317,7 +327,10 @@ def cmd_verify(args) -> int:
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise DoubleLambdaError(f"--samples must be in [1, {MAX_SAMPLES}]")
     alphas = [_check_alpha(a) for a in (args.alpha or [1.0, 10.0, 100.0])]
-    checks = [c for a in alphas for c in _verify_one_alpha(a, args)]
+    opts = _integrator(args)
+    orders = [_verify_orders(a, opts) for a in alphas]  # every density before any work
+    checks = [c for a, o in zip(alphas, orders, strict=True)
+              for c in _verify_one_alpha(a, o, opts, args)]
     passed = all(c["status"] != "fail" for c in checks)
     report = {
         "alphas": alphas,

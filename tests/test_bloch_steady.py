@@ -229,5 +229,9 @@ def test_rates_validation():
         Rates(gamma31=0.0)
     with pytest.raises(ValueError):
         Rates(gamma21=-0.1)
+    for bad in ({"gamma31": np.inf}, {"gamma41": np.nan}, {"gamma21": np.inf},
+                {"gamma21": np.nan}):
+        with pytest.raises(NonFinite):
+            Rates(**bad)
     with pytest.raises(ValueError):
         first_order_coherences(1.0, 0.0, 0.3, gamma=0.0)

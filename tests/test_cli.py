@@ -17,6 +17,7 @@ import doublelambda
 from doublelambda import (
     IntegratorOptions,
     build_profile,
+    closed_efficiency,
     load_profile_table,
     numerical_efficiency,
     propagate_reduced,
@@ -104,7 +105,7 @@ def reference_simulate_csv(profile, steps_per_unit=10.0):
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("chunk", [None, 7, 700])
 def test_simulate_bytes_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
     import doublelambda.cli as cli
 
@@ -284,6 +285,30 @@ def test_efficiency_reference_rows(tmp_path):
     assert vals["constant"][0] == pytest.approx(0.9077, abs=5e-4)
     for closed, numeric in vals.values():
         assert abs(closed - numeric) < 1e-6
+
+
+@pytest.mark.parametrize("method", ["closed", "numeric", "both"])
+def test_efficiency_bytes_match_csv_writer(tmp_path, method):
+    alphas = [150.0, 0.05, 3.0]
+    kinds = ["optimal", "adiabatic", "constant"]
+    out = tmp_path / "curve.csv"
+    argv = ["efficiency", "--method", method, "--out", str(out)]
+    argv += [f for k in kinds for f in ("--protocol", k)]
+    argv += [f for a in alphas for f in ("--alpha", repr(a))]
+    assert main(argv) == 0
+
+    def field(x):
+        return None if x is None else repr(float(x))  # csv.writer writes None as ""
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["alpha", "protocol", "eta_closed", "eta_numeric"])
+    for kind in sorted(kinds):
+        for alpha in sorted(alphas):
+            closed = closed_efficiency(kind, alpha) if method != "numeric" else None
+            numeric = numerical_efficiency(kind, alpha) if method != "closed" else None
+            writer.writerow([repr(alpha), kind, field(closed), field(numeric)])
+    assert out.read_bytes() == buf.getvalue().encode()
 
 
 def test_efficiency_small_alpha_ratio(tmp_path):
@@ -495,6 +520,23 @@ def test_verify_overflowing_samples_exit_two_before_any_work(monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "NonFinite" in err
     assert repr(16 * (math.pi / 2) / sys.float_info.max) in err
+
+
+@pytest.mark.parametrize("second, message", [
+    ("1e7", "RK4 steps requested"),
+    ("1e-307", repr(16 * (math.pi / 2) / sys.float_info.max)),
+], ids=["step-cap", "sampled-slope"])
+def test_verify_checks_every_alpha_before_any_work(monkeypatch, capsys, second, message):
+    # the second density fails its pre-flight: the first must not be verified first
+    import doublelambda.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verified a density before checking them all")
+
+    monkeypatch.setattr(cli, "propagate_exact_many", unreachable)
+    assert main(["verify", "--alpha", "1", "--alpha", second, "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("command", [

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from doublelambda._floatrepr import CAPACITY, _workspace, format_rows, value_block
+from doublelambda._floatrepr import CAPACITY, _workspace, format_rows
 from doublelambda.errors import NonFinite
 
 
@@ -20,7 +20,6 @@ def assert_formats(block):
 
 def test_one_workspace_per_process():
     assert _workspace() is _workspace()
-    assert np.shares_memory(value_block(512, 9), _workspace().values)
 
 
 def test_blocks_back_to_back_through_the_cached_workspace():
@@ -45,14 +44,6 @@ def test_blocks_larger_than_the_workspace(cols):
     rows = 2 * CAPACITY // cols + 3
     values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-20, 20, (rows, cols))
     assert_formats(values)
-
-
-def test_value_block_is_formatted_in_place():
-    block = value_block(3, 9)
-    block[:] = np.arange(27.0).reshape(3, 9) / 8
-    assert bytes(format_rows(block)) == reference(np.arange(27.0).reshape(3, 9) / 8)
-    with pytest.raises(ValueError):
-        value_block(CAPACITY // 9 + 1, 9)
 
 
 def test_non_finite_entry_after_a_good_block_raises():
