@@ -21,11 +21,14 @@ with at least two exponent digits; ``.0`` on integral values, a leading
 unused bytes hold 0, and one mask over the block drops those bytes.
 
 Every intermediate lives in one resident workspace, word and flag rows for
-:data:`CAPACITY` values (about 0.61 MB), built on first use and kept, like
+:data:`CAPACITY` values (about 1.23 MB), built on first use and kept, like
 the tables, for the life of the process; a larger block is formatted in
-pieces of that size.  The caller's block is only read.  Reusing the
-buffers spares each piece the page faults of fresh temporaries, which the
-C allocator would otherwise hand back to the system after every piece.
+pieces of that size.  A piece holds one RK4 chunk of ``simulate``'s nine
+columns, the driver's 1024 steps and the initial row, so each chunk is
+formatted by one pass of numpy calls.  The caller's block is only read.
+Reusing the buffers spares each piece the page faults of fresh
+temporaries, which the C allocator would otherwise hand back to the system
+after every piece.
 Only the compacted text of a piece and the index of the values whose
 digits end in zeros are new arrays: numpy compacts into an existing buffer
 only through an index array eight times the text's size
@@ -60,7 +63,9 @@ _EXPONENTS = 308 + 324 + 2
 _POW10 = np.array([10 ** i for i in range(20)], dtype=_U64)
 
 #: Values formatted at once; a larger block goes in pieces of this size.
-CAPACITY = 512 * 9
+#: ``simulate``'s first chunk, its largest, is 1024 steps and the initial
+#: row, of nine columns.
+CAPACITY = (1024 + 1) * 9
 
 #: Scratch rows of CAPACITY words and flags in the workspace.
 _WORDS, _FLAGS = 16, 5

@@ -15,9 +15,10 @@ naming the same file as another artefact or an input).  ``verify`` checks
 every density's bounds and step caps before it verifies any of them.
 
 Each writer builds its own bytes: ``simulate`` formats its own float block
-with ``_floatrepr.format_rows``, ``efficiency`` joins ``repr`` fields and
-protocol names with commas, ``verify`` and ``search`` write JSON, and
-``search`` also a profile table.
+with ``_floatrepr.format_rows``, one RK4 chunk at a time as the driver
+applies it, ``efficiency`` joins ``repr`` fields and protocol names with
+commas, ``verify`` and ``search`` write JSON, and ``search`` also a profile
+table.
 
 Each artefact is rewritten in place (:func:`_artefact`): an existing file is
 opened without truncation, overwritten, and cut at the end of the new bytes
@@ -60,10 +61,11 @@ from .pmp_search import (
     verify_singular_arc,
 )
 from .propagation import (
+    _BLOCK,
     IntegratorOptions,
     dissipation_order,
     propagate_exact_many,
-    propagate_reduced,
+    propagate_reduced_chunks,
     propagate_reduced_many,
 )
 from .protocols import (
@@ -101,20 +103,27 @@ def _check_adiabatic_flags(args, adiabatic_run: bool) -> None:
 def _check_distinct(paths: dict) -> None:
     """Raise unless the given paths (``{flag: path}``, None skipped) name
     different files, before any work.  An existing path is compared by the
-    file it names, a new one by its resolved path.  Existing files that are
-    not regular (``/dev/null``, a tty) may be shared."""
-    seen = {}
+    file it names, new ones by their resolved paths.  Existing files that
+    are not regular (``/dev/null``, a tty) may be shared."""
+    keys, new = [], {}
     for flag, path in paths.items():
         if path is None:
             continue
         try:
             st = os.stat(path)
         except FileNotFoundError:
-            key = os.path.realpath(path)
-        else:
-            if not stat.S_ISREG(st.st_mode):
-                continue
-            key = (st.st_dev, st.st_ino)  # what os.path.samefile compares
+            new[flag] = path
+            continue
+        if stat.S_ISREG(st.st_mode):
+            keys.append(((st.st_dev, st.st_ino), flag, path))  # what os.path.samefile compares
+    # Two new paths can resolve to one file only through the same base name
+    # or a dangling link; only then are they resolved, at an lstat per path
+    # component.
+    names = {os.path.basename(path) for path in new.values()}
+    if len(names) < len(new) or any(map(os.path.islink, new.values())):
+        keys += [(os.path.realpath(path), flag, path) for flag, path in new.items()]
+    seen = {}
+    for key, flag, path in keys:
         if key in seen:
             raise DoubleLambdaError(f"{seen[key]} and {flag} name the same file {path!r}")
         seen[key] = flag
@@ -146,10 +155,6 @@ def _check_seed(args) -> None:
         raise DoubleLambdaError("--seed must be non-negative")
 
 
-#: Rows formatted and written per ``fh.write`` by :func:`cmd_simulate`, the
-#: rows of its float block.
-SIMULATE_CHUNK = 512
-
 #: Most optical densities ``efficiency --alpha-steps`` may request; each is a
 #: row per protocol, so the cap bounds the rows held before the CSV is written.
 MAX_ALPHA_STEPS = 100_000
@@ -162,13 +167,16 @@ MAX_SAMPLES = 1_000_000
 def cmd_simulate(args) -> int:
     """Write one protocol's trajectory as CSV, one row per grid point.
 
-    Rows go out in chunks of :data:`SIMULATE_CHUNK`.  Each chunk's nine
-    columns are written straight into one float block the command allocates
-    once (θ, the fields and ζ copied, the controls, intensities and norm
-    computed there) and turned into CSV text by the formatter, so beyond the
-    trajectory the writer allocates little more than each chunk's text, at
-    any grid length.  Every field is byte for byte ``repr`` of a float64,
-    the full-precision form of :func:`_fmt`.
+    The trajectory is streamed from the RK4 driver
+    (:func:`propagate_reduced_chunks`): each chunk it applies, up to
+    ``_BLOCK + 1`` rows, has its nine columns written straight into one
+    float block the command allocates once (θ, the fields and ζ copied, the
+    controls, intensities and norm computed there), is turned into CSV text
+    by one formatter call, and is written out before the next chunk is
+    integrated.  So beyond the grid the command holds one chunk at any grid
+    length.  Every check runs before ``--out`` is opened, so a refused run
+    leaves an existing file as it was.  Every field is byte for byte
+    ``repr`` of a float64, the full-precision form of :func:`_fmt`.
     """
     # imported here: without cached bytecode, compiling the formatter would
     # add to every import of the CLI
@@ -184,21 +192,19 @@ def cmd_simulate(args) -> int:
         raise DoubleLambdaError("--alpha is required")
     else:
         profile = build_profile(args.protocol, args.alpha, args.zeta0, args.zbar)
-    traj = propagate_reduced(profile, opts=_integrator(args))
+    chunks = propagate_reduced_chunks(profile, opts=_integrator(args))
 
-    values = np.empty((SIMULATE_CHUNK, 9))
+    values = np.empty((_BLOCK + 1, 9))
     with _artefact(args.out, "wb") as fh:
         fh.write(b"zeta,theta,omega_c,omega_d,omega_p,omega_s,intensity_p,intensity_s,norm\n")
-        for lo in range(0, len(traj.zeta), SIMULATE_CHUNK):
-            rows = slice(lo, lo + SIMULATE_CHUNK)
-            theta, p, s = traj.theta[rows], traj.omega_p[rows], traj.omega_s[rows]
-            block = values[:len(theta)]
-            block[:, 0] = traj.zeta[rows]
+        for zeta, theta, fields in chunks:
+            block = values[:len(zeta)]
+            block[:, 0] = zeta
             block[:, 1] = theta
             np.sin(theta, out=block[:, 2])
             np.cos(theta, out=block[:, 3])
-            block[:, 4] = p
-            block[:, 5] = s
+            block[:, 4:6] = fields
+            p, s = block[:, 4], block[:, 5]
             # elementwise float64 products round as Python floats do: same fields
             np.multiply(p, p, out=block[:, 6])
             np.multiply(s, s, out=block[:, 7])

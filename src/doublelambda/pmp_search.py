@@ -163,7 +163,7 @@ def integrate_adjoint_along_arc(arc: AdjointState) -> float:
     z = arc.zeta[::-1]
     exact = np.column_stack([arc.lambda_y, arc.lambda_x])[::-1]
     ((_, _, lam),) = _rk4(lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5),
-                          [(z, exact[0], None, None)])
+                          [(z, exact[0], None)])
     return float(np.max(np.abs(lam - exact)))
 
 

@@ -2,8 +2,9 @@
 
 Three routes integrate the same physics at different levels of reduction:
 
-* :func:`propagate_reduced` (and :func:`propagate_reduced_many`, its batch
-  over several profiles) -- the two-field lab-frame system
+* :func:`propagate_reduced` (with :func:`propagate_reduced_many`, its batch
+  over several profiles, and :func:`propagate_reduced_chunks`, its
+  trajectory handed out chunk by chunk) -- the two-field lab-frame system
   ``d(Omega_p, Omega_s)/dzeta = -1/2 P(theta) (Omega_p, Omega_s)`` with
   ``P`` the rank-one projector of the mixing angle.  On resonance the system
   is real and the overall control magnitude drops out.
@@ -17,18 +18,23 @@ Three routes integrate the same physics at different levels of reduction:
 
 Each route is the linear system ``dv/dzeta = A(zeta) v`` with a 2x2 matrix
 ``A`` and supplies only that matrix to one shared fixed-step classical
-fourth-order Runge-Kutta integrator, :func:`_rk4`, on one grid per
+fourth-order Runge-Kutta driver, :func:`_rk4_chunks`, on one grid per
 propagation with a node at every interior knot of the profile;
-deterministic output is preferred over adaptivity.  The integrator builds
-the step matrices of a chunk of :data:`_BLOCK` steps at once
+deterministic output is preferred over adaptivity.  The driver builds the
+step matrices of a chunk of :data:`_BLOCK` steps at once
 (:func:`_rk4_step_matrices`) and applies them in order on Python scalars
 (:func:`_apply_steps`), evaluating the parameters of ``A`` (the angle, or
-the controls) chunk by chunk.  Independent propagations are batched through
-it, their steps walked in chunks that may span several of them, with results
-equal bit for bit to propagating each alone: :func:`propagate_reduced_many`
-and :func:`propagate_exact_many`, whose chunks make one steady-state solve
-each.  The rotated-frame matrix holds the slope, which jumps at a knot, so
-that route takes continuous slopes only.
+the controls) chunk by chunk, and hands each chunk's states and parameters
+at the grid nodes to its consumer as soon as the chunk is applied.
+:func:`_rk4` collects them into the whole trajectories the routes return;
+:func:`propagate_reduced_chunks` passes them on, so that a writer holds one
+chunk of the trajectory at a time.  Independent propagations are batched
+through the driver, their steps walked in chunks that may span several of
+them, with results equal bit for bit to propagating each alone:
+:func:`propagate_reduced_many` and :func:`propagate_exact_many`, whose
+chunks make one steady-state solve each.  The rotated-frame matrix holds
+the slope, which jumps at a knot, so that route takes continuous slopes
+only.
 For piecewise-linear profiles the rotated-frame system has a closed-form
 matrix exponential, exposed as :func:`segment_step` /
 :func:`propagate_piecewise_exact`; exact to rounding, it is an independent
@@ -207,22 +213,24 @@ def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> n
     """Grid on [0, alpha] with a node at every breakpoint, uniform in between.
 
     Each piece takes its share ``n_steps * (b - a) / alpha`` of the steps; a
-    share whose product overflows raises :class:`NonFinite`.
+    share whose product overflows raises :class:`NonFinite`.  A grid of one
+    piece is that piece's ``linspace``, never copied.
     """
     cuts = [0.0, *sorted({float(b) for b in breakpoints if 0.0 < b < alpha}), alpha]
-    pieces = [np.zeros(1)]
+    pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         share = n_steps * (b - a)
         if share == math.inf:
             raise NonFinite(f"{n_steps} steps over a span of {b - a!r} overflow the grid")
         n = max(1, round(share / alpha))
-        pieces.append(np.linspace(a, b, n + 1)[1:])
-    return np.concatenate(pieces)
+        # each piece after the first starts on the node that ends the one before
+        pieces.append(np.linspace(a, b, n + 1)[1 if pieces else 0 :])
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-#: Steps whose RK4 step matrices are built at once; bounds the kernel's
-#: working memory independently of the grid length and of the number of
-#: propagations in a batch.
+#: Steps whose RK4 step matrices are built and applied at once, and handed
+#: out together; bounds the driver's working memory independently of the
+#: grid length and of the number of propagations in a batch.
 _BLOCK = 1024
 
 _EYE = np.eye(2)
@@ -274,27 +282,25 @@ def _apply_steps(entries: list, p, q) -> list:
 
 
 class _Run:
-    """One propagation in flight through :func:`_rk4`; it owns its states."""
+    """One propagation in flight through :func:`_rk4_chunks`: its grid, the
+    map to the parameters of ``A``, and the state at its last applied node."""
 
-    def __init__(self, grid: np.ndarray, v0: np.ndarray, at, nodes):
+    def __init__(self, grid: np.ndarray, v0: np.ndarray, at):
         self.grid = grid
         self.at = at
-        self.nodes = nodes
-        # (len(grid), 2) of v0's dtype, v0 in row 0; each chunk writes the rows of its steps
-        self.states = np.empty((grid.size, 2), np.result_type(v0, float))
-        self.states[0] = v0
-        self.real = not v0.imag.any()  # true while v0 and every chunk so far are real
+        self.dtype = np.result_type(v0, float)
+        self.v = np.asarray(v0, self.dtype)
+        self.real = not self.v.imag.any()  # true while v0 and every chunk so far are real
 
 
-def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
-    """Classical RK4 for ``dv/dzeta = A v`` over a stream of independent runs.
+def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
+    """Classical RK4 for ``dv/dzeta = A v`` over a stream of independent runs,
+    handed out chunk by chunk.
 
-    Each run is ``(grid, v0, at, nodes)``: a grid, the initial state, the
-    map ``at`` from positions to the parameters of ``A`` (``None`` when they
-    are the positions themselves), as an array whose last axis runs over the
-    positions, and ``nodes``, ``None`` or an array that the chunks fill with
-    the parameters at the grid nodes, for a route that returns them.
-    ``matrices(x)`` returns ``A`` for the parameters ``x`` as an
+    Each run is ``(grid, v0, at)``: a grid, the initial state, and the map
+    ``at`` from positions to the parameters of ``A`` (``None`` when they are
+    the positions themselves), as an array whose last axis runs over the
+    positions.  ``matrices(x)`` returns ``A`` for the parameters ``x`` as an
     ``(n, 2, 2)`` array and serves every run.
 
     The runs' steps are walked in order, in chunks of up to :data:`_BLOCK`
@@ -311,18 +317,21 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
     part is built real, and a run is applied in real arithmetic until its
     ``v0`` or a chunk is not real, with the bits of the complex kernel.
 
-    Yields ``(grid, nodes, states)`` for each run, in order, as soon as its
-    last step is applied: ``nodes`` as passed, now filled, and the
-    ``(len(grid), 2)`` states, starting with ``v0``, in the one array the
-    run owns from when it is pulled.  Runs are pulled only as the chunks
-    reach them, and a run that spans chunks is yielded as soon as it ends,
-    before the next run's grid is built; so the working memory is one
-    chunk, the short runs it holds, and the run being yielded.
+    Yields ``(grid, lo, nodes, states)`` for each run a chunk holds, in
+    order, as soon as the chunk has applied that run's steps: the states at
+    the grid rows from ``lo`` on, and ``nodes``, the parameters of ``A`` at
+    those rows.  A run's first piece starts at row 0 with ``v0``, and each
+    later one at the row after the last one handed out, so a run's pieces
+    are its whole trajectory once, and the run has ended when
+    ``lo + len(states) == grid.size``.  Runs are pulled only as the chunks
+    reach them, and a run that spans chunks ends before the next run's grid
+    is built; nothing is held beyond the chunk in flight and the grids of
+    the runs it holds.
     """
     chunk = []  # (run, lo, hi): steps lo..hi of a run
     room = _BLOCK
-    for grid, v0, at, nodes in runs:
-        run = _Run(grid, v0, at, nodes)
+    for grid, v0, at in runs:
+        run = _Run(grid, v0, at)
         lo, n = 0, grid.size - 1
         while lo < n:
             hi = min(n, lo + room)
@@ -338,7 +347,7 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
 
 
 def _rk4_chunk(matrices, chunk):
-    """Build and apply one chunk of :func:`_rk4`; yield the runs it finishes."""
+    """Build and apply one chunk of :func:`_rk4_chunks`; yield its pieces."""
     nodes, mids, steps = [], [], []
     for run, lo, hi in chunk:
         z = run.grid[lo : hi + 1]
@@ -347,8 +356,6 @@ def _rk4_chunk(matrices, chunk):
         if run.at is not None:
             x = run.at(np.concatenate((z, z_mid)))
             z, z_mid = x[..., : z.size], x[..., z.size :]
-        if run.nodes is not None:
-            run.nodes[..., lo : hi + 1] = z
         nodes.append(z)
         mids.append(z_mid)
     h = np.concatenate(steps)
@@ -365,17 +372,43 @@ def _rk4_chunk(matrices, chunk):
         a0, a1 = a.take(start, axis=0), a.take(start + 1, axis=0)
     r = _rk4_step_matrices(a0, a[n + len(chunk) :], a1, h)
     i = 0
-    for run, lo, hi in chunk:
+    for (run, lo, hi), x in zip(chunk, nodes):
         m = hi - lo
-        v = run.states[lo].real if run.real else run.states[lo]
+        v = run.v.real if run.real else run.v
         out = _apply_steps(r[i : i + m].ravel().tolist(), *v.tolist())
         i += m
         run.real = run.real and not np.iscomplexobj(r)
         # read as floats while real: fromiter converts floats to complex slowly
-        rows = np.fromiter(out, float if run.real else run.states.dtype, 2 * m)
-        run.states[lo + 1 : hi + 1] = rows.reshape(m, 2)
-        if hi == run.grid.size - 1:
-            yield run.grid, run.nodes, run.states
+        rows = np.fromiter(out, float if run.real else run.dtype, 2 * m)
+        if lo == 0:  # a run's first piece also holds v0
+            rows = np.concatenate((run.v, rows))
+        states = rows.astype(run.dtype, copy=False).reshape(-1, 2)
+        run.v = states[-1].copy()
+        skip = int(lo > 0)  # node lo ended the run's previous piece
+        yield run.grid, lo + skip, x[..., skip:], states
+
+
+def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple],
+         keep_nodes: bool = False):
+    """The runs of :func:`_rk4_chunks`, each collected whole.
+
+    Yields ``(grid, nodes, states)`` for each run, in order, as soon as its
+    last chunk is applied: the ``(len(grid), 2)`` states, starting with
+    ``v0``, and with ``keep_nodes`` the parameters of ``A`` at the grid
+    nodes (else ``None``), each in one array allocated at the run's first
+    chunk and filled chunk by chunk.  The working memory is one chunk, the
+    short runs it holds, and the run being collected.
+    """
+    for grid, lo, x, v in _rk4_chunks(matrices, runs):
+        if lo == 0:
+            states = np.empty((grid.size, 2), v.dtype)
+            nodes = np.empty(x.shape[:-1] + grid.shape, x.dtype) if keep_nodes else None
+        hi = lo + len(v)
+        states[lo:hi] = v
+        if keep_nodes:
+            nodes[..., lo:hi] = x
+        if hi == grid.size:
+            yield grid, nodes, states
 
 
 def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
@@ -392,7 +425,7 @@ def _lab_matrices(theta: np.ndarray) -> np.ndarray:
     """``-1/2 P(theta)`` for every angle in ``theta``, P the rank-one projector.
 
     The entries are those of :func:`projector_matrix`, written straight into
-    the ``(n, 2, 2)`` layout that :func:`_rk4` takes.
+    the ``(n, 2, 2)`` layout that :func:`_rk4_chunks` takes.
     """
     c, s = np.cos(theta), np.sin(theta)
     m = np.empty(theta.shape + (2, 2))
@@ -401,6 +434,17 @@ def _lab_matrices(theta: np.ndarray) -> np.ndarray:
     m[:, 1, 1] = s * s
     m *= -0.5
     return m
+
+
+def _lab_run(profile: ThetaProfile, opts: IntegratorOptions, initial: FieldState) -> tuple:
+    """The :func:`_rk4_chunks` run of a reduced propagation, after its checks."""
+    knots = profile.knots or ()
+    for (z0, t0), (z1, t1) in zip(knots[:-1], knots[1:]):
+        if not math.isfinite((t1 - t0) / (z1 - z0)):
+            raise NonFinite("segment slope overflows; its angle change is lost")
+    grid = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
+    v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
+    return grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float)
 
 
 def propagate_reduced_many(
@@ -413,7 +457,7 @@ def propagate_reduced_many(
     in chunks of :data:`_BLOCK` that may span several of them, each chunk
     with one evaluation of ``-1/2 P(theta)`` and one step-matrix build.
     Each profile's angle is evaluated chunk by chunk at its step nodes and
-    midpoints, and the chunks write its values at the grid nodes into
+    midpoints, and its values at the grid nodes are collected into
     ``Trajectory.theta``.  Trajectories are yielded in order as they finish
     and equal those of :func:`propagate_reduced`, bit for bit.  Pairs are
     read from ``runs`` only as the chunks reach them, and a run longer than
@@ -421,21 +465,29 @@ def propagate_reduced_many(
     working memory is one chunk, the short runs it holds, and the trajectory
     being yielded.
     """
-    v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
-
-    def lab_runs():
-        for profile, opts in runs:
-            knots = profile.knots or ()
-            for (z0, t0), (z1, t1) in zip(knots[:-1], knots[1:]):
-                if not math.isfinite((t1 - t0) / (z1 - z0)):
-                    raise NonFinite("segment slope overflows; its angle change is lost")
-            grid = _segment_grid(
-                profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
-            theta = np.empty(grid.size)  # Trajectory.theta, filled by the chunks
-            yield grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float), theta
-
-    for grid, theta, v in _rk4(_lab_matrices, lab_runs()):
+    lab_runs = (_lab_run(profile, opts, initial) for profile, opts in runs)
+    for grid, theta, v in _rk4(_lab_matrices, lab_runs, keep_nodes=True):
         yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1], theta=theta)
+
+
+def propagate_reduced_chunks(
+    profile: ThetaProfile,
+    initial: FieldState = FieldState(1.0, 0.0),
+    opts: IntegratorOptions = DEFAULT_OPTIONS,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The trajectory of :func:`propagate_reduced`, handed out chunk by chunk.
+
+    The profile is checked and the grid built at once, with the errors of
+    :func:`propagate_reduced`; nothing is integrated until the returned
+    iterator is read.  It yields ``(zeta, theta, states)`` for each RK4
+    chunk as soon as the chunk is applied: the grid nodes, the angle there
+    and the ``(n, 2)`` probe and signal amplitudes.  The first chunk also
+    holds the initial row, so it has up to ``_BLOCK + 1`` rows and the
+    others up to :data:`_BLOCK`; together they are the rows of
+    :func:`propagate_reduced`, bit for bit.  Only the grid is held whole.
+    """
+    chunks = _rk4_chunks(_lab_matrices, [_lab_run(profile, opts, initial)])
+    return ((grid[lo : lo + len(v)], theta, v) for grid, lo, theta, v in chunks)
 
 
 def propagate_reduced(
@@ -475,8 +527,7 @@ def propagate_adiabatic(
     """
     grid = _segment_grid(schedule.alpha, (), opts.resolve_steps(schedule.alpha))
     v0 = np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation))
-    ((_, _, v),) = _rk4(lambda z: _slope_matrices(schedule.u(z), -0.5),
-                        [(grid, v0, None, None)])
+    ((_, _, v),) = _rk4(lambda z: _slope_matrices(schedule.u(z), -0.5), [(grid, v0, None)])
     y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
     return AdiabaticTrajectory(
         zeta=grid,
@@ -529,7 +580,7 @@ def propagate_exact_many(
         for controls, alpha, opts, breakpoints in runs:
             alpha = _check_alpha(alpha)
             grid = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
-            yield grid, v0, lambda z, f=controls: controls_at(z, f), None
+            yield grid, v0, lambda z, f=controls: controls_at(z, f)
 
     for grid, _, v in _rk4(matrices, exact_runs()):
         yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
@@ -557,7 +608,7 @@ def propagate_exact(
     reduction assumptions (equal decay rates, no dephasing, real controls)
     the matrix is ``-1/2 P(theta)`` and this reproduces
     :func:`propagate_reduced` to rounding.  The trajectory is complex; real
-    controls at ``gamma21 = 0`` make ``A`` real, and :func:`_rk4` then
+    controls at ``gamma21 = 0`` make ``A`` real, and :func:`_rk4_chunks` then
     integrates in real arithmetic.  This is the batch of one of
     :func:`propagate_exact_many`.
     """

@@ -105,20 +105,44 @@ def reference_simulate_csv(profile, steps_per_unit=10.0):
     return buf.getvalue().encode()
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` to record the length of its first argument."""
+    real, calls = getattr(module, name), []
+
+    def counting(block, *args):
+        calls.append(len(block))
+        return real(block, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("chunk", [None, 7, 700])
 def test_simulate_bytes_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
-    import doublelambda.cli as cli
+    import doublelambda._floatrepr as floatrepr
+    from doublelambda import propagation
 
-    # two full chunks of the default size and three rows more, at 10 steps per unit
-    rows = 2 * cli.SIMULATE_CHUNK + 3
-    alpha = (rows - 1) / 10
-    if chunk is not None:
-        monkeypatch.setattr(cli, "SIMULATE_CHUNK", chunk)
-    out = tmp_path / "traj.csv"
-    assert main(["simulate", "--alpha", repr(alpha), "--out", str(out)]) == 0
-    data = out.read_bytes()
-    assert data.count(b"\n") == 1 + rows
-    assert data == reference_simulate_csv(build_profile("optimal", alpha))
+    # the driver's chunk of B steps is one CSV piece: B + 1 rows with the
+    # initial one, then B rows; at 10 steps per unit, grids one step short
+    # of two chunks, on their edge and one step past it
+    block = propagation._BLOCK if chunk is None else chunk
+    cases = [(rows, (rows - 1) / 10) for rows in (2 * block, 2 * block + 1, 2 * block + 2)]
+    expected = [reference_simulate_csv(build_profile("optimal", alpha)) for _, alpha in cases]
+    monkeypatch.setattr(propagation, "_BLOCK", block)
+    written = count_calls(monkeypatch, floatrepr, "format_rows")
+    pieces = count_calls(monkeypatch, floatrepr, "_format")
+    for (rows, alpha), reference in zip(cases, expected):
+        written.clear()
+        pieces.clear()
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--alpha", repr(alpha), "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.count(b"\n") == 1 + rows
+        assert data == reference
+        # one formatter call, and one formatter piece, per RK4 chunk
+        full, rest = divmod(rows - 1, block)
+        assert written == [block + 1] + [block] * (full - 1) + [rest] * (rest > 0)
+        assert len(pieces) == len(written)
 
 
 def test_simulate_bytes_on_kinked_table(tmp_path):
@@ -130,6 +154,46 @@ def test_simulate_bytes_on_kinked_table(tmp_path):
     profile = tabulated_protocol(*load_profile_table(table))
     assert len(profile.breakpoints) == 3
     assert out.read_bytes() == reference_simulate_csv(profile)
+
+
+def test_simulate_bytes_on_kinked_table_with_knots_on_chunk_edges(tmp_path):
+    from doublelambda.propagation import _BLOCK
+
+    # at 10 steps per unit each third of the table takes _BLOCK steps, so the
+    # two interior knots are the last rows of the first two chunks
+    edge = _BLOCK / 10
+    table = tmp_path / "prof.txt"
+    table.write_text(f"0 1.4\n{edge!r} 1.0\n{2 * edge!r} 0.4\n{3 * edge!r} 0.1\n")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--protocol", "custom", "--profile-file", str(table),
+                 "--out", str(out)]) == 0
+    data = out.read_bytes()
+    lines = data.splitlines()
+    assert [float(lines[1 + k * _BLOCK].split(b",")[0]) for k in (1, 2)] == [edge, 2 * edge]
+    assert data == reference_simulate_csv(tabulated_protocol(*load_profile_table(table)))
+
+
+@pytest.mark.parametrize("table, argv, error", [
+    ("0 1.4\n5 0.8\n10 0.1\n", ["--alpha", "20"], "ProfileDomainMismatch"),
+    ("0 1.4\n1e-310 0.2\n10 0.1\n", [], "NonFinite"),
+    (None, ["--alpha", "1e7"], "RK4 steps requested"),
+], ids=["table-domain", "slope-overflow", "step-cap"])
+def test_refused_simulate_leaves_an_existing_out_unchanged(tmp_path, capsys, table, argv,
+                                                           error):
+    # the trajectory is integrated while it is written, so every check must
+    # come before --out is opened
+    out = tmp_path / "traj.csv"
+    out.write_bytes(b"an earlier artefact\n")
+    if table is None:
+        argv = ["--protocol", "optimal", *argv]
+    else:
+        prof = tmp_path / "prof.txt"
+        prof.write_text(table)
+        argv = ["--protocol", "custom", "--profile-file", str(prof), *argv]
+    assert main(["simulate", *argv, "--out", str(out)]) == 2
+    assert out.read_bytes() == b"an earlier artefact\n"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and error in err
 
 
 def test_simulate_bytes_with_exponent_fields(tmp_path):
@@ -199,11 +263,10 @@ def test_unparsable_profile_table_exits_two(tmp_path, capsys, table):
 
 def test_simulate_bytes_at_chunk_edges_after_a_longer_run(tmp_path):
     # the formatter's workspace is cached: shorter runs after a longer one
-    # must not show its stale rows
-    import doublelambda.cli as cli
+    # must not show its stale rows; the first chunk has _BLOCK + 1 rows
+    from doublelambda.propagation import _BLOCK
 
-    for rows in (3 * cli.SIMULATE_CHUNK + 5, cli.SIMULATE_CHUNK - 1, cli.SIMULATE_CHUNK,
-                 cli.SIMULATE_CHUNK + 1):
+    for rows in (3 * _BLOCK + 5, _BLOCK, _BLOCK + 1, _BLOCK + 2):
         alpha = (rows - 1) / 10
         out = tmp_path / f"traj{rows}.csv"
         assert main(["simulate", "--alpha", repr(alpha), "--out", str(out)]) == 0
@@ -229,7 +292,7 @@ def test_adiabatic_flags_without_an_adiabatic_run_exit_two(tmp_path, capsys, mon
     def refuse(*args, **kwargs):
         raise AssertionError("propagated before the usage check")
 
-    monkeypatch.setattr(cli, "propagate_reduced", refuse)
+    monkeypatch.setattr(cli, "propagate_reduced_chunks", refuse)
     monkeypatch.setattr(cli, "numerical_efficiency", refuse)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
@@ -716,13 +779,39 @@ def test_verify_without_out_prints_the_report(capsys):
     assert captured.err == ""
 
 
-def run_module(*argv):
-    """``python -m doublelambda argv`` in a fresh interpreter, on this package."""
+def run_python(*argv):
+    """``python argv`` in a fresh interpreter, on this package."""
     src = Path(doublelambda.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-m", "doublelambda", *argv],
+    return subprocess.run([sys.executable, *argv],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=60)
+
+
+def run_module(*argv):
+    """``python -m doublelambda argv`` in a fresh interpreter, on this package."""
+    return run_python("-m", "doublelambda", *argv)
+
+
+def test_simulate_peak_memory_does_not_follow_the_trajectory(tmp_path):
+    # Streamed chunk by chunk, simulate holds only the grid whole (8 bytes a
+    # row, 2.4 MB at alpha = 3e4).  Holding the trajectory before writing it
+    # took 32 bytes a row, about 9 MiB more at 3e4 than at 100.  Linux keeps
+    # a process's peak RSS across exec, so a child started from this test
+    # process would report at least its peak; a small launcher reads the
+    # ru_maxrss of its own simulate child instead.
+    launcher = ("import resource, subprocess, sys\n"
+                "subprocess.run([sys.executable, '-m', 'doublelambda', *sys.argv[1:]],"
+                " check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+    def peak_kib(alpha):
+        result = run_python("-c", launcher, "simulate", "--alpha", alpha,
+                            "--out", str(tmp_path / "traj.csv"))
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout)
+
+    assert peak_kib("3e4") - peak_kib("100") < 4 * 1024
 
 
 def test_module_entry_point_writes_a_curve(tmp_path):
@@ -849,10 +938,10 @@ def test_rewrite_over_an_existing_artefact_equals_a_fresh_write(tmp_path, monkey
 def test_simulate_that_raises_mid_write_leaves_only_what_it_wrote(tmp_path, monkeypatch,
                                                                   capsys):
     import doublelambda._floatrepr as floatrepr
-    import doublelambda.cli as cli
     from doublelambda.errors import NonFinite
+    from doublelambda.propagation import _BLOCK
 
-    argv = ["simulate", "--alpha", "200"]  # 2001 rows: four chunks
+    argv = ["simulate", "--alpha", "200"]  # 2001 rows: two chunks
     full = tmp_path / "full.csv"
     assert main(argv + ["--out", str(full)]) == 0
     lines = full.read_bytes().splitlines(keepends=True)
@@ -870,7 +959,8 @@ def test_simulate_that_raises_mid_write_leaves_only_what_it_wrote(tmp_path, monk
     monkeypatch.setattr(floatrepr, "format_rows", failing)
     assert main(argv + ["--out", str(out)]) == 2
     assert "NonFinite: second chunk" in capsys.readouterr().err
-    assert out.read_bytes() == b"".join(lines[:1 + cli.SIMULATE_CHUNK])
+    assert calls == [_BLOCK + 1, 2000 - _BLOCK]
+    assert out.read_bytes() == b"".join(lines[:1 + _BLOCK + 1])
 
 
 def test_artefacts_to_dev_null_exit_zero(capsys):
@@ -925,6 +1015,35 @@ def test_search_with_one_path_for_both_artefacts_exits_two_before_work(tmp_path,
     assert err.count("\n") == 3
     assert all(line.startswith("error: DoubleLambdaError: --out and --profile-out name "
                                "the same file") for line in err.splitlines())
+
+
+def test_distinct_new_paths_are_not_resolved(tmp_path, monkeypatch):
+    # resolving a path costs an lstat per component; two new paths with
+    # different base names, neither a link, cannot name one file
+    import doublelambda.cli as cli
+
+    real, resolved = os.path.realpath, []
+
+    def counting(path, *args, **kwargs):
+        resolved.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os.path, "realpath", counting)
+    cli._check_distinct({"--out": str(tmp_path / "a.json"),
+                         "--profile-out": str(tmp_path / "a_profile.txt")})
+    assert resolved == []
+    # the same base name in two directories, one a link to the other
+    (tmp_path / "d").mkdir()
+    (tmp_path / "e").symlink_to(tmp_path / "d")
+    with pytest.raises(cli.DoubleLambdaError, match="name the same file"):
+        cli._check_distinct({"--out": str(tmp_path / "d" / "P"),
+                             "--profile-out": str(tmp_path / "e" / "P")})
+    assert len(resolved) == 2
+    # a dangling link to the other new path
+    (tmp_path / "L").symlink_to(tmp_path / "Q")
+    with pytest.raises(cli.DoubleLambdaError, match="name the same file"):
+        cli._check_distinct({"--out": str(tmp_path / "Q"), "--profile-out": str(tmp_path / "L")})
+    assert not (tmp_path / "Q").exists()
 
 
 @pytest.mark.parametrize("alias", ["same", "symlink"])

@@ -25,10 +25,10 @@ def test_one_workspace_per_process():
 def test_blocks_back_to_back_through_the_cached_workspace():
     rng = np.random.default_rng(11)
     # a full piece, then shorter ones over its leftovers
-    for rows in (512, 37, 1):
+    for rows in (CAPACITY // 9, 37, 1):
         assert_formats(rng.uniform(-1e3, 1e3, (rows, 9)))
     # exponent fields, signed zeros and subnormals right after fixed notation
-    assert_formats(np.round(rng.uniform(0.0, 1e3, (512, 9)), 2))
+    assert_formats(np.round(rng.uniform(0.0, 1e3, (CAPACITY // 9, 9)), 2))
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                         1e-300, -1.5e300, 1e16, 1.7976931348623157e308])
     assert_formats(np.tile(special, (40, 1)) * rng.choice([1.0, -1.0], (40, 9)))

@@ -47,6 +47,7 @@ from doublelambda.propagation import (
     MAX_STEPS,
     adiabatic_initial,
     propagate_exact_many,
+    propagate_reduced_chunks,
     propagate_reduced_many,
 )
 from test_rk4_reference import reference_rk4
@@ -679,6 +680,37 @@ def test_batch_yields_run_spanning_chunks_before_pulling_the_next():
     assert len(next(batch).zeta) == 11 and pulled == [0, 1]
     assert len(next(batch).zeta) == 3 * _BLOCK + 1 and pulled == [0, 1]
     assert len(next(batch).zeta) == 11 and pulled == [0, 1, 2]
+
+
+@pytest.mark.parametrize("profile, steps", [
+    (build_profile("optimal", 3.0), 2 * _BLOCK + 1),
+    (build_profile("adiabatic", 30.0), _BLOCK),
+    (tabulated_protocol([0.0, 1.0, 2.0, 3.0], [1.5, 1.0, 0.4, 0.1]), 3 * _BLOCK),
+    (build_profile("constant", 1e-6), 2),
+], ids=["past-two-chunks", "one-chunk", "knots-on-chunk-edges", "two-steps"])
+def test_chunk_stream_is_the_trajectory_in_pieces(profile, steps, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    initial = FieldState(0.6, -0.8)
+    opts = IntegratorOptions(step_count=steps)
+    chunks = propagate_reduced_chunks(profile, initial, opts)
+    assert builds == []  # nothing integrated before the stream is read
+    pieces = list(chunks)
+    assert [len(z) for z, _, _ in pieces] == [1 + b for b in builds[:1]] + builds[1:]
+    assert all(len(z) == len(theta) == len(v) for z, theta, v in pieces)
+    traj = propagate_reduced(profile, initial, opts)
+    for name, column in (("zeta", 0), ("theta", 1)):
+        joined = np.concatenate([piece[column] for piece in pieces])
+        assert joined.tobytes() == getattr(traj, name).tobytes()
+    states = np.concatenate([v for _, _, v in pieces])
+    assert states[:, 0].tobytes() == traj.omega_p.tobytes()
+    assert states[:, 1].tobytes() == traj.omega_s.tobytes()
+
+
+def test_chunk_stream_checks_before_it_is_read():
+    with pytest.raises(NonFinite):
+        propagate_reduced_chunks(tabulated_protocol([0.0, 1e-310, 10.0], [1.4, 0.2, 0.1]))
+    with pytest.raises(DoubleLambdaError, match="RK4 steps requested"):
+        propagate_reduced_chunks(build_profile("optimal", 1e7))
 
 
 def assert_same_bits(traj, alone):
