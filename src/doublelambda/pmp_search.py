@@ -52,8 +52,11 @@ ARC_MIN_STEPS = 16
 #: Knots of each random profile in the sampled dominance check.
 SAMPLED_KNOTS = 17
 
-#: Profiles of the sampled dominance check evaluated at once.
-SAMPLE_CHUNK = 4096
+#: Profiles of the sampled dominance check evaluated at once.  A chunk's
+#: ``(SAMPLED_KNOTS - 1, SAMPLE_CHUNK)`` float arrays take 64 KiB each, below
+#: glibc's 128 KiB mmap threshold, so they come from the heap and are reused
+#: across calls instead of being mapped and faulted in afresh each time.
+SAMPLE_CHUNK = 512
 
 #: Most segments the profile search may take; its optimizer and adjoint hold
 #: a few hundred bytes per knot, so the cap bounds them to tens of MB.
@@ -162,8 +165,7 @@ def integrate_adjoint_along_arc(arc: AdjointState) -> float:
     # (lambda_y, lambda_x)' = [[0, -u], [u, 1/2]] (lambda_y, lambda_x)
     z = arc.zeta[::-1]
     exact = np.column_stack([arc.lambda_y, arc.lambda_x])[::-1]
-    ((_, _, lam),) = _rk4(lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5),
-                          [(z, exact[0], None)])
+    ((_, _, lam),) = _rk4(lambda zz: _slope_matrices(arc.u_s, 0.5), [(z, exact[0], None)])
     return float(np.max(np.abs(lam - exact)))
 
 
@@ -291,10 +293,21 @@ def sampled_profile_efficiencies(alpha: float, n_profiles: int, seed: int) -> np
         with np.errstate(over="ignore"):
             u = (th[:-1] - th[1:]) / dz
         ec, es = _segment_exponential_array(u, dz)
-        a, b, d = ec + 0.25 * es, es * u, ec - 0.25 * es
+        # the segment matrices [[a, -b], [b, d]], b and d in the arrays of u and ec
+        b = np.multiply(es, u, out=u)
+        es *= 0.25
+        a = ec + es
+        d = np.subtract(ec, es, out=ec)
         y, x = np.sin(th[0]), np.cos(th[0])
+        ay, bx, by = np.empty(rows), np.empty(rows), np.empty(rows)
         for i in range(SAMPLED_KNOTS - 1):
-            y, x = a[i] * y - b[i] * x, b[i] * y + d[i] * x
+            # (y, x) <- (a y - b x, b y + d x), in place
+            np.multiply(a[i], y, out=ay)
+            np.multiply(b[i], x, out=bx)
+            np.multiply(b[i], y, out=by)
+            np.subtract(ay, bx, out=y)
+            np.multiply(d[i], x, out=x)
+            np.add(by, x, out=x)
         s = np.cos(th[-1]) * y - np.sin(th[-1]) * x
         out[lo : lo + rows] = s * s
     return out

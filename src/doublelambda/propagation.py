@@ -22,7 +22,8 @@ fourth-order Runge-Kutta driver, :func:`_rk4_chunks`, on one grid per
 propagation with a node at every interior knot of the profile;
 deterministic output is preferred over adaptivity.  The driver builds the
 step matrices of a chunk of :data:`_BLOCK` steps at once
-(:func:`_rk4_step_matrices`) and applies them in order on Python scalars
+(:func:`_rk4_step_matrices`; one per distinct step size where ``A`` is the
+same throughout the chunk) and applies them in order on Python scalars
 (:func:`_apply_steps`), evaluating the parameters of ``A`` (the angle, or
 the controls) chunk by chunk, and hands each chunk's states and parameters
 at the grid nodes to its consumer as soon as the chunk is applied.
@@ -301,7 +302,11 @@ def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tup
     ``at`` from positions to the parameters of ``A`` (``None`` when they are
     the positions themselves), as an array whose last axis runs over the
     positions.  ``matrices(x)`` returns ``A`` for the parameters ``x`` as an
-    ``(n, 2, 2)`` array and serves every run.
+    ``(n, 2, 2)`` array and serves every run.  Where ``A`` is the same at
+    every point ``x`` holds, ``matrices`` may return that one ``(2, 2)``
+    matrix instead; the chunk then builds one step matrix per distinct step
+    size, with the bits of the ``(n, 2, 2)`` form, since a step's matrix
+    depends on its ``A`` values and its step size alone.
 
     The runs' steps are walked in order, in chunks of up to :data:`_BLOCK`
     steps that may span several runs.  Each chunk evaluates ``at`` on each
@@ -363,14 +368,20 @@ def _rk4_chunk(matrices, chunk):
     a = matrices(np.concatenate(nodes + mids, axis=-1))
     if np.iscomplexobj(a) and not a.imag.any():
         a = np.ascontiguousarray(a.real)
-    if len(chunk) == 1:
-        a0, a1 = a[:n], a[1 : n + 1]
+    if a.ndim == 2:
+        # one A for the whole chunk: one step matrix per distinct step size
+        h, which = np.unique(h, return_inverse=True)
+        a = np.broadcast_to(a, (h.size, 2, 2))
+        r = _rk4_step_matrices(a, a, a, h).take(which, axis=0)
     else:
-        # each piece adds one node more than steps, so step i starts at node i + piece
-        start = np.arange(n) + np.repeat(np.arange(len(chunk)), [x.size for x in steps])
-        # take, not a[start]: numpy's fancy indexing of (n, 2, 2) is about 5x slower
-        a0, a1 = a.take(start, axis=0), a.take(start + 1, axis=0)
-    r = _rk4_step_matrices(a0, a[n + len(chunk) :], a1, h)
+        if len(chunk) == 1:
+            a0, a1 = a[:n], a[1 : n + 1]
+        else:
+            # each piece adds one node more than steps, so step i starts at node i + piece
+            start = np.arange(n) + np.repeat(np.arange(len(chunk)), [x.size for x in steps])
+            # take, not a[start]: numpy's fancy indexing of (n, 2, 2) is about 5x slower
+            a0, a1 = a.take(start, axis=0), a.take(start + 1, axis=0)
+        r = _rk4_step_matrices(a0, a[n + len(chunk) :], a1, h)
     i = 0
     for (run, lo, hi), x in zip(chunk, nodes):
         m = hi - lo
@@ -527,7 +538,14 @@ def propagate_adiabatic(
     """
     grid = _segment_grid(schedule.alpha, (), opts.resolve_steps(schedule.alpha))
     v0 = np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation))
-    ((_, _, v),) = _rk4(lambda z: _slope_matrices(schedule.u(z), -0.5), [(grid, v0, None)])
+
+    def matrices(z):
+        u = np.asarray(schedule.u(z), dtype=float)
+        bits = u.view(np.uint64)
+        # one matrix for a chunk whose slope is the same, bit for bit, throughout
+        return _slope_matrices(u.flat[0] if (bits == bits.flat[0]).all() else u, -0.5)
+
+    ((_, _, v),) = _rk4(matrices, [(grid, v0, None)])
     y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
     return AdiabaticTrajectory(
         zeta=grid,
@@ -661,27 +679,31 @@ def _segment_exponential_array(u: np.ndarray, dzeta) -> tuple[np.ndarray, np.nda
     """:func:`_segment_exponential` elementwise over an array of slopes ``u``.
 
     The same three branches, thresholds and ``w = |u|`` rule, each evaluated
-    on every element and picked with ``np.where``.  numpy's ``exp`` and
-    ``expm1`` may differ from :mod:`math`'s in the last place, so the pair
-    agrees with the scalar form to within 4 ulp, not bit for bit; the
-    profile search and :func:`segment_step` keep the scalar form.  An
-    infinite slope raises :class:`NonFinite`.
+    only on the elements that take it, with a scalar step ``dzeta``.
+    numpy's ``exp`` and ``expm1`` may differ from :mod:`math`'s in the last
+    place, so the pair agrees with the scalar form to within 4 ulp, not bit
+    for bit; the profile search and :func:`segment_step` keep the scalar
+    form.  An infinite slope raises :class:`NonFinite`.
     """
     u = np.asarray(u, dtype=float)
     if np.isinf(u).any():
         raise NonFinite("segment slope overflows; its angle change is lost")
-    # every branch runs on every element; the ones not picked may overflow
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # u^2 may overflow, and a trigonometric phase w dz with it
+    with np.errstate(over="ignore", invalid="ignore"):
         k2 = 0.0625 - u * u
-        # k on the hyperbolic branch, w on the trigonometric one
-        r = np.where(np.isinf(k2), np.abs(u), np.sqrt(np.abs(k2)))
-        grow = np.exp((r - 0.25) * dzeta)
-        m = -np.expm1(-2.0 * r * dzeta)
-        e = np.exp(-0.25 * dzeta)
         hyp, trig = k2 > 1e-14, k2 < -1e-14
-        ec = np.where(hyp, grow * (1.0 - 0.5 * m), np.where(trig, e * np.cos(r * dzeta), e))
-        es = np.where(hyp, grow * m / (2.0 * r),
-                      np.where(trig, e * np.sin(r * dzeta) / r, e * dzeta))
+        e = np.exp(-0.25 * dzeta)
+        # the k = 0 limit everywhere, then each other branch on its own elements
+        ec, es = np.full(u.shape, e), np.full(u.shape, e * dzeta)
+        k = np.sqrt(k2[hyp])
+        grow = np.exp((k - 0.25) * dzeta)
+        m = -np.expm1(-2.0 * k * dzeta)
+        ec[hyp] = grow * (1.0 - 0.5 * m)
+        es[hyp] = grow * m / (2.0 * k)
+        k2 = k2[trig]
+        w = np.where(np.isinf(k2), np.abs(u[trig]), np.sqrt(-k2))
+        ec[trig] = e * np.cos(w * dzeta)
+        es[trig] = e * np.sin(w * dzeta) / w
     return ec, es
 
 

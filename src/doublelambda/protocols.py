@@ -163,11 +163,6 @@ def solve_theta0(alpha: float) -> float:
     return HALF_PI - theta0_complement(alpha)
 
 
-def singular_slope(theta0: float) -> float:
-    """Constant slope of the singular arc, sin(2 theta0)/4."""
-    return math.sin(2.0 * theta0) / 4.0
-
-
 def optimal_protocol(alpha: float) -> ThetaProfile:
     """Jump / linear singular arc / jump profile maximizing the conversion.
 

@@ -29,7 +29,6 @@ from doublelambda import (
     propagate_reduced,
     sampled_profile_efficiencies,
     singular_arc_checks,
-    singular_slope,
     solve_theta0,
     verify_singular_arc,
 )
@@ -45,7 +44,7 @@ def _report(n, ok, detail):
 def test_criterion_1_entry_angle_and_slope():
     t0 = time.perf_counter()
     theta0 = solve_theta0(100.0)
-    u_s = singular_slope(theta0)
+    u_s = optimal_protocol(100.0).params["u_s"]
     elapsed = time.perf_counter() - t0
     ok = (
         abs(theta0 - 1.540568) <= 1e-5

@@ -17,14 +17,13 @@ from doublelambda import (
     InvalidAlpha,
     InvalidSearchSettings,
     optimal_efficiency_closed,
+    optimal_protocol,
     optimize_piecewise,
     piecewise_efficiency,
     piecewise_efficiency_and_grad,
     propagate_reduced,
     sampled_profile_efficiencies,
     singular_arc_checks,
-    singular_slope,
-    solve_theta0,
     tabulated_protocol,
     verify_singular_arc,
 )
@@ -87,8 +86,8 @@ def test_arc_hamiltonian_value():
 
 def test_piecewise_efficiency_reproduces_closed_forms():
     for alpha in (1.0, 10.0, 100.0):
-        theta0 = solve_theta0(alpha)
-        u_s = singular_slope(theta0)
+        params = optimal_protocol(alpha).params
+        theta0, u_s = params["theta0"], params["u_s"]
         eff = piecewise_efficiency([theta0, theta0 - u_s * alpha], alpha)
         assert eff == pytest.approx(optimal_efficiency_closed(alpha), abs=1e-13)
         ramp = piecewise_efficiency(np.linspace(np.pi / 2, 0.0, 33), alpha)
@@ -229,8 +228,8 @@ def test_search_recovers_linear_interior_and_slope_small_alpha():
     coeffs = np.polyfit(z, th, 1)
     # interior approximately linear: tiny residual around the fitted line
     assert np.max(np.abs(np.polyval(coeffs, z) - th)) < 1e-3
-    theta0 = solve_theta0(alpha)
-    u_s = singular_slope(theta0)
+    params = optimal_protocol(alpha).params
+    theta0, u_s = params["theta0"], params["u_s"]
     assert theta0 == pytest.approx(np.pi / 4, abs=0.1)
     assert coeffs[0] == pytest.approx(-u_s, rel=0.02)
     assert th[0] == pytest.approx(theta0, abs=5e-3)

@@ -16,7 +16,6 @@ from doublelambda import (
     constant_protocol,
     optimal_efficiency_closed,
     optimal_protocol,
-    singular_slope,
     solve_theta0,
     theta0_complement,
     tabulated_protocol,
@@ -116,17 +115,21 @@ def test_invalid_alpha():
 # ---------------------------------------------------------------------------
 
 def test_singular_slope_reference_value():
-    assert singular_slope(1.540568) == pytest.approx(0.015105, abs=1e-5)
+    assert optimal_protocol(100.0).params["u_s"] == pytest.approx(0.015105, abs=1e-5)
 
 
 def test_singular_slope_hand_values():
-    assert singular_slope(np.pi / 4) == pytest.approx(0.25, abs=1e-15)
-    assert singular_slope(np.pi / 3) == pytest.approx(np.sqrt(3) / 8, abs=1e-15)
+    # theta0 -> pi/4 as alpha -> 0, so u_s = sin(2 theta0)/4 -> 1/4
+    assert optimal_protocol(1e-8).params["u_s"] == pytest.approx(0.25, abs=1e-15)
+    # theta0 = pi/3 solves (alpha/4) sin(2 theta0) = 2 theta0 - pi/2 at alpha = 4 pi/(3 sqrt 3)
+    params = optimal_protocol(4.0 * np.pi / (3.0 * np.sqrt(3.0))).params
+    assert params["theta0"] == pytest.approx(np.pi / 3, abs=1e-15)
+    assert params["u_s"] == pytest.approx(np.sqrt(3) / 8, abs=1e-15)
 
 
 def test_singular_slope_bounds():
     for alpha in (0.1, 1.0, 10.0, 100.0):
-        u = singular_slope(solve_theta0(alpha))
+        u = optimal_protocol(alpha).params["u_s"]
         assert 0 < u <= 0.25
 
 
