@@ -45,7 +45,11 @@ def constant_efficiency_closed(alpha: float) -> float:
     """Conversion efficiency of the constant-slope protocol.
 
     The hyperbolic branch is evaluated in log space so it does not overflow
-    for large optical densities.  Below the branch point the bracket is
+    for large optical densities.  Its damping ``-alpha/2 + 2 k alpha``, two
+    terms of size ``alpha/2`` whose sum tends to ``-pi^2/alpha``, is written
+    ``-2 alpha u^2 / (1/4 + k)`` (since ``(1/4 - k)(1/4 + k) = u^2``), which
+    does not cancel, so the constant protocol never rounds above the optimal
+    one at large ``alpha``.  Below the branch point the bracket is
     ``cos(phi) + (alpha/4) sin(phi)/phi`` with ``phi = w alpha =
     sqrt((pi/2 - alpha/4)(pi/2 + alpha/4))``; ``phi`` nears pi/2 as
     ``alpha -> 0``, so ``cos(phi)`` is taken as
@@ -60,11 +64,12 @@ def constant_efficiency_closed(alpha: float) -> float:
         k = math.sqrt(k2)
         ka = k * alpha
         a = 0.25 / k
-        # cosh(ka) + a sinh(ka) = 0.5 e^{ka} (1+a) (1 + r e^{-2ka}), r=(1-a)/(1+a)
-        log_bracket = ka + math.log(0.5 * (1.0 + a)) + math.log1p(
+        # cosh(ka) + a sinh(ka) = 0.5 e^{ka} (1+a) (1 + r e^{-2ka}), r=(1-a)/(1+a);
+        # the e^{ka} factor joins the damping
+        log_bracket = math.log(0.5 * (1.0 + a)) + math.log1p(
             math.exp(-2.0 * ka) * (1.0 - a) / (1.0 + a)
         )
-        return math.exp(-0.5 * alpha + 2.0 * log_bracket)
+        return math.exp(-2.0 * alpha * u * u / (0.25 + k) + 2.0 * log_bracket)
     if k2 < -1e-14:
         q = 0.25 * alpha
         phi = math.sqrt((HALF_PI - q) * (HALF_PI + q))
