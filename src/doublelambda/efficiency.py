@@ -48,8 +48,8 @@ def constant_efficiency_closed(alpha: float) -> float:
     for large optical densities.  Its damping ``-alpha/2 + 2 k alpha``, two
     terms of size ``alpha/2`` whose sum tends to ``-pi^2/alpha``, is written
     ``-2 alpha u^2 / (1/4 + k)`` (since ``(1/4 - k)(1/4 + k) = u^2``), which
-    does not cancel, so the constant protocol never rounds above the optimal
-    one at large ``alpha``.  Below the branch point the bracket is
+    does not cancel; the constant protocol then no longer rounds above the
+    optimal one at large ``alpha``.  Below the branch point the bracket is
     ``cos(phi) + (alpha/4) sin(phi)/phi`` with ``phi = w alpha =
     sqrt((pi/2 - alpha/4)(pi/2 + alpha/4))``; ``phi`` nears pi/2 as
     ``alpha -> 0``, so ``cos(phi)`` is taken as

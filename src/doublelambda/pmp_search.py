@@ -54,8 +54,8 @@ SAMPLED_KNOTS = 17
 
 #: Profiles of the sampled dominance check evaluated at once.  A chunk's
 #: ``(SAMPLED_KNOTS - 1, SAMPLE_CHUNK)`` float arrays take 64 KiB each, below
-#: glibc's 128 KiB mmap threshold, so they come from the heap and are reused
-#: across calls instead of being mapped and faulted in afresh each time.
+#: glibc's 128 KiB mmap threshold, so they come from the heap instead of each
+#: being mapped, and faulted in, afresh.
 SAMPLE_CHUNK = 512
 
 #: Most segments the profile search may take; its optimizer and adjoint hold
