@@ -1,9 +1,13 @@
-"""Steady-state coherence solve: exact route vs closed forms and projector.
+"""Steady-state coherence solve: closed-form elimination vs oracles and projector.
 
-Oracle strategy: the exact solve is checked by (a) substituting the solution
-back into the steady-state equations (residual at rounding level) and (b) an
-independent elimination-order solve written out here, which never shares
-code with the library path.
+Oracle strategy: the solve is checked by (a) substituting the solution back
+into the steady-state equations (:func:`coherence_residuals`, residual at
+rounding level), (b) a generic complex 3x3 ``np.linalg.solve`` of the same
+equations, built here, at zero and at positive ground dephasing, and (c)
+under the reduction assumptions, the weak-field projector formula
+``(i/gamma) P(theta) @ (Omega_p, Omega_s)``.  :func:`elimination_solve`
+repeats the library's elimination order in scalar arithmetic, so it checks
+the arithmetic but is not an independent route.
 """
 
 import cmath
@@ -16,11 +20,37 @@ from doublelambda import (
     NonFinite,
     Rates,
     SingularSystem,
-    coherence_residuals,
-    first_order_coherences,
     projector_matrix,
     steady_coherences,
 )
+
+
+def coherence_residuals(fields, rates, sol):
+    """Residuals of the three steady-state equations for a candidate solution.
+
+    Complex scalars for scalar fields, arrays of the broadcast shape otherwise.
+    """
+    op, os_, oc, od = (
+        np.asarray(f) for f in (fields.omega_p, fields.omega_s, fields.omega_c, fields.omega_d)
+    )
+    r1 = 1j * (op + oc * sol.rho21) - rates.gamma31 * sol.rho31
+    r2 = 1j * (os_ + od * sol.rho21) - rates.gamma41 * sol.rho41
+    r3 = 1j * (oc.conj() * sol.rho31 + od.conj() * sol.rho41) - rates.gamma21 * sol.rho21
+    return r1, r2, r3
+
+
+def reduced_coherences(omega_p, omega_s, theta, gamma=1.0, omega=1.0):
+    """(rho31, rho41) of the exact solve under the reduction assumptions: equal
+    decay rates ``gamma``, no dephasing, controls ``omega * (sin, cos)(theta)``."""
+    fields = DriveFields(omega_p=omega_p, omega_s=omega_s,
+                         omega_c=omega * np.sin(theta), omega_d=omega * np.cos(theta))
+    sol = steady_coherences(fields, Rates(gamma, gamma, 0.0))
+    return sol.rho31, sol.rho41
+
+
+def projector_coherences(omega_p, omega_s, theta, gamma=1.0):
+    """Weak-field optical coherences (i/gamma) * P(theta) @ (Omega_p, Omega_s)."""
+    return (1j / gamma) * projector_matrix(theta) @ (omega_p, omega_s)
 
 
 def elimination_solve(fields, rates):
@@ -70,22 +100,25 @@ def test_probe_dark_state_at_theta_half_pi():
 
 
 def test_first_order_theta_zero():
-    r31, r41 = first_order_coherences(1.0, 0.0, theta=0.0, gamma=1.0)
-    assert r31 == pytest.approx(1j, abs=1e-15)
-    assert r41 == pytest.approx(0.0, abs=1e-15)
+    for route in (reduced_coherences, projector_coherences):
+        r31, r41 = route(1.0, 0.0, theta=0.0)
+        assert r31 == pytest.approx(1j, abs=1e-15)
+        assert r41 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_first_order_dark_combination():
-    r31, r41 = first_order_coherences(1.0, 1.0, theta=np.pi / 4, gamma=1.0)
-    assert abs(r31) < 1e-15
-    assert abs(r41) < 1e-15
+    for route in (reduced_coherences, projector_coherences):
+        r31, r41 = route(1.0, 1.0, theta=np.pi / 4)
+        assert abs(r31) < 1e-15
+        assert abs(r41) < 1e-15
 
 
 def test_first_order_hand_value_theta_pi_third():
     # cos^2 = 1/4 and sin*cos = sqrt(3)/4 at theta = pi/3.
-    r31, r41 = first_order_coherences(1.0, 0.0, theta=np.pi / 3, gamma=1.0)
-    assert r31 == pytest.approx(0.25j, abs=1e-15)
-    assert r41 == pytest.approx(-1j * np.sqrt(3) / 4, abs=1e-15)
+    for route in (reduced_coherences, projector_coherences):
+        r31, r41 = route(1.0, 0.0, theta=np.pi / 3)
+        assert r31 == pytest.approx(0.25j, abs=1e-15)
+        assert r41 == pytest.approx(-1j * np.sqrt(3) / 4, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -117,27 +150,32 @@ def test_general_rates_residuals():
             assert abs(r) < 1e-12
 
 
-def test_closed_form_matches_generic_solve_at_zero_dephasing():
-    # The gamma21 = 0 route is closed-form; compare it against the generic
-    # 3x3 linear solve evaluated here.
+def test_closed_form_matches_generic_solve_with_and_without_dephasing():
+    # The library solve is a closed-form elimination at every gamma21;
+    # compare it against the generic 3x3 linear solve evaluated here, at
+    # gamma21 = 0 and at gamma21 log-uniform in [1e-8, 10].
     rng = np.random.default_rng(23)
+    rng_g21 = np.random.default_rng(29)
     for _ in range(100):
         fields = random_fields(rng)
-        rates = Rates(gamma31=rng.uniform(0.3, 2.0), gamma41=rng.uniform(0.3, 2.0))
-        sol = steady_coherences(fields, rates)
-        a = np.array(
-            [
-                [rates.gamma31, 0, -1j * fields.omega_c],
-                [0, rates.gamma41, -1j * fields.omega_d],
-                [-1j * np.conj(fields.omega_c), -1j * np.conj(fields.omega_d), 0.0],
-            ],
-            dtype=complex,
-        )
-        b = np.array([1j * fields.omega_p, 1j * fields.omega_s, 0.0])
-        r31, r41, r21 = np.linalg.solve(a, b)
-        assert abs(sol.rho21 - r21) < 1e-11
-        assert abs(sol.rho31 - r31) < 1e-12
-        assert abs(sol.rho41 - r41) < 1e-12
+        g31, g41 = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
+        for g21 in (0.0, 10.0 ** rng_g21.uniform(-8.0, 1.0)):
+            rates = Rates(gamma31=g31, gamma41=g41, gamma21=g21)
+            sol = steady_coherences(fields, rates)
+            a = np.array(
+                [
+                    [rates.gamma31, 0, -1j * fields.omega_c],
+                    [0, rates.gamma41, -1j * fields.omega_d],
+                    [-1j * np.conj(fields.omega_c), -1j * np.conj(fields.omega_d),
+                     rates.gamma21],
+                ],
+                dtype=complex,
+            )
+            b = np.array([1j * fields.omega_p, 1j * fields.omega_s, 0.0])
+            r31, r41, r21 = np.linalg.solve(a, b)
+            assert abs(sol.rho21 - r21) < 1e-11
+            assert abs(sol.rho31 - r31) < 1e-12
+            assert abs(sol.rho41 - r41) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +198,10 @@ def test_first_order_matches_exact_under_reduction_assumptions():
         gamma = rng.uniform(0.3, 2.5)
         omega = rng.uniform(0.1, 3.0)
         op, os_ = rng.standard_normal(2) * 0.05
-        fields = DriveFields(
-            omega_p=op, omega_s=os_,
-            omega_c=omega * np.sin(theta), omega_d=omega * np.cos(theta),
-        )
-        sol = steady_coherences(fields, Rates(gamma, gamma, 0.0))
-        r31, r41 = first_order_coherences(op, os_, theta, gamma)
-        assert abs(sol.rho31 - r31) < 1e-12
-        assert abs(sol.rho41 - r41) < 1e-12
+        s31, s41 = reduced_coherences(op, os_, theta, gamma, omega)
+        r31, r41 = projector_coherences(op, os_, theta, gamma)
+        assert abs(s31 - r31) < 1e-12
+        assert abs(s41 - r41) < 1e-12
 
 
 def test_dark_state_property():
@@ -175,9 +209,10 @@ def test_dark_state_property():
     for _ in range(50):
         theta = rng.uniform(0.0, np.pi / 2)
         amp = rng.uniform(0.01, 1.0)
-        r31, r41 = first_order_coherences(amp * np.sin(theta), amp * np.cos(theta), theta)
-        assert abs(r31) < 1e-14
-        assert abs(r41) < 1e-14
+        for route in (reduced_coherences, projector_coherences):
+            r31, r41 = route(amp * np.sin(theta), amp * np.cos(theta), theta)
+            assert abs(r31) < 1e-14
+            assert abs(r41) < 1e-14
 
 
 def test_linearity_in_weak_fields():
@@ -213,8 +248,6 @@ def test_singular_case_raises():
 def test_non_finite_input_raises():
     with pytest.raises(NonFinite):
         DriveFields(omega_p=np.inf, omega_s=0.0, omega_c=1.0, omega_d=0.0)
-    with pytest.raises(NonFinite):
-        first_order_coherences(np.nan, 0.0, 0.3)
 
 
 def test_overflowing_solve_raises():
@@ -233,5 +266,3 @@ def test_rates_validation():
                 {"gamma21": np.nan}):
         with pytest.raises(NonFinite):
             Rates(**bad)
-    with pytest.raises(ValueError):
-        first_order_coherences(1.0, 0.0, 0.3, gamma=0.0)

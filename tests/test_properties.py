@@ -25,7 +25,6 @@ from doublelambda import (
     NonFinite,
     Rates,
     SingularSystem,
-    coherence_residuals,
     constant_efficiency_closed,
     constant_protocol,
     load_profile_table,
@@ -43,6 +42,7 @@ from doublelambda import (
 from doublelambda.cli import MAX_SAMPLES, main
 from doublelambda.pmp_search import MAX_SEGMENTS
 from doublelambda.propagation import _segment_exponential, _segment_exponential_array
+from test_bloch_steady import coherence_residuals
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
