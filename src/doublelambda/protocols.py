@@ -116,11 +116,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def theta0_residual(theta0, alpha):
-    """Residual of the optimality condition (alpha/4) sin(2 t) - 2 t + pi/2."""
-    return (alpha / 4.0) * np.sin(2.0 * np.asarray(theta0)) - 2.0 * np.asarray(theta0) + HALF_PI
-
-
 @functools.lru_cache(maxsize=1024)
 def theta0_complement(alpha: float) -> float:
     """``pi/2 - theta0`` of the optimal protocol, to full relative precision.
@@ -267,7 +262,6 @@ def tabulated_protocol(
     zeta: Sequence[float],
     theta: Sequence[float],
     alpha: float | None = None,
-    kind: str = "custom",
 ) -> ThetaProfile:
     """Piecewise-linear profile through the given (zeta, theta) samples.
 
@@ -295,7 +289,7 @@ def tabulated_protocol(
         )
     if np.any(t < -1e-12) or np.any(t > HALF_PI + 1e-12):
         raise ProfileDomainMismatch("theta samples must lie in [0, pi/2]")
-    return _piecewise_linear(kind, alpha, z, t, {})
+    return _piecewise_linear("custom", alpha, z, t, {})
 
 
 def load_profile_table(path) -> tuple[np.ndarray, np.ndarray]:

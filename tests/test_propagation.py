@@ -57,7 +57,7 @@ HALF_PI = np.pi / 2
 
 def flat_profile(alpha, theta):
     """Constant-angle profile (no jumps) for hand-integrable cases."""
-    return tabulated_protocol([0.0, alpha], [theta, theta], kind="flat")
+    return tabulated_protocol([0.0, alpha], [theta, theta])
 
 
 def lab_to_rotated(profile, traj):
@@ -282,7 +282,7 @@ def test_boundary_jumps_do_not_change_lab_fields():
     # optimal protocol with jumps vs the same interior without them
     prof = optimal_protocol(50.0)
     bare = dataclasses.replace(
-        tabulated_protocol(*zip(*prof.knots), kind="bare"),
+        tabulated_protocol(*zip(*prof.knots)),
         theta_pre=prof.knots[0][1],
         theta_post=prof.knots[-1][1],
     )

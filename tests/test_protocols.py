@@ -21,7 +21,12 @@ from doublelambda import (
     tabulated_protocol,
     theta_to_controls,
 )
-from doublelambda.protocols import HALF_PI, theta0_residual
+from doublelambda.protocols import HALF_PI
+
+
+def theta0_residual(theta0, alpha):
+    """Residual of the optimality condition (alpha/4) sin(2 t) - 2 t + pi/2."""
+    return (alpha / 4.0) * np.sin(2.0 * np.asarray(theta0)) - 2.0 * np.asarray(theta0) + HALF_PI
 
 
 # ---------------------------------------------------------------------------
