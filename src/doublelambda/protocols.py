@@ -97,7 +97,8 @@ class ThetaProfile:
 
     def _check_domain(self, zeta) -> None:
         z = np.asarray(zeta, dtype=float)
-        if np.any(z < -1e-12) or np.any(z > self.alpha + 1e-12):
+        tol = 1e-12 * min(1.0, self.alpha)  # relative below alpha = 1
+        if np.any(z < -tol) or np.any(z > self.alpha + tol):
             raise ProfileDomainMismatch(
                 f"zeta outside [0, {self.alpha}] for profile '{self.kind}'"
             )
@@ -236,7 +237,7 @@ def _piecewise_linear(
     """Profile interpolating the knot arrays ``(z, t)``, jumps from pi/2 and to 0.
 
     The knots are trusted: ``z`` increases strictly and spans ``[0, alpha]``
-    to within 1e-9, and ``t`` lies in [0, pi/2].
+    to within ``1e-9 * min(1, alpha)``, and ``t`` lies in [0, pi/2].
     """
     # knots closer than the smallest normal float may give an infinite slope
     with np.errstate(over="ignore"):
@@ -265,8 +266,9 @@ def tabulated_protocol(
 ) -> ThetaProfile:
     """Piecewise-linear profile through the given (zeta, theta) samples.
 
-    The table must start at 0 and span the full interval; ``alpha`` defaults
-    to the last sample position.  The samples become the profile's knots, and
+    The table must start at 0 and span the full interval, to within
+    ``1e-9 * min(1, alpha)`` at each end; ``alpha`` defaults to the last
+    sample position.  The samples become the profile's knots, and
     the interior ones its integration breakpoints, so the lab-frame
     integrator never straddles a slope change.  A non-finite sample raises
     :class:`NonFinite`.
@@ -283,7 +285,8 @@ def tabulated_protocol(
     if alpha is None:
         alpha = float(z[-1])
     alpha = _check_alpha(alpha)
-    if abs(z[0]) > 1e-9 or abs(z[-1] - alpha) > 1e-9:
+    tol = 1e-9 * min(1.0, alpha)  # relative below alpha = 1
+    if abs(z[0]) > tol or abs(z[-1] - alpha) > tol:
         raise ProfileDomainMismatch(
             f"profile table spans [{z[0]}, {z[-1]}], expected [0, {alpha}]"
         )

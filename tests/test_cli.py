@@ -177,7 +177,9 @@ def test_simulate_bytes_on_kinked_table_with_knots_on_chunk_edges(tmp_path):
     ("0 1.4\n5 0.8\n10 0.1\n", ["--alpha", "20"], "ProfileDomainMismatch"),
     ("0 1.4\n1e-310 0.2\n10 0.1\n", [], "NonFinite"),
     (None, ["--alpha", "1e7"], "RK4 steps requested"),
-], ids=["table-domain", "slope-overflow", "step-cap"])
+    # an absolute 1e-9 span tolerance took this table, 500 times short of alpha
+    ("0 1.4\n1e-12 0.1\n", ["--alpha", "5e-10"], "ProfileDomainMismatch"),
+], ids=["table-domain", "slope-overflow", "step-cap", "table-short-at-small-alpha"])
 def test_refused_simulate_leaves_an_existing_out_unchanged(tmp_path, capsys, table, argv,
                                                            error):
     # the trajectory is integrated while it is written, so every check must

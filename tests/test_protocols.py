@@ -313,6 +313,29 @@ def test_tabulated_interpolation_and_knots():
     assert prof.knots == ((0.0, 1.2), (1.0, 1.0), (3.0, 0.4), (4.0, 0.1))
 
 
+def test_tabulated_span_tolerance_is_relative_below_unit_alpha():
+    # an absolute 1e-9 took a table ending at 1e-12 for alpha = 5e-10
+    with pytest.raises(ProfileDomainMismatch):
+        tabulated_protocol([0.0, 1e-12], [1.4, 0.1], alpha=5e-10)
+    with pytest.raises(ProfileDomainMismatch):
+        tabulated_protocol([1e-12, 5e-10], [1.4, 0.1])
+    small = tabulated_protocol([0.0, 5e-10 * (1 + 1e-10)], [1.4, 0.1], alpha=5e-10)
+    small.theta([0.0, 5e-10 * (1 + 1e-13)])
+    with pytest.raises(ProfileDomainMismatch):
+        small.theta(-1e-13)
+    with pytest.raises(ProfileDomainMismatch):
+        small.theta(5e-10 * (1 + 1e-11))
+    # from alpha = 1 up both stay absolute, 1e-9 and 1e-12
+    for alpha in (1.0, 100.0):
+        prof = tabulated_protocol([0.9e-9, alpha - 0.9e-9], [1.4, 0.1], alpha=alpha)
+        prof.theta([-0.9e-12, alpha + 0.9e-12])
+        with pytest.raises(ProfileDomainMismatch):
+            prof.theta(alpha + 1.1e-12)
+        for z in ([1.1e-9, alpha], [0.0, alpha - 1.1e-9]):
+            with pytest.raises(ProfileDomainMismatch):
+                tabulated_protocol(z, [1.4, 0.1], alpha=alpha)
+
+
 def test_tabulated_validation():
     with pytest.raises(ProfileDomainMismatch):
         tabulated_protocol([0.0, 1.0], [0.5, 0.4], alpha=2.0)  # short table
