@@ -12,7 +12,10 @@ All outputs are deterministic functions of the configuration and seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 arithmetic or linear-algebra error escaping a command, and an artefact path
 naming the same file as another artefact or an input).  ``verify`` checks
-every density's bounds and step caps before it verifies any of them.
+every density's bounds and step caps before it verifies any of them.  A
+command that completes prints each distinct warning it raised as one
+``warning: <message>`` line on stderr; one that fails prints only its
+``error:`` line.
 
 Each writer builds its own bytes: ``simulate`` formats its own float block
 with ``_floatrepr.format_rows``, one RK4 chunk at a time as the driver
@@ -42,6 +45,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 
 import numpy as np
 
@@ -466,7 +470,9 @@ def main(argv=None) -> int:
     # takes effect.
     handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = handler(args)
     except (DoubleLambdaError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # an overflow or a singular solve escaping a command is a domain
         # error too; exit 1 is reserved for a failed verification
@@ -475,6 +481,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the default form would name a library frame and quote its source line
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -304,6 +304,23 @@ def test_adiabatic_flags_without_an_adiabatic_run_exit_two(tmp_path, capsys, mon
     assert "--zeta0 and --zbar" in err
 
 
+ADIABATICITY_WARNING = ("warning: zbar <= 1/2 violates the adiabaticity condition "
+                        "|dtheta/dzeta| << 1/2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "adiabatic", "--alpha", "3"],
+    ["efficiency", "--protocol", "adiabatic", "--method", "numeric", "--alpha", "3",
+     "--alpha", "4"],
+], ids=["simulate", "efficiency"])
+def test_a_warning_prints_one_line_and_exits_zero(tmp_path, capsys, argv):
+    # the efficiency run warns once per density; each distinct message is one line
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--zbar", "0.3", "--out", str(out)]) == 0
+    assert out.exists()
+    assert capsys.readouterr().err == ADIABATICITY_WARNING
+
+
 def test_adiabatic_flags_with_an_adiabatic_run_are_used(tmp_path):
     out = tmp_path / "eff.csv"
     assert main(["efficiency", "--alpha", "30", "--protocol", "adiabatic", "--protocol",
