@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 arithmetic or linear-algebra error escaping a command, and an artefact path
 naming the same file as another artefact or an input).  ``verify`` checks
 every density's bounds and step caps before it verifies any of them.  A
-command that completes prints each distinct warning it raised as one
-``warning: <message>`` line on stderr; one that fails prints only its
-``error:`` line.
+command that completes prints each distinct warning its filters let
+through as one ``warning: <message>`` line on stderr; one that fails prints
+only its ``error:`` line.
 
 Each writer builds its own bytes: ``simulate`` formats its own float block
 with ``_floatrepr.format_rows``, one RK4 chunk at a time as the driver
@@ -470,8 +470,8 @@ def main(argv=None) -> int:
     # takes effect.
     handler = globals()[f"cmd_{args.command}"]
     try:
+        # the interpreter's filters still decide which warnings are shown
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
             code = handler(args)
     except (DoubleLambdaError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # an overflow or a singular solve escaping a command is a domain

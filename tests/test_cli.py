@@ -308,6 +308,7 @@ ADIABATICITY_WARNING = ("warning: zbar <= 1/2 violates the adiabaticity conditio
                         "|dtheta/dzeta| << 1/2\n")
 
 
+@pytest.mark.filterwarnings("default")  # the interpreter's default, not an error
 @pytest.mark.parametrize("argv", [
     ["simulate", "--protocol", "adiabatic", "--alpha", "3"],
     ["efficiency", "--protocol", "adiabatic", "--method", "numeric", "--alpha", "3",
