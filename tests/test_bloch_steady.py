@@ -54,7 +54,7 @@ def projector_coherences(omega_p, omega_s, theta, gamma=1.0):
 
 
 def elimination_solve(fields, rates):
-    """Independent route: eliminate rho31, rho41 first, then solve for rho21."""
+    """The library's elimination order in scalar arithmetic: rho31, rho41 out, then rho21."""
     op, os_, oc, od = fields.omega_p, fields.omega_s, fields.omega_c, fields.omega_d
     g31, g41, g21 = rates.gamma31, rates.gamma41, rates.gamma21
     s = oc.conjugate() * op / g31 + od.conjugate() * os_ / g41
