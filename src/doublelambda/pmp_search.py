@@ -121,8 +121,6 @@ def singular_arc_checks(arc: AdjointState) -> dict[str, float]:
     * ``feedback_residual``   -- feedback law ``u = xy/(2(x^2+y^2))`` vs the
       constant singular slope
     * ``ratio_residual``      -- ``y/x`` vs ``tan(theta0)``
-    * ``orthogonality``       -- ``lambda_x y + lambda_y x`` (first derivative
-      condition of the switching function)
     * ``adjoint_fd_residual`` -- five-point finite-difference derivative of
       the costates vs the adjoint equations (fourth-order in the grid step)
     * ``adjoint_integration_error`` -- backward integration of the adjoint
@@ -135,7 +133,6 @@ def singular_arc_checks(arc: AdjointState) -> dict[str, float]:
         "hc_drift": float(np.max(np.abs(arc.hc - arc.hc[0]))),
         "feedback_residual": float(np.max(np.abs(x * y / (2.0 * (x * x + y * y)) - u))),
         "ratio_residual": float(np.max(np.abs(y / x - math.tan(arc.theta0)))),
-        "orthogonality": float(np.max(np.abs(arc.lambda_x * y + arc.lambda_y * x))),
     }
 
     h = z[1] - z[0]
@@ -320,14 +317,13 @@ class _BudgetExceeded(Exception):
 
 
 class _BudgetedObjective:
-    """The negated efficiency under a hard evaluation budget, for one search.
+    """The negated efficiency and its gradient under a hard evaluation budget.
 
-    :meth:`value` and :meth:`grad` are L-BFGS-B's ``fun`` and ``jac`` in every
-    start.  One evaluation is one :func:`piecewise_efficiency_and_grad` call,
-    which gives both: :meth:`value` evaluates, counts, tracks the best point,
-    its value and its ``start`` (set by :func:`optimize_piecewise`), and keeps
-    the gradient, and :meth:`grad` returns the kept one when asked at the
-    point last evaluated, and evaluates (and counts) any other point.
+    One instance is L-BFGS-B's ``fun`` with ``jac=True`` in every start of a
+    search, so scipy keeps the gradient of the point last evaluated.  Each
+    call is one :func:`piecewise_efficiency_and_grad` evaluation: it counts,
+    and tracks the best point, its value and its ``start`` (set by
+    :func:`optimize_piecewise`).
     """
 
     def __init__(self, alpha, budget):
@@ -338,25 +334,18 @@ class _BudgetedObjective:
         self.best_f = np.inf
         self.best_x = None
         self.best_start = 0
-        self._x = self._grad = None  # the point last evaluated and its gradient
 
-    def value(self, x):
+    def __call__(self, x):
         if self.count >= self.budget:
             raise _BudgetExceeded
         self.count += 1
         eta, grad = piecewise_efficiency_and_grad(x, self.alpha)
         f = -eta
-        self._x, self._grad = x, -grad
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=float)
             self.best_start = self.start
-        return f
-
-    def grad(self, x):
-        if not (x == self._x).all():
-            self.value(x)
-        return self._grad
+        return f, -grad
 
 
 #: Projected-gradient tolerance of the local runs, about sqrt(machine
@@ -415,9 +404,9 @@ def optimize_piecewise(
         try:
             # the objective's budget stops a run before either limit can
             res = minimize(
-                objective.value,
+                objective,
                 x0,
-                jac=objective.grad,
+                jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
                 options={"maxfun": budget, "maxiter": budget,
