@@ -10,8 +10,9 @@ search      direct profile search -> JSON + profile table
 
 All outputs are deterministic functions of the configuration and seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
-arithmetic or linear-algebra error escaping a command, and an artefact path
-naming the same file as another artefact or an input).  ``verify`` checks
+arithmetic or linear-algebra error escaping a command, a warning raised as
+an error by the interpreter's filters, and an artefact path naming the same
+file as another artefact or an input).  ``verify`` checks
 every density's bounds and step caps before it verifies any of them.  A
 command that completes prints each distinct warning its filters let
 through as one ``warning: <message>`` line on stderr; one that fails prints
@@ -473,9 +474,10 @@ def main(argv=None) -> int:
         # the interpreter's filters still decide which warnings are shown
         with warnings.catch_warnings(record=True) as caught:
             code = handler(args)
-    except (DoubleLambdaError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        # an overflow or a singular solve escaping a command is a domain
-        # error too; exit 1 is reserved for a failed verification
+    except (DoubleLambdaError, ArithmeticError, np.linalg.LinAlgError, Warning) as exc:
+        # an overflow, a singular solve or a warning the filters turn into
+        # an error escaping a command is a domain error too; exit 1 is
+        # reserved for a failed verification
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

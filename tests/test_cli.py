@@ -834,6 +834,14 @@ def test_simulate_peak_memory_does_not_follow_the_trajectory(tmp_path):
     assert peak_kib("3e4") - peak_kib("100") < 4 * 1024
 
 
+def test_a_warning_raised_as_an_error_exits_two(tmp_path):
+    out = tmp_path / "t.csv"
+    result = run_python("-W", "error", "-m", "doublelambda", "simulate", "--protocol",
+                        "adiabatic", "--alpha", "10", "--zbar", "0.3", "--out", str(out))
+    assert result.returncode == 2 and not out.exists()
+    assert result.stderr == "error: UserWarning: " + ADIABATICITY_WARNING[len("warning: "):]
+
+
 def test_module_entry_point_writes_a_curve(tmp_path):
     out = tmp_path / "eff.csv"
     result = run_module("efficiency", "--alpha", "1", "--method", "closed", "--out", str(out))

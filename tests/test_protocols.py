@@ -243,6 +243,16 @@ def test_adiabatic_advisory_and_errors():
         adiabatic_protocol(10.0, 5.0, 2.0)  # no warning above the threshold
 
 
+@pytest.mark.parametrize("make", [
+    lambda: adiabatic_protocol(10.0, 5.0, 0.3),
+    lambda: build_profile("adiabatic", 10.0, zbar=0.3),
+], ids=["adiabatic_protocol", "build_profile"])
+def test_adiabatic_warning_names_the_callers_file(make):
+    with pytest.warns(UserWarning, match="adiabaticity") as record:
+        make()
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_build_profile_kinds_and_adiabatic_defaults():
     assert build_profile("adiabatic", 20.0).params == {"zeta0": 10.0, "zbar": 5.0}
     assert build_profile("constant", 20.0).knots == constant_protocol(20.0).knots
