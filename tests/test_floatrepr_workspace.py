@@ -8,6 +8,7 @@ import pytest
 
 from doublelambda._floatrepr import CAPACITY, _workspace, format_rows
 from doublelambda.errors import NonFinite
+from doublelambda.propagation import _BLOCK
 
 
 def reference(block):
@@ -20,6 +21,14 @@ def assert_formats(block):
 
 def test_one_workspace_per_process():
     assert _workspace() is _workspace()
+
+
+def test_simulates_first_chunk_fits_one_piece():
+    # simulate's first chunk, its largest, holds the initial row and _BLOCK
+    # steps of nine columns; a smaller workspace would split every chunk
+    assert CAPACITY >= (_BLOCK + 1) * 9
+    block = np.random.default_rng(5).uniform(-1.0, 1.0, (_BLOCK + 1, 9))
+    assert isinstance(format_rows(block), memoryview)  # one piece, not joined
 
 
 def test_blocks_back_to_back_through_the_cached_workspace():
