@@ -205,7 +205,7 @@ def adiabatic_protocol(alpha: float, zeta0: float, zbar: float) -> ThetaProfile:
         # name the first caller outside this module, also through
         # build_profile (``skip_file_prefixes`` needs Python 3.12)
         frame, level = sys._getframe(1), 2
-        while frame is not None and frame.f_code.co_filename == __file__:
+        while frame.f_code.co_filename == __file__:
             frame, level = frame.f_back, level + 1
         warnings.warn(
             "zbar <= 1/2 violates the adiabaticity condition |dtheta/dzeta| << 1/2",
