@@ -445,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sea.add_argument("--alpha", type=float, required=True)
     p_sea.add_argument("--segments", type=int, default=64)
     p_sea.add_argument("--budget", type=int, default=200_000,
-                       help="max evaluations, each one fused value and gradient")
+                       help="max evaluations over all starts; "
+                            "each computes value and gradient once")
     p_sea.add_argument("--starts", type=int, default=3)
     p_sea.add_argument("--out", required=True, help="JSON result path")
     p_sea.add_argument("--profile-out", default=None,

@@ -319,11 +319,13 @@ class _BudgetExceeded(Exception):
 class _BudgetedObjective:
     """The negated efficiency and its gradient under a hard evaluation budget.
 
-    One instance is L-BFGS-B's ``fun`` with ``jac=True`` in every start of a
-    search, so scipy keeps the gradient of the point last evaluated.  Each
-    call is one :func:`piecewise_efficiency_and_grad` evaluation: it counts,
-    and tracks the best point, its value and its ``start`` (set by
-    :func:`optimize_piecewise`).
+    :meth:`value` and :meth:`grad` are L-BFGS-B's ``func`` and ``fprime`` in
+    every start of a search.  One evaluation is one
+    :func:`piecewise_efficiency_and_grad` call, which gives both: :meth:`value`
+    evaluates, counts, tracks the best point, its value and its ``start`` (set
+    by :func:`optimize_piecewise`), and keeps its own copy of the point with
+    its gradient; :meth:`grad` returns the kept gradient when asked at the kept
+    point, and otherwise evaluates (and counts) through :meth:`value`.
     """
 
     def __init__(self, alpha, budget):
@@ -334,18 +336,25 @@ class _BudgetedObjective:
         self.best_f = np.inf
         self.best_x = None
         self.best_start = 0
+        self._x = self._grad = None  # the point last evaluated and its gradient
 
-    def __call__(self, x):
+    def value(self, x):
         if self.count >= self.budget:
             raise _BudgetExceeded
         self.count += 1
         eta, grad = piecewise_efficiency_and_grad(x, self.alpha)
         f = -eta
+        self._x, self._grad = np.array(x, dtype=float), -grad
         if f < self.best_f:
             self.best_f = f
-            self.best_x = np.array(x, dtype=float)
+            self.best_x = self._x
             self.best_start = self.start
-        return f, -grad
+        return f
+
+    def grad(self, x):
+        if not (x == self._x).all():
+            self.value(x)
+        return self._grad
 
 
 #: Projected-gradient tolerance of the local runs, about sqrt(machine
@@ -365,13 +374,15 @@ def optimize_piecewise(
 ) -> SearchResult:
     """Bounded quasi-Newton search over piecewise-linear angle profiles.
 
-    Multi-start L-BFGS-B over the knot values, boxed to [0, pi/2], fed the
-    exact discrete-adjoint gradient of :func:`piecewise_efficiency_and_grad`.
-    The first start is the linear ramp from pi/2 to 0, the others are random
-    decreasing profiles from ``default_rng(seed)``, ``seed >= 0``, each drawn
-    when its run begins.  One :class:`_BudgetedObjective` serves every start;
-    an evaluation computes value and gradient together, once, and ``budget``
-    caps their total over all starts, cutting off a start that would exceed
+    Multi-start L-BFGS-B (scipy's ``fmin_l_bfgs_b``) over the knot values,
+    boxed to [0, pi/2], fed the exact discrete-adjoint gradient of
+    :func:`piecewise_efficiency_and_grad`.  The first start is the linear
+    ramp from pi/2 to 0, the others are random decreasing profiles from
+    ``default_rng(seed)``, ``seed >= 0``, each drawn when its run begins.
+    One :class:`_BudgetedObjective` serves every start; an evaluation
+    computes value and gradient together, once, the objective keeping the
+    gradient for L-BFGS-B's request at the same point, and ``budget`` caps
+    the evaluations over all starts, cutting off a start that would exceed
     it.  The result is the best point the objective evaluated, and the value
     it found there.  ``restarts`` counts the local runs made, and
     ``converged`` is true when every start ran and each local run reported
@@ -387,7 +398,7 @@ def optimize_piecewise(
         raise InvalidSearchSettings("n_starts must be at least 1")
     if seed < 0:
         raise InvalidSearchSettings("seed must be non-negative")
-    from scipy.optimize import minimize
+    from scipy.optimize import fmin_l_bfgs_b
 
     rng = np.random.default_rng(seed)
     n_knots = n_segments + 1
@@ -403,16 +414,12 @@ def optimize_piecewise(
         objective.start = idx
         try:
             # the objective's budget stops a run before either limit can
-            res = minimize(
-                objective,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxfun": budget, "maxiter": budget,
-                         "ftol": 1e-15, "gtol": _GTOL},
-            )
-            converged = converged and bool(res.success)
+            # ftol = factr * eps = 1e-15 exactly, eps being a power of two
+            _, _, info = fmin_l_bfgs_b(
+                objective.value, x0, fprime=objective.grad, bounds=bounds,
+                factr=1e-15 / np.finfo(float).eps, pgtol=_GTOL,
+                maxfun=budget, maxiter=budget)
+            converged = converged and info["warnflag"] == 0
         except _BudgetExceeded:
             converged = False
 

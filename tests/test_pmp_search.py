@@ -245,9 +245,9 @@ def test_search_validation():
 
 @pytest.mark.parametrize("budget, converged", [(20_000, True), (7, False)])
 def test_search_evaluates_once_per_counted_evaluation(monkeypatch, budget, converged):
-    # L-BFGS-B takes value and gradient from one call through scipy's memo:
-    # every efficiency evaluation is one counted evaluation, none of them at
-    # the point evaluated just before it
+    # L-BFGS-B takes the gradient from the objective's memo of the point it
+    # just evaluated: every efficiency evaluation is one counted evaluation,
+    # none of them at the point evaluated just before it
     points = []
 
     def counted(thetas, alpha):
@@ -259,6 +259,25 @@ def test_search_evaluates_once_per_counted_evaluation(monkeypatch, budget, conve
     assert res.converged is converged
     assert len(points) == res.evaluations
     assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
+
+
+def test_objective_grad_reuses_the_kept_point_only():
+    alpha = 10.0
+    x1 = np.linspace(math.pi / 2, 0.0, 7)
+    x2 = x1 * 0.9
+    objective = pmp_search._BudgetedObjective(alpha, budget=2)
+    assert objective.value(x1) == -piecewise_efficiency_and_grad(x1, alpha)[0]
+    # the kept gradient at the point just evaluated, no second evaluation
+    assert np.array_equal(objective.grad(x1.copy()), -piecewise_efficiency_and_grad(x1, alpha)[1])
+    assert objective.count == 1
+    # the caller's array changed in place is a new point, not the kept one
+    x1[:] = x2
+    assert np.array_equal(objective.grad(x1), -piecewise_efficiency_and_grad(x2, alpha)[1])
+    assert objective.count == 2
+    # a new point once the budget is spent is not evaluated
+    with pytest.raises(pmp_search._BudgetExceeded):
+        objective.grad(x2 * 0.9)
+    assert objective.count == 2
 
 
 def test_search_draws_starts_only_when_their_run_begins():

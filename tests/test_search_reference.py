@@ -3,11 +3,12 @@
 ``reference_efficiency_and_grad`` (with ``reference_segment_derivatives``) is
 the adjoint objective as it was written with a per-segment derivative helper,
 a state list revisited by the backward pass and a Horner loop over
-``_DES_SERIES``; ``reference_optimize`` is the search driver that handed
-L-BFGS-B one fused value-and-gradient callable (``jac=True``) and drew every
-random start up front.  The objective and the search must reproduce them bit
-for bit: values with ``==``, gradients with ``np.array_equal``, and the found
-knots byte for byte.
+``_DES_SERIES``; ``reference_optimize`` is the former search driver, which
+handed ``scipy.optimize.minimize`` one fused value-and-gradient callable
+(``jac=True``) and drew every random start up front.  The objective, and the
+search that now calls ``fmin_l_bfgs_b`` with separate value and gradient
+methods, must reproduce them bit for bit: values with ``==``, gradients with
+``np.array_equal``, and the found knots byte for byte.
 """
 
 import math
@@ -200,14 +201,25 @@ def test_objective_matches_reference_at_branch_edges(dz):
         assert_objective_matches(np.array([start, start - u * dz, 0.3]), 2.0 * dz)
 
 
+def assert_search_matches(alpha, n_segments, **options):
+    got = optimize_piecewise(alpha, n_segments, **options)
+    ref = reference_optimize(alpha, n_segments, **options)
+    assert got.knots.tobytes() == ref.knots.tobytes()
+    assert got.efficiency == ref.efficiency
+    assert (got.evaluations, got.restarts, got.converged, got.best_start) == (
+        ref.evaluations, ref.restarts, ref.converged, ref.best_start)
+
+
 @PROPERTY
 @given(alpha=st.sampled_from([0.5, 30.0, 150.0]), n_segments=st.sampled_from([2, 24, 64]),
        budget=st.sampled_from([1, 2, 5, 17, 40, 20_000]), n_starts=st.sampled_from([1, 3, 4]),
        seed=st.integers(0, 2**31 - 1))
 def test_search_matches_reference(alpha, n_segments, budget, n_starts, seed):
-    got = optimize_piecewise(alpha, n_segments, seed=seed, budget=budget, n_starts=n_starts)
-    ref = reference_optimize(alpha, n_segments, seed=seed, budget=budget, n_starts=n_starts)
-    assert got.knots.tobytes() == ref.knots.tobytes()
-    assert got.efficiency == ref.efficiency
-    assert (got.evaluations, got.restarts, got.converged, got.best_start) == (
-        ref.evaluations, ref.restarts, ref.converged, ref.best_start)
+    assert_search_matches(alpha, n_segments, seed=seed, budget=budget, n_starts=n_starts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
+@pytest.mark.parametrize("alpha", [10.0, 38.7, 150.0])
+def test_search_matches_reference_at_bench_settings(alpha, seed):
+    # the benchmark's search workload: 24 segments, budget 20000
+    assert_search_matches(alpha, 24, seed=seed, budget=20_000)
