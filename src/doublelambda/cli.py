@@ -188,6 +188,8 @@ def cmd_simulate(args) -> int:
     from ._floatrepr import format_rows
 
     _check_adiabatic_flags(args, args.protocol == "adiabatic")
+    if args.protocol != "custom" and args.profile_file is not None:
+        raise DoubleLambdaError("--profile-file applies only to --protocol custom")
     if args.protocol == "custom":
         if args.profile_file is None:
             raise DoubleLambdaError("custom protocol requires --profile-file")
@@ -219,6 +221,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
+    if args.alpha and (args.alpha_min is not None or args.alpha_max is not None):
+        raise DoubleLambdaError("give --alpha or --alpha-min/--alpha-max, not both")
     if args.alpha:
         alphas = [_check_alpha(a) for a in args.alpha]
     else:

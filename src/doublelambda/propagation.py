@@ -24,9 +24,11 @@ deterministic output is preferred over adaptivity.  The driver builds the
 step matrices of a chunk of :data:`_BLOCK` steps at once
 (:func:`_rk4_step_matrices`; one per distinct step size where ``A`` is the
 same throughout the chunk) and applies them in order on Python scalars
-(:func:`_apply_steps`), evaluating the parameters of ``A`` (the angle, or
-the controls) chunk by chunk, and hands each chunk's states and parameters
-at the grid nodes to its consumer as soon as the chunk is applied.
+(:func:`_apply_steps`, reading a real chunk's matrices straight from their
+buffer and a complex one's from a list), evaluating the parameters of
+``A`` (the angle, or the controls) chunk by chunk, and hands each chunk's
+states and parameters at the grid nodes to its consumer as soon as the
+chunk is applied.
 :func:`_rk4` collects them into the whole trajectories the routes return;
 :func:`propagate_reduced_chunks` passes them on, so that a writer holds one
 chunk of the trajectory at a time.  Independent propagations are batched
@@ -215,7 +217,8 @@ def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> n
 
     Each piece takes its share ``n_steps * (b - a) / alpha`` of the steps; a
     share whose product overflows raises :class:`NonFinite`.  A grid of one
-    piece is that piece's ``linspace``, never copied.
+    piece is that piece's ``linspace`` (numpy's formula, bit for bit), never
+    copied.
     """
     cuts = [0.0, *sorted({float(b) for b in breakpoints if 0.0 < b < alpha}), alpha]
     pieces = []
@@ -224,8 +227,15 @@ def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> n
         if share == math.inf:
             raise NonFinite(f"{n_steps} steps over a span of {b - a!r} overflow the grid")
         n = max(1, round(share / alpha))
+        # np.linspace(a, b, n + 1) by its own arithmetic, without its argument
+        # handling.  Its branch for a step that underflows to 0 is left out: the
+        # cuts are distinct, so b - a > 0 is the step of a one-step piece, and
+        # any other piece steps at least about alpha / MAX_STEPS, which is far
+        # above the smallest subnormal since alpha is at least the smallest normal
+        piece = np.arange(n + 1, dtype=float) * ((b - a) / n) + a
+        piece[-1] = b
         # each piece after the first starts on the node that ends the one before
-        pieces.append(np.linspace(a, b, n + 1)[1 if pieces else 0 :])
+        pieces.append(piece[1 if pieces else 0 :])
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
@@ -263,14 +273,15 @@ def _rk4_step_matrices(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray,
     return r
 
 
-def _apply_steps(entries: list, p, q) -> list:
+def _apply_steps(entries: Iterable, p, q) -> list:
     """Apply step matrices in order to the state ``(p, q)``.
 
-    ``entries`` holds the matrices flat, row by row (``r00, r01, r10, r11``
-    of each step in turn).  Runs on Python floats (or complex numbers),
-    carrying one state, so rounding accumulates as in a stage-by-stage
-    integration; a prefix-product scan would be faster but loses accuracy at
-    large ``alpha``.  Returns ``p`` and ``q`` after each step, flat.
+    ``entries`` is any iterable of the matrices' entries, flat, row by row
+    (``r00, r01, r10, r11`` of each step in turn).  Runs on Python floats
+    (or complex numbers), carrying one state, so rounding accumulates as in
+    a stage-by-stage integration; a prefix-product scan would be faster but
+    loses accuracy at large ``alpha``.  Returns ``p`` and ``q`` after each
+    step, flat.
     """
     out = []
     append = out.append
@@ -291,7 +302,8 @@ class _Run:
         self.at = at
         self.dtype = np.result_type(v0, float)
         self.v = np.asarray(v0, self.dtype)
-        self.real = not self.v.imag.any()  # true while v0 and every chunk so far are real
+        # true while v0 and every chunk so far are real
+        self.real = not (np.iscomplexobj(self.v) and self.v.imag.any())
 
 
 def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
@@ -358,14 +370,20 @@ def _rk4_chunk(matrices, chunk):
         z = run.grid[lo : hi + 1]
         z_mid = 0.5 * (z[:-1] + z[1:])
         steps.append(z[1:] - z[:-1])
+        x = None
         if run.at is not None:
             x = run.at(np.concatenate((z, z_mid)))
             z, z_mid = x[..., : z.size], x[..., z.size :]
         nodes.append(z)
         mids.append(z_mid)
-    h = np.concatenate(steps)
+    if len(chunk) == 1:  # the run's own steps and nodes-then-midpoints, uncopied
+        h = steps[0]
+        x = np.concatenate((z, z_mid)) if x is None else x
+    else:
+        h = np.concatenate(steps)
+        x = np.concatenate(nodes + mids, axis=-1)
     n = h.size
-    a = matrices(np.concatenate(nodes + mids, axis=-1))
+    a = matrices(x)
     if np.iscomplexobj(a) and not a.imag.any():
         a = np.ascontiguousarray(a.real)
     if a.ndim == 2:
@@ -386,7 +404,12 @@ def _rk4_chunk(matrices, chunk):
     for (run, lo, hi), x in zip(chunk, nodes):
         m = hi - lo
         v = run.v.real if run.real else run.v
-        out = _apply_steps(r[i : i + m].ravel().tolist(), *v.tolist())
+        piece = r[i : i + m]
+        # a real piece feeds the loop from its buffer, one float at a time; a
+        # memoryview cannot yield complex numbers, so a complex one is a list
+        entries = (piece.ravel().tolist() if np.iscomplexobj(piece)
+                   else memoryview(piece).cast("B").cast("d"))
+        out = _apply_steps(entries, *v.tolist())
         i += m
         run.real = run.real and not np.iscomplexobj(r)
         # read as floats while real: fromiter converts floats to complex slowly

@@ -304,6 +304,21 @@ def test_adiabatic_flags_without_an_adiabatic_run_exit_two(tmp_path, capsys, mon
     assert "--zeta0 and --zbar" in err
 
 
+@pytest.mark.parametrize("protocol", ["optimal", "constant", "adiabatic"])
+def test_profile_file_without_the_custom_protocol_exits_two(tmp_path, capsys, protocol):
+    # refused before --out is opened: an existing file keeps its bytes
+    table = tmp_path / "p.txt"
+    table.write_text("0 1.5\n5 0.1\n")
+    out = tmp_path / "traj.csv"
+    out.write_bytes(b"earlier artefact\n")
+    assert main(["simulate", "--protocol", protocol, "--alpha", "5",
+                 "--profile-file", str(table), "--out", str(out)]) == 2
+    assert out.read_bytes() == b"earlier artefact\n"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "--profile-file" in err
+
+
 ADIABATICITY_WARNING = ("warning: zbar <= 1/2 violates the adiabaticity condition "
                         "|dtheta/dzeta| << 1/2\n")
 
@@ -417,6 +432,26 @@ def test_efficiency_usage_errors(tmp_path):
     assert main(["efficiency", "--out", str(out)]) == 2  # no alphas given
     assert main(["efficiency", "--alpha-min", "0", "--alpha-max", "10",
                  "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--alpha-min", "2"], ["--alpha-max", "3"], ["--alpha-min", "2", "--alpha-max", "3"],
+], ids=["min", "max", "both"])
+def test_efficiency_alpha_with_a_range_exits_two(tmp_path, capsys, monkeypatch, bounds):
+    # the range is refused, not silently dropped, before any efficiency is computed
+    import doublelambda.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the usage check")
+
+    monkeypatch.setattr(cli, "closed_efficiency", refuse)
+    monkeypatch.setattr(cli, "numerical_efficiency", refuse)
+    out = tmp_path / "eff.csv"
+    assert main(["efficiency", "--alpha", "1", *bounds, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "--alpha" in err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

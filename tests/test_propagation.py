@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doublelambda import (
     AdiabaticState,
@@ -609,6 +611,64 @@ def test_grid_of_overflowing_depth_keeps_pieces_that_fit():
     # n_steps * alpha overflows, but each piece's share does not: grid unchanged
     grid = propagation._segment_grid(1e308, [5e307], 2)
     assert grid.tolist() == [0.0, 5e307, 1e308]
+
+
+def linspace_grid(alpha, breakpoints, n_steps):
+    """The grid of ``_segment_grid`` built piece by piece with ``np.linspace``."""
+    cuts = [0.0, *sorted({b for b in breakpoints if 0.0 < b < alpha}), alpha]
+    pieces = [np.linspace(a, b, max(1, round(n_steps * (b - a) / alpha)) + 1)
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    return np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
+
+
+@st.composite
+def grid_cases(draw):
+    """(alpha, breakpoints, n_steps): alpha across decades, up to a few chunks
+    of steps, and knots that may lie a few ulps apart or end a first piece of
+    subnormal width."""
+    alpha = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-6, 6))
+    knots = [alpha * f for f in draw(st.lists(st.floats(0.0, 1.0), max_size=5))]
+    if knots and draw(st.booleans()):
+        knot = knots[0]
+        for ulps in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+            for _ in range(ulps):
+                knot = math.nextafter(knot, math.inf)
+            knots.append(knot)
+    if draw(st.booleans()):
+        knots.append(draw(st.floats(5e-324, 2e-308, allow_subnormal=True, exclude_max=True)))
+    return alpha, knots, draw(st.integers(2, 4 * _BLOCK + 8))
+
+
+def check_grid_pieces_are_linspace(segment_grid):
+    """Property: every piece of ``segment_grid``'s grid is numpy's
+    ``linspace`` of it, bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(grid_cases())
+    @example((1e308, [5e307], 2))
+    def pieces_are_linspace(case):
+        got, want = segment_grid(*case), linspace_grid(*case)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    pieces_are_linspace()
+
+
+def test_grid_pieces_are_numpy_linspace():
+    check_grid_pieces_are_linspace(propagation._segment_grid)
+
+
+def test_grid_property_fails_a_grid_whose_last_node_is_not_set():
+    # linspace's formula without its ``y[-1] = stop``: pieces may end off their cut
+    def planted(alpha, breakpoints, n_steps):
+        cuts = [0.0, *sorted({b for b in breakpoints if 0.0 < b < alpha}), alpha]
+        pieces = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            n = max(1, round(n_steps * (b - a) / alpha))
+            pieces.append((np.arange(n + 1, dtype=float) * ((b - a) / n) + a)[1 if pieces else 0 :])
+        return np.concatenate(pieces)
+
+    with pytest.raises(AssertionError):
+        check_grid_pieces_are_linspace(planted)
 
 
 def test_dissipation_residual_requires_uniform_grid():
