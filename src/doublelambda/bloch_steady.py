@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, SingularSystem
+from .errors import DoubleLambdaError, NonFinite, SingularSystem
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class Rates:
         if not np.isfinite((self.gamma31, self.gamma41, self.gamma21)).all():
             raise NonFinite("relaxation rates must be finite")
         if not (self.gamma31 > 0 and self.gamma41 > 0):
-            raise ValueError("excited-state decay rates must be positive")
+            raise DoubleLambdaError("excited-state decay rates must be positive")
         if self.gamma21 < 0:
-            raise ValueError("ground-state dephasing rate must be non-negative")
+            raise DoubleLambdaError("ground-state dephasing rate must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -292,21 +292,11 @@ def sampled_profile_efficiencies(alpha: float, n_profiles: int, seed: int) -> np
         with np.errstate(over="ignore"):
             u = (th[:-1] - th[1:]) / dz
         ec, es = _segment_exponential_array(u, dz)
-        # the segment matrices [[a, -b], [b, d]], b and d in the arrays of u and ec
-        b = np.multiply(es, u, out=u)
-        es *= 0.25
-        a = ec + es
-        d = np.subtract(ec, es, out=ec)
+        # the segment matrices [[a, -b], [b, d]]
+        a, b, d = ec + 0.25 * es, es * u, ec - 0.25 * es
         y, x = np.sin(th[0]), np.cos(th[0])
-        ay, bx, by = np.empty(rows), np.empty(rows), np.empty(rows)
         for i in range(SAMPLED_KNOTS - 1):
-            # (y, x) <- (a y - b x, b y + d x), in place
-            np.multiply(a[i], y, out=ay)
-            np.multiply(b[i], x, out=bx)
-            np.multiply(b[i], y, out=by)
-            np.subtract(ay, bx, out=y)
-            np.multiply(d[i], x, out=x)
-            np.add(by, x, out=x)
+            y, x = a[i] * y - b[i] * x, b[i] * y + d[i] * x
         s = np.cos(th[-1]) * y - np.sin(th[-1]) * x
         out[lo : lo + rows] = s * s
     return out

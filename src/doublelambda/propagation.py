@@ -104,7 +104,7 @@ class IntegratorOptions:
 
     def __post_init__(self):
         if self.step_count is not None and self.step_count < 2:
-            raise ValueError("step_count must be at least 2")
+            raise DoubleLambdaError("step_count must be at least 2")
         if not (math.isfinite(self.steps_per_unit) and self.steps_per_unit > 0):
             raise DoubleLambdaError("steps_per_unit must be finite and positive")
 

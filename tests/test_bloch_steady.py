@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from doublelambda import (
+    DoubleLambdaError,
     DriveFields,
     NonFinite,
     Rates,
@@ -265,4 +266,8 @@ def test_rates_validation():
     for bad in ({"gamma31": np.inf}, {"gamma41": np.nan}, {"gamma21": np.inf},
                 {"gamma21": np.nan}):
         with pytest.raises(NonFinite):
+            Rates(**bad)
+    # the CLI maps DoubleLambdaError, not a plain ValueError, to exit 2
+    for bad in ({"gamma31": 0.0}, {"gamma41": -1.0}, {"gamma21": -0.1}):
+        with pytest.raises(DoubleLambdaError):
             Rates(**bad)

@@ -507,6 +507,33 @@ def test_exact_route_real_system_matches_complex_kernel(monkeypatch):
         assert traj.omega_s[-1].imag != 0.0
 
 
+def test_exact_system_matrix_is_a_rank_one_step_from_minus_half():
+    # A of the exact route, built as propagate_exact_many builds it: one
+    # steady-state solve at unit probe and unit signal over a block of
+    # points.  Eliminating rho31 and rho41 gives M = I + 2A =
+    # w c^H / (D + Gamma21) with w = (Omega_c, Omega_d),
+    # c = (Omega_c / Gamma31, Omega_d / Gamma41) and D = w . conj(c), so M
+    # is rank one with trace D / (D + Gamma21), a projector at Gamma21 = 0,
+    # and A = -(I - M) / 2.  Tolerances: the worst of 160,000 seeded draws
+    # was 5.0e-16 for idempotence, 5.6e-16 for the trace and 3.8e-14 for
+    # the determinant.
+    rng = np.random.default_rng(2024)
+    unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    for k in range(100):
+        g31, g41 = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        g21 = 0.0 if k % 2 == 0 else 10.0 ** rng.uniform(-1.0, 1.0)
+        oc, od = rng.uniform(0.1, 3.0, (2, 20)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (2, 20)))
+        sol = steady_coherences(DriveFields(unit_p, unit_s, oc, od), Rates(g31, g41, g21))
+        a = np.moveaxis(np.stack([0.5j * g31 * sol.rho31, 0.5j * g41 * sol.rho41]), -1, 0)
+        m = np.eye(2) + 2.0 * a
+        norm_sq = np.linalg.norm(m, axis=(1, 2)) ** 2
+        d = np.abs(oc) ** 2 / g31 + np.abs(od) ** 2 / g41
+        assert np.all(np.abs(np.linalg.det(m)) <= 1e-13 * norm_sq)
+        assert np.all(np.abs(np.trace(m, axis1=1, axis2=2) - d / (d + g21)) <= 1e-15)
+        if g21 == 0.0:
+            assert np.all(np.linalg.norm(m @ m - m, axis=(1, 2)) <= 1e-15 * norm_sq)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form segment propagator
 # ---------------------------------------------------------------------------
@@ -582,6 +609,9 @@ def test_integrator_options_validation():
         with pytest.raises(DoubleLambdaError):
             IntegratorOptions(steps_per_unit=spu)
     assert IntegratorOptions().resolve_steps(0.01) == 2  # floor of two steps
+    # the CLI maps DoubleLambdaError, not a plain ValueError, to exit 2
+    with pytest.raises(DoubleLambdaError, match="at least 2"):
+        IntegratorOptions(step_count=1)
 
 
 def test_resolved_step_count_is_capped():
