@@ -42,7 +42,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -56,10 +55,10 @@ from .efficiency import (
     numerical_efficiency,
     optimal_efficiency_closed,
 )
-from .errors import DoubleLambdaError, InvalidAlpha, NonFinite
+from .errors import DoubleLambdaError
 from .pmp_search import (
     ARC_OPTIONS,
-    SAMPLED_KNOTS,
+    _check_sampled_alpha,
     optimize_piecewise,
     sampled_profile_efficiencies,
     singular_arc_checks,
@@ -74,7 +73,6 @@ from .propagation import (
     propagate_reduced_many,
 )
 from .protocols import (
-    HALF_PI,
     _check_alpha,
     build_profile,
     load_profile_table,
@@ -228,10 +226,8 @@ def cmd_efficiency(args) -> int:
     else:
         if args.alpha_min is None or args.alpha_max is None:
             raise DoubleLambdaError("give --alpha or --alpha-min/--alpha-max/--alpha-steps")
-        for flag, bound in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
-            if not (bound >= sys.float_info.min and math.isfinite(bound)):
-                raise InvalidAlpha(
-                    f"{flag} must be finite and at least {sys.float_info.min!r}, got {bound}")
+        _check_alpha(args.alpha_min, "--alpha-min")
+        _check_alpha(args.alpha_max, "--alpha-max")
         if not 1 <= args.alpha_steps <= MAX_ALPHA_STEPS:
             raise DoubleLambdaError(f"--alpha-steps must be in [1, {MAX_ALPHA_STEPS}]")
         if args.alpha_steps == 1 and args.alpha_min != args.alpha_max:
@@ -263,14 +259,9 @@ def cmd_efficiency(args) -> int:
 
 
 def _verify_orders(alpha: float, opts: IntegratorOptions) -> list[int]:
-    """The dissipation-order step counts at ``alpha``, after checking that
-    its sampled slopes cannot overflow and no grid passes the step cap."""
-    # Below this alpha a drop of up to pi/2 over one segment of a sampled
-    # dominance profile overflows its slope.
-    min_alpha = (SAMPLED_KNOTS - 1) * HALF_PI / sys.float_info.max
-    if alpha < min_alpha:
-        raise NonFinite(f"alpha {alpha!r} is below {min_alpha!r}, where the slopes of the "
-                        f"{SAMPLED_KNOTS}-knot dominance samples may overflow")
+    """The dissipation-order step counts at ``alpha``, after checking it by
+    :func:`_check_sampled_alpha` and that no grid passes the step cap."""
+    _check_sampled_alpha(alpha)
     opts.resolve_steps(alpha)  # also keeps alpha * steps_per_unit finite for ``base``
     ARC_OPTIONS.resolve_steps(alpha)
     base = max(5, int(round(alpha * opts.steps_per_unit)))
@@ -341,7 +332,7 @@ def cmd_verify(args) -> int:
     _check_seed(args)
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise DoubleLambdaError(f"--samples must be in [1, {MAX_SAMPLES}]")
-    alphas = [_check_alpha(a) for a in (args.alpha or [1.0, 10.0, 100.0])]
+    alphas = args.alpha or [1.0, 10.0, 100.0]
     opts = _integrator(args)
     orders = [_verify_orders(a, opts) for a in alphas]  # every density before any work
     checks = [c for a, o in zip(alphas, orders, strict=True)

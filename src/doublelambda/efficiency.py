@@ -35,8 +35,6 @@ def optimal_efficiency_closed(alpha: float) -> float:
     so ``sin(u_s alpha) = cos(2 e)``; the sine of the small product is kept
     because ``cos(2 e)`` cancels where ``e`` nears pi/4, at small ``alpha``.
     """
-    if alpha == 0:
-        return 0.0
     e = theta0_complement(alpha)
     return math.exp(-alpha * math.sin(e) ** 2) * math.sin(0.25 * alpha * math.sin(2.0 * e)) ** 2
 

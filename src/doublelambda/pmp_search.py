@@ -23,11 +23,12 @@ jump/singular-arc/jump structure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSearchSettings
+from .errors import InvalidSearchSettings, NonFinite
 from .propagation import (
     IntegratorOptions,
     _five_point_derivative,
@@ -51,6 +52,17 @@ ARC_MIN_STEPS = 16
 
 #: Knots of each random profile in the sampled dominance check.
 SAMPLED_KNOTS = 17
+
+
+def _check_sampled_alpha(alpha: float) -> float:
+    """``alpha`` by :func:`_check_alpha`, and where no sampled slope overflows."""
+    alpha = _check_alpha(alpha)
+    min_alpha = (SAMPLED_KNOTS - 1) * HALF_PI / sys.float_info.max
+    if alpha < min_alpha:
+        raise NonFinite(f"alpha {alpha!r} is below {min_alpha!r}, where the slopes of the "
+                        f"{SAMPLED_KNOTS}-knot dominance samples may overflow")
+    return alpha
+
 
 #: Profiles of the sampled dominance check evaluated at once.  A chunk's
 #: ``(SAMPLED_KNOTS - 1, SAMPLE_CHUNK)`` float arrays take 64 KiB each, below
@@ -279,18 +291,15 @@ def sampled_profile_efficiencies(alpha: float, n_profiles: int, seed: int) -> np
     next draw from one generator, so the knots are the rows of
     ``default_rng(seed).uniform(0, pi/2, (n_profiles, SAMPLED_KNOTS))`` in
     order.  Each efficiency agrees with :func:`piecewise_efficiency` of its
-    row to rounding.
+    row to rounding.  ``alpha`` must pass :func:`_check_sampled_alpha`.
     """
+    dz = _check_sampled_alpha(alpha) / (SAMPLED_KNOTS - 1)
     rng = np.random.default_rng(seed)
-    dz = alpha / (SAMPLED_KNOTS - 1)
     out = np.empty(n_profiles)
     for lo in range(0, n_profiles, SAMPLE_CHUNK):
         rows = min(SAMPLE_CHUNK, n_profiles - lo)
         th = rng.uniform(0.0, HALF_PI, size=(rows, SAMPLED_KNOTS)).T
-        # a segment shorter than the smallest normal float may overflow the
-        # slope; the segment exponential raises on it
-        with np.errstate(over="ignore"):
-            u = (th[:-1] - th[1:]) / dz
+        u = (th[:-1] - th[1:]) / dz  # finite at any alpha _check_sampled_alpha passes
         ec, es = _segment_exponential_array(u, dz)
         # the segment matrices [[a, -b], [b, d]]
         a, b, d = ec + 0.25 * es, es * u, ec - 0.25 * es

@@ -57,9 +57,17 @@ from .errors import DoubleLambdaError, NonFinite, ProfileDomainMismatch
 from .protocols import ThetaProfile, _check_alpha
 
 
+class _Finite:
+    """Base of the field states: a non-finite amplitude raises :class:`NonFinite`."""
+
+    def __post_init__(self):
+        if not np.isfinite(tuple(vars(self).values())).all():
+            raise NonFinite(f"field amplitudes must be finite, got {self}")
+
+
 @dataclass(frozen=True)
-class FieldState:
-    """Probe/signal amplitudes in units of the input amplitude.
+class FieldState(_Finite):
+    """Probe/signal amplitudes in units of the input amplitude, finite.
 
     Real on the reduced route; complex on the microscopic route, whose
     controls may carry phases.
@@ -74,8 +82,8 @@ class FieldState:
 
 
 @dataclass(frozen=True)
-class AdiabaticState:
-    """Rotated-frame amplitudes: y rides the lossless mode, x the lossy one."""
+class AdiabaticState(_Finite):
+    """Rotated-frame amplitudes, finite: y rides the lossless mode, x the lossy one."""
 
     x: float
     y: float
@@ -182,6 +190,9 @@ class ControlSchedule:
     u: Callable[[np.ndarray], np.ndarray]
     entry_rotation: float = 0.0  # theta(0+) - theta(0-)
     exit_rotation: float = 0.0  # theta(alpha+) - theta(alpha-)
+
+    def __post_init__(self):
+        self.alpha = _check_alpha(self.alpha)
 
 
 def schedule_from_profile(profile: ThetaProfile) -> ControlSchedule:
@@ -471,11 +482,7 @@ def _lab_matrices(theta: np.ndarray) -> np.ndarray:
 
 
 def _lab_run(profile: ThetaProfile, opts: IntegratorOptions, initial: FieldState) -> tuple:
-    """The :func:`_rk4_chunks` run of a reduced propagation, after its checks."""
-    knots = profile.knots or ()
-    for (z0, t0), (z1, t1) in zip(knots[:-1], knots[1:]):
-        if not math.isfinite((t1 - t0) / (z1 - z0)):
-            raise NonFinite("segment slope overflows; its angle change is lost")
+    """The :func:`_rk4_chunks` run of a reduced propagation."""
     grid = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
     v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
     return grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float)
@@ -511,14 +518,14 @@ def propagate_reduced_chunks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The trajectory of :func:`propagate_reduced`, handed out chunk by chunk.
 
-    The profile is checked and the grid built at once, with the errors of
-    :func:`propagate_reduced`; nothing is integrated until the returned
-    iterator is read.  It yields ``(zeta, theta, states)`` for each RK4
-    chunk as soon as the chunk is applied: the grid nodes, the angle there
-    and the ``(n, 2)`` probe and signal amplitudes.  The first chunk also
-    holds the initial row, so it has up to ``_BLOCK + 1`` rows and the
-    others up to :data:`_BLOCK`; together they are the rows of
-    :func:`propagate_reduced`, bit for bit.  Only the grid is held whole.
+    The grid is built at once, with the errors of :func:`propagate_reduced`;
+    nothing is integrated until the returned iterator is read.  It yields
+    ``(zeta, theta, states)`` for each RK4 chunk as soon as the chunk is
+    applied: the grid nodes, the angle there and the ``(n, 2)`` probe and
+    signal amplitudes.  The first chunk also holds the initial row, so it
+    has up to ``_BLOCK + 1`` rows and the others up to :data:`_BLOCK`;
+    together they are the rows of :func:`propagate_reduced`, bit for bit.
+    Only the grid is held whole.
     """
     chunks = _rk4_chunks(_lab_matrices, [_lab_run(profile, opts, initial)])
     return ((grid[lo : lo + len(v)], theta, v) for grid, lo, theta, v in chunks)
@@ -533,10 +540,8 @@ def propagate_reduced(
 
     The grid has a node at each of the profile's breakpoints (its interior
     knots), where the slope changes, so kinked tables keep fourth order.
-    Boundary jumps leave the fields untouched.  Knots so close that a slope
-    overflows (closer than the smallest normal float) leave the angle
-    between them undefined and raise :class:`NonFinite`.  This is the batch
-    of one of :func:`propagate_reduced_many`.
+    Boundary jumps leave the fields untouched.  This is the batch of one of
+    :func:`propagate_reduced_many`.
     """
     (traj,) = propagate_reduced_many([(profile, opts)], initial)
     return traj
@@ -608,8 +613,6 @@ def propagate_exact_many(
         return np.moveaxis(np.stack([0.5j * g31 * sol.rho31, 0.5j * g41 * sol.rho41]), -1, 0)
 
     v0 = np.array([initial.omega_p, initial.omega_s], dtype=complex)
-    if not np.all(np.isfinite(v0)):
-        raise NonFinite("input fields are not finite")
 
     def controls_at(z, controls):
         """The parameters of ``A``: a row of ``Omega_c`` and one of ``Omega_d`` at ``z``."""
@@ -791,9 +794,9 @@ def dissipation_residual(traj: Trajectory) -> np.ndarray:
     # decision on a finite grid, without the broadcasting and inf handling that
     # make np.allclose cost about three times the comparison itself
     if not np.all(np.abs(np.diff(z) - h) <= 1e-12 + 1e-9 * abs(h)):
-        raise ValueError("dissipation residual requires a uniform grid")
+        raise DoubleLambdaError("dissipation residual requires a uniform grid")
     if traj.theta is None:
-        raise ValueError("trajectory carries no mixing angle")
+        raise DoubleLambdaError("trajectory carries no mixing angle")
     x = np.real(traj.omega_p) * np.cos(traj.theta) - np.real(traj.omega_s) * np.sin(traj.theta)
     return _five_point_derivative(traj.norm_sq, h) + x[2:-2] ** 2
 

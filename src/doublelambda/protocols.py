@@ -16,8 +16,8 @@ Protocols provided:
   ``pi/(2 alpha)``, no jumps.
 * ``adiabatic`` -- ``theta = arctan(exp(-(zeta - zeta0)/(2 zbar)))``, the
   angle of a smooth sigmoidal control pair with constant total magnitude.
-  Its boundary values miss pi/2 and 0 by a recorded defect; no jumps are
-  added to hide it.
+  Its boundary values miss pi/2 and 0 by its ``boundary_defect``; no jumps
+  are added to hide it.
 * ``custom``    -- piecewise-linear interpolation of a (zeta, theta) table.
 
 All but ``adiabatic`` are knot tables, built by one constructor: optimal is
@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidAlpha, InvalidZbar, NonFinite, ProfileDomainMismatch
+from .errors import DoubleLambdaError, InvalidAlpha, InvalidZbar, NonFinite, ProfileDomainMismatch
 
 HALF_PI = math.pi / 2
 
@@ -67,7 +67,6 @@ class ThetaProfile:
     interior: Callable[[np.ndarray], np.ndarray]
     interior_slope: Callable[[np.ndarray], np.ndarray]
     knots: tuple[tuple[float, float], ...] | None = None
-    boundary_defect: tuple[float, float] = (0.0, 0.0)
     params: dict = field(default_factory=dict)
 
     def theta(self, zeta):
@@ -84,6 +83,11 @@ class ThetaProfile:
     def breakpoints(self) -> tuple[float, ...]:
         """Interior knot positions, where the slope changes; () without knots."""
         return tuple(z for z, _ in self.knots[1:-1]) if self.knots else ()
+
+    @property
+    def boundary_defect(self) -> tuple[float, float]:
+        """How far the incoming and outgoing angles miss pi/2 and 0."""
+        return (HALF_PI - self.theta_pre, self.theta_post)
 
     @property
     def entry_jump(self) -> tuple[float, float]:
@@ -104,15 +108,16 @@ class ThetaProfile:
             )
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float, name: str = "optical density") -> float:
     """``alpha`` as a float; finite and at least the smallest normal float.
 
     Below that, ``pi/(2 alpha)`` and the other inverse densities overflow.
+    The error calls the value ``name``.
     """
     alpha = float(alpha)
     if not (alpha >= sys.float_info.min) or not math.isfinite(alpha):
         raise InvalidAlpha(
-            f"optical density must be finite and at least {sys.float_info.min!r}, got {alpha}"
+            f"{name} must be finite and at least {sys.float_info.min!r}, got {alpha}"
         )
     return alpha
 
@@ -189,10 +194,10 @@ def adiabatic_protocol(alpha: float, zeta0: float, zbar: float) -> ThetaProfile:
     """Smooth sigmoidal control pair, theta = arctan(exp(-(z - zeta0)/(2 zbar))).
 
     The boundary values ``theta(0) < pi/2`` and ``theta(alpha) > 0`` are only
-    approximate; the defect is recorded on the profile rather than clamped
-    away.  ``zbar`` of order 1/2 or below violates the adiabaticity condition
-    ``|d theta/d zeta| << 1/2`` (the maximum slope is ``1/(4 zbar)``) and
-    triggers a warning.  A non-finite ``zeta0`` raises :class:`NonFinite`.
+    approximate, and ``boundary_defect`` reports the miss.  ``zbar`` of order
+    1/2 or below violates the adiabaticity condition ``|d theta/d zeta| <<
+    1/2`` (the maximum slope is ``1/(4 zbar)``) and triggers a warning.  A
+    non-finite ``zeta0`` raises :class:`NonFinite`.
     """
     alpha = _check_alpha(alpha)
     zeta0 = float(zeta0)
@@ -222,16 +227,13 @@ def adiabatic_protocol(alpha: float, zeta0: float, zbar: float) -> ThetaProfile:
         s = np.exp(-np.abs(np.asarray(z, dtype=float) - zeta0) / (2.0 * zbar))
         return -s / (2.0 * zbar * (1.0 + s * s))
 
-    theta_start = float(interior(0.0))
-    theta_end = float(interior(alpha))
     return ThetaProfile(
         kind="adiabatic",
         alpha=alpha,
-        theta_pre=theta_start,  # no jumps: the incoming frame is the interior angle
-        theta_post=theta_end,
+        theta_pre=float(interior(0.0)),  # no jumps: the incoming frame is the interior angle
+        theta_post=float(interior(alpha)),
         interior=interior,
         interior_slope=slope,
-        boundary_defect=(HALF_PI - theta_start, theta_end),
         params={"zeta0": zeta0, "zbar": zbar},
     )
 
@@ -242,11 +244,14 @@ def _piecewise_linear(
     """Profile interpolating the knot arrays ``(z, t)``, jumps from pi/2 and to 0.
 
     The knots are trusted: ``z`` increases strictly and spans ``[0, alpha]``
-    to within ``1e-9 * min(1, alpha)``, and ``t`` lies in [0, pi/2].
+    to within ``1e-9 * min(1, alpha)``, and ``t`` lies in [0, pi/2].  Their
+    slopes are not: one that overflows raises :class:`NonFinite`.
     """
-    # knots closer than the smallest normal float may give an infinite slope
-    with np.errstate(over="ignore"):
-        slopes = (t[1:] - t[:-1]) / (z[1:] - z[:-1])
+    try:
+        with np.errstate(over="raise"):
+            slopes = (t[1:] - t[:-1]) / (z[1:] - z[:-1])
+    except FloatingPointError:
+        raise NonFinite("segment slope overflows; its angle change is lost") from None
 
     def slope(x):
         idx = np.searchsorted(z, np.asarray(x, dtype=float), side="right") - 1
@@ -275,8 +280,8 @@ def tabulated_protocol(
     ``1e-9 * min(1, alpha)`` at each end; ``alpha`` defaults to the last
     sample position.  The samples become the profile's knots, and
     the interior ones its integration breakpoints, so the lab-frame
-    integrator never straddles a slope change.  A non-finite sample raises
-    :class:`NonFinite`.
+    integrator never straddles a slope change.  A non-finite sample or
+    slope raises :class:`NonFinite`.
     """
     z = np.array(zeta, dtype=float)  # copies: the profile keeps these arrays
     t = np.array(theta, dtype=float)
@@ -324,7 +329,7 @@ def build_profile(
 
     ``zeta0`` and ``zbar`` apply to the adiabatic protocol only and default
     to ``alpha/2`` and 5.  A tabulated profile is built by
-    :func:`tabulated_protocol`; any other ``kind`` raises ``ValueError``.
+    :func:`tabulated_protocol`; any other ``kind`` raises ``DoubleLambdaError``.
     """
     if kind == "optimal":
         return optimal_protocol(alpha)
@@ -334,7 +339,7 @@ def build_profile(
         zeta0 = alpha / 2.0 if zeta0 is None else zeta0
         zbar = 5.0 if zbar is None else zbar
         return adiabatic_protocol(alpha, zeta0, zbar)
-    raise ValueError(f"unknown protocol kind '{kind}'")
+    raise DoubleLambdaError(f"unknown protocol kind '{kind}'")
 
 
 def theta_to_controls(profile: ThetaProfile, zeta):

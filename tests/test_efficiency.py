@@ -28,11 +28,11 @@ def test_reference_point_alpha_100():
 
 
 def test_optimal_zero_alpha():
-    assert optimal_efficiency_closed(0.0) == 0.0
+    for closed in (optimal_efficiency_closed, constant_efficiency_closed):
+        with pytest.raises(InvalidAlpha):
+            closed(0.0)
     with pytest.raises(InvalidAlpha):
         optimal_efficiency_closed(-1.0)
-    with pytest.raises(InvalidAlpha):
-        constant_efficiency_closed(0.0)
     for alpha in (math.inf, math.nan):
         for closed in (optimal_efficiency_closed, constant_efficiency_closed):
             with pytest.raises(InvalidAlpha):

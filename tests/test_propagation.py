@@ -586,9 +586,8 @@ def test_piecewise_exact_rejects_overflowing_slope():
     alpha = 3e-308
     thetas = np.zeros(65)
     thetas[0] = HALF_PI
-    prof = tabulated_protocol(np.linspace(0.0, alpha, 65), thetas)
     with pytest.raises(NonFinite):
-        propagate_piecewise_exact(prof)
+        propagate_piecewise_exact(tabulated_protocol(np.linspace(0.0, alpha, 65), thetas))
 
 
 def test_piecewise_exact_requires_knots():
@@ -705,7 +704,7 @@ def test_dissipation_residual_requires_uniform_grid():
     # the short first segment forces a step size different from the rest
     prof = tabulated_protocol([0.0, 0.05, 10.0], [1.5, 1.2, 0.1])
     traj = propagate_reduced(prof)
-    with pytest.raises(ValueError):
+    with pytest.raises(DoubleLambdaError, match="uniform grid"):
         dissipation_residual(traj)
 
 
@@ -713,7 +712,7 @@ def test_dissipation_residual_requires_the_mixing_angle():
     # the exact route is driven by controls, so its trajectory carries no angle
     traj = propagate_exact(controls_of(constant_protocol(1.0)), 1.0)
     assert traj.theta is None
-    with pytest.raises(ValueError, match="no mixing angle"):
+    with pytest.raises(DoubleLambdaError, match="no mixing angle"):
         dissipation_residual(traj)
 
 

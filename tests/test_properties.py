@@ -20,8 +20,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from doublelambda import (
+    AdiabaticState,
+    ControlSchedule,
     DriveFields,
+    FieldState,
     IntegratorOptions,
+    InvalidAlpha,
     NonFinite,
     Rates,
     SingularSystem,
@@ -31,9 +35,12 @@ from doublelambda import (
     optimal_efficiency_closed,
     optimal_protocol,
     optimize_piecewise,
+    adiabatic_protocol,
     piecewise_efficiency,
+    propagate_exact,
     propagate_piecewise_exact,
     propagate_reduced,
+    sampled_profile_efficiencies,
     segment_step,
     steady_coherences,
     tabulated_protocol,
@@ -41,6 +48,7 @@ from doublelambda import (
 )
 from doublelambda.cli import MAX_SAMPLES, main
 from doublelambda.pmp_search import MAX_SEGMENTS
+from doublelambda.protocols import HALF_PI
 from doublelambda.propagation import _segment_exponential, _segment_exponential_array
 from test_bloch_steady import coherence_residuals
 
@@ -450,3 +458,48 @@ def test_search_with_many_starts_writes_a_result_or_exits_two(alpha, segments, b
     assert 0 <= report["best_start"] < report["restarts"]
     assert 0.0 <= report["efficiency"] <= 1.0 + 1e-12
     assert len(zeta) == len(theta) == segments + 1
+
+
+INVALID_ALPHAS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(max_value=-5e-324, allow_infinity=False),
+    st.floats(5e-324, math.nextafter(sys.float_info.min, 0.0)),  # subnormal
+)
+
+#: Every public entry point that takes an optical density, called at ``alpha``.
+ALPHA_ENTRY_POINTS = {
+    "optimal_protocol": optimal_protocol,
+    "constant_protocol": constant_protocol,
+    "adiabatic_protocol": lambda a: adiabatic_protocol(a, 1.0, 5.0),
+    "tabulated_protocol": lambda a: tabulated_protocol([0.0, 1.0], [HALF_PI, 0.0], alpha=a),
+    "theta0_complement": theta0_complement,
+    "optimal_efficiency_closed": optimal_efficiency_closed,
+    "constant_efficiency_closed": constant_efficiency_closed,
+    "ControlSchedule": lambda a: ControlSchedule(alpha=a, u=np.zeros_like),
+    "propagate_exact": lambda a: propagate_exact(lambda z: (1.0, 0.0), a),
+    "optimize_piecewise": lambda a: optimize_piecewise(a, 2, budget=1, n_starts=1),
+    "sampled_profile_efficiencies": lambda a: sampled_profile_efficiencies(a, 1, seed=0),
+}
+
+
+@PROPERTY
+@given(alpha=INVALID_ALPHAS)
+def test_every_alpha_entry_point_refuses_an_invalid_alpha(alpha):
+    for name, call in ALPHA_ENTRY_POINTS.items():
+        try:
+            call(alpha)
+        except InvalidAlpha:
+            continue
+        raise AssertionError(f"{name} accepted alpha = {alpha!r}")
+
+
+@PROPERTY
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), good=st.floats(-1e3, 1e3),
+       slot=st.integers(0, 1), imag=st.booleans())
+def test_field_states_refuse_a_non_finite_component(bad, good, slot, imag):
+    components = [good, good]
+    components[slot] = complex(good, bad) if imag else bad
+    for state in (FieldState, AdiabaticState):
+        state(good, good)
+        with pytest.raises(NonFinite):
+            state(*components)

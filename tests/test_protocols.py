@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from doublelambda import (
+    DoubleLambdaError,
     InvalidAlpha,
     InvalidZbar,
     NonFinite,
@@ -257,8 +258,17 @@ def test_build_profile_kinds_and_adiabatic_defaults():
     assert build_profile("adiabatic", 20.0).params == {"zeta0": 10.0, "zbar": 5.0}
     assert build_profile("constant", 20.0).knots == constant_protocol(20.0).knots
     for kind in ("custom", "bogus"):  # tables go through tabulated_protocol
-        with pytest.raises(ValueError, match="unknown protocol kind"):
+        with pytest.raises(ValueError, match="unknown protocol kind") as info:
             build_profile(kind, 20.0)
+        assert type(info.value) is DoubleLambdaError  # which the CLI maps to exit 2
+
+
+@pytest.mark.parametrize("alpha", [0.05, 3.0, 150.0])
+def test_boundary_defect_is_the_miss_of_the_outer_angles(alpha):
+    for prof in (optimal_protocol(alpha), constant_protocol(alpha)):
+        assert prof.boundary_defect == (0.0, 0.0)  # jumps from pi/2 and to 0
+    prof = adiabatic_protocol(alpha, alpha / 3, 2.0)
+    assert prof.boundary_defect == (HALF_PI - float(prof.theta(0.0)), float(prof.theta(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +369,7 @@ def test_tabulated_validation():
                  ([0.0, 5.0, math.inf], [1.4, 0.8, 0.1])):
         with pytest.raises(NonFinite):
             tabulated_protocol(z, t)
+    # knots 1e-310 apart: a drop of 1.2 between them overflows the slope
+    with pytest.raises(NonFinite, match="slope overflows"):
+        tabulated_protocol([0.0, 1e-310, 10.0], [1.4, 0.2, 0.1])
+    assert tabulated_protocol([0.0, 1e-300, 10.0], [1.4, 0.2, 0.1]).knots[1] == (1e-300, 0.2)
