@@ -58,7 +58,7 @@ from .efficiency import (
 from .errors import DoubleLambdaError
 from .pmp_search import (
     ARC_OPTIONS,
-    _check_sampled_alpha,
+    _check_sampled_inputs,
     optimize_piecewise,
     sampled_profile_efficiencies,
     singular_arc_checks,
@@ -66,6 +66,7 @@ from .pmp_search import (
 )
 from .propagation import (
     _BLOCK,
+    DEFAULT_OPTIONS,
     IntegratorOptions,
     dissipation_order,
     propagate_exact_many,
@@ -88,12 +89,6 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     return repr(float(x))
-
-
-def _integrator(args) -> IntegratorOptions:
-    if args.steps_per_unit < 1:
-        raise DoubleLambdaError("--steps-per-unit must be at least 1")
-    return IntegratorOptions(steps_per_unit=args.steps_per_unit)
 
 
 def _check_adiabatic_flags(args, adiabatic_run: bool) -> None:
@@ -152,19 +147,9 @@ def _artefact(path, mode: str):
                 fh.truncate()
 
 
-def _check_seed(args) -> None:
-    # numpy rejects a negative seed only once it draws, after the propagations
-    if args.seed < 0:
-        raise DoubleLambdaError("--seed must be non-negative")
-
-
 #: Most optical densities ``efficiency --alpha-steps`` may request; each is a
 #: row per protocol, so the cap bounds the rows held before the CSV is written.
 MAX_ALPHA_STEPS = 100_000
-
-#: Most random profiles ``verify --samples`` may request per optical density;
-#: their efficiencies are held as one float array.
-MAX_SAMPLES = 1_000_000
 
 
 def cmd_simulate(args) -> int:
@@ -197,7 +182,8 @@ def cmd_simulate(args) -> int:
         raise DoubleLambdaError("--alpha is required")
     else:
         profile = build_profile(args.protocol, args.alpha, args.zeta0, args.zbar)
-    chunks = propagate_reduced_chunks(profile, opts=_integrator(args))
+    chunks = propagate_reduced_chunks(
+        profile, opts=IntegratorOptions(steps_per_unit=args.steps_per_unit))
 
     values = np.empty((_BLOCK + 1, 9))
     with _artefact(args.out, "wb") as fh:
@@ -238,7 +224,7 @@ def cmd_efficiency(args) -> int:
             alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
     protocols = args.protocol or ["optimal", "constant"]
     _check_adiabatic_flags(args, "adiabatic" in protocols and args.method != "closed")
-    opts = _integrator(args)
+    opts = IntegratorOptions(steps_per_unit=args.steps_per_unit)
 
     rows = []
     for kind in sorted(protocols):
@@ -258,10 +244,11 @@ def cmd_efficiency(args) -> int:
     return 0
 
 
-def _verify_orders(alpha: float, opts: IntegratorOptions) -> list[int]:
-    """The dissipation-order step counts at ``alpha``, after checking it by
-    :func:`_check_sampled_alpha` and that no grid passes the step cap."""
-    _check_sampled_alpha(alpha)
+def _verify_orders(alpha: float, opts: IntegratorOptions, args) -> list[int]:
+    """The dissipation-order step counts at ``alpha``, after checking it,
+    ``--samples`` and ``--seed`` by :func:`_check_sampled_inputs` and that
+    no grid passes the step cap."""
+    _check_sampled_inputs(alpha, args.samples, args.seed)
     opts.resolve_steps(alpha)  # also keeps alpha * steps_per_unit finite for ``base``
     ARC_OPTIONS.resolve_steps(alpha)
     base = max(5, int(round(alpha * opts.steps_per_unit)))
@@ -275,7 +262,7 @@ def _verify_one_alpha(alpha: float, orders: list[int], opts: IntegratorOptions, 
     # coarse run: accuracy-bound checks may then only warn.  Structural
     # checks (same-grid oracle equivalence, arc residuals, dominance) keep
     # hard thresholds at any resolution.
-    coarse = args.steps_per_unit < 10.0
+    coarse = opts.steps_per_unit < DEFAULT_OPTIONS.steps_per_unit
     checks = []
 
     def record(name, value, threshold, warn_only=False):
@@ -329,12 +316,9 @@ def _verify_one_alpha(alpha: float, orders: list[int], opts: IntegratorOptions, 
 
 
 def cmd_verify(args) -> int:
-    _check_seed(args)
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        raise DoubleLambdaError(f"--samples must be in [1, {MAX_SAMPLES}]")
     alphas = args.alpha or [1.0, 10.0, 100.0]
-    opts = _integrator(args)
-    orders = [_verify_orders(a, opts) for a in alphas]  # every density before any work
+    opts = IntegratorOptions(steps_per_unit=args.steps_per_unit)
+    orders = [_verify_orders(a, opts, args) for a in alphas]  # every density before any work
     checks = [c for a, o in zip(alphas, orders, strict=True)
               for c in _verify_one_alpha(a, o, opts, args)]
     passed = all(c["status"] != "fail" for c in checks)
@@ -361,7 +345,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _check_seed(args)
     profile_out = args.profile_out
     if profile_out is None:
         root, _ = os.path.splitext(args.out)
@@ -453,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--zbar", type=float, default=None,
                        help="adiabatic length scale (default 5)")
     for p in (p_sim, p_eff, p_ver):
-        p.add_argument("--steps-per-unit", type=float, default=10.0,
-                       help="RK4 steps per unit optical density (default 10)")
+        p.add_argument("--steps-per-unit", type=float, default=DEFAULT_OPTIONS.steps_per_unit,
+                       help="RK4 steps per unit optical density (default %(default)g)")
     for p in (p_ver, p_sea):
         p.add_argument("--seed", type=int, default=0)
     return parser

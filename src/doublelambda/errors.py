@@ -26,4 +26,5 @@ class ProfileDomainMismatch(DoubleLambdaError):
 
 
 class InvalidSearchSettings(DoubleLambdaError):
-    """Segment count or evaluation budget of the direct search out of range."""
+    """Settings of the direct search (segments, budget, starts, seed) or of
+    the sampled dominance check (profile count, seed) out of range."""

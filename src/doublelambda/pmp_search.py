@@ -53,9 +53,23 @@ ARC_MIN_STEPS = 16
 #: Knots of each random profile in the sampled dominance check.
 SAMPLED_KNOTS = 17
 
+#: Most random profiles the sampled dominance check takes per call; their
+#: efficiencies are held as one float array.
+MAX_SAMPLES = 1_000_000
 
-def _check_sampled_alpha(alpha: float) -> float:
-    """``alpha`` by :func:`_check_alpha`, and where no sampled slope overflows."""
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # default_rng's own refusal is a plain ValueError, raised late
+        raise InvalidSearchSettings("seed must be non-negative")
+
+
+def _check_sampled_inputs(alpha: float, n_profiles: int, seed: int) -> float:
+    """``alpha``, after checking the sampled dominance check's inputs before
+    any draw or allocation: 1 to :data:`MAX_SAMPLES` profiles, the seed, and
+    ``alpha`` by :func:`_check_alpha` and where no sampled slope overflows."""
+    if not 1 <= n_profiles <= MAX_SAMPLES:
+        raise InvalidSearchSettings(f"n_profiles must be in [1, {MAX_SAMPLES}]")
+    _check_seed(seed)
     alpha = _check_alpha(alpha)
     min_alpha = (SAMPLED_KNOTS - 1) * HALF_PI / sys.float_info.max
     if alpha < min_alpha:
@@ -291,15 +305,15 @@ def sampled_profile_efficiencies(alpha: float, n_profiles: int, seed: int) -> np
     next draw from one generator, so the knots are the rows of
     ``default_rng(seed).uniform(0, pi/2, (n_profiles, SAMPLED_KNOTS))`` in
     order.  Each efficiency agrees with :func:`piecewise_efficiency` of its
-    row to rounding.  ``alpha`` must pass :func:`_check_sampled_alpha`.
+    row to rounding.  The inputs must pass :func:`_check_sampled_inputs`.
     """
-    dz = _check_sampled_alpha(alpha) / (SAMPLED_KNOTS - 1)
+    dz = _check_sampled_inputs(alpha, n_profiles, seed) / (SAMPLED_KNOTS - 1)
     rng = np.random.default_rng(seed)
     out = np.empty(n_profiles)
     for lo in range(0, n_profiles, SAMPLE_CHUNK):
         rows = min(SAMPLE_CHUNK, n_profiles - lo)
         th = rng.uniform(0.0, HALF_PI, size=(rows, SAMPLED_KNOTS)).T
-        u = (th[:-1] - th[1:]) / dz  # finite at any alpha _check_sampled_alpha passes
+        u = (th[:-1] - th[1:]) / dz  # finite at any alpha _check_sampled_inputs passes
         ec, es = _segment_exponential_array(u, dz)
         # the segment matrices [[a, -b], [b, d]]
         a, b, d = ec + 0.25 * es, es * u, ec - 0.25 * es
@@ -395,8 +409,7 @@ def optimize_piecewise(
         raise InvalidSearchSettings("budget must be positive")
     if n_starts < 1:
         raise InvalidSearchSettings("n_starts must be at least 1")
-    if seed < 0:
-        raise InvalidSearchSettings("seed must be non-negative")
+    _check_seed(seed)
     from scipy.optimize import fmin_l_bfgs_b
 
     rng = np.random.default_rng(seed)

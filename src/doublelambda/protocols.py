@@ -74,11 +74,6 @@ class ThetaProfile:
         self._check_domain(zeta)
         return self.interior(np.asarray(zeta, dtype=float))
 
-    def slope(self, zeta):
-        """Interior d(theta)/d(zeta) at ``zeta``."""
-        self._check_domain(zeta)
-        return self.interior_slope(np.asarray(zeta, dtype=float))
-
     @property
     def breakpoints(self) -> tuple[float, ...]:
         """Interior knot positions, where the slope changes; () without knots."""

@@ -23,8 +23,8 @@ from doublelambda import (
     propagate_reduced,
     tabulated_protocol,
 )
-from doublelambda.cli import MAX_ALPHA_STEPS, MAX_SAMPLES, build_parser, main
-from doublelambda.pmp_search import MAX_SEGMENTS
+from doublelambda.cli import MAX_ALPHA_STEPS, build_parser, main
+from doublelambda.pmp_search import MAX_SAMPLES, MAX_SEGMENTS
 
 EXPECTED_SIM_HEADER = [
     "zeta", "theta", "omega_c", "omega_d", "omega_p", "omega_s",
@@ -612,15 +612,17 @@ def test_verify_step_cap_exits_two_before_any_propagation(monkeypatch, capsys):
                          ids=["verify", "search"])
 def test_negative_seed_exits_two_before_any_work(monkeypatch, capsys, command):
     import doublelambda.cli as cli
+    import doublelambda.pmp_search as pmp_search
 
     def unreachable(*args, **kwargs):
         raise AssertionError("worked before checking the seed")
 
     monkeypatch.setattr(cli, "propagate_exact_many", unreachable)
-    monkeypatch.setattr(cli, "optimize_piecewise", unreachable)
+    # the search's objective: the seed is checked inside optimize_piecewise
+    monkeypatch.setattr(pmp_search, "piecewise_efficiency_and_grad", unreachable)
     assert main([*command, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--seed must be non-negative" in err
+    assert err.count("\n") == 1 and "InvalidSearchSettings: seed must be non-negative" in err
 
 
 @pytest.mark.parametrize("alpha", ["1e-307", "1.3e-307"])
@@ -676,7 +678,7 @@ def test_verify_rejects_samples_below_one(tmp_path, capsys, samples):
     out = tmp_path / "report.json"
     assert main(["verify", "--alpha", "1", "--samples", samples, "--out", str(out)]) == 2
     assert not out.exists()
-    assert "--samples" in capsys.readouterr().err
+    assert "InvalidSearchSettings: n_profiles must be in [1, " in capsys.readouterr().err
 
 
 def test_verify_coarse_steps_warn_not_fail(tmp_path):

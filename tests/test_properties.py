@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,10 +23,12 @@ from hypothesis.extra.numpy import arrays
 from doublelambda import (
     AdiabaticState,
     ControlSchedule,
+    DoubleLambdaError,
     DriveFields,
     FieldState,
     IntegratorOptions,
     InvalidAlpha,
+    InvalidSearchSettings,
     NonFinite,
     Rates,
     SingularSystem,
@@ -36,6 +39,7 @@ from doublelambda import (
     optimal_protocol,
     optimize_piecewise,
     adiabatic_protocol,
+    build_profile,
     piecewise_efficiency,
     propagate_exact,
     propagate_piecewise_exact,
@@ -46,8 +50,8 @@ from doublelambda import (
     tabulated_protocol,
     theta0_complement,
 )
-from doublelambda.cli import MAX_SAMPLES, main
-from doublelambda.pmp_search import MAX_SEGMENTS
+from doublelambda.cli import main
+from doublelambda.pmp_search import MAX_SAMPLES, MAX_SEGMENTS
 from doublelambda.protocols import HALF_PI
 from doublelambda.propagation import _segment_exponential, _segment_exponential_array
 from test_bloch_steady import coherence_residuals
@@ -503,3 +507,50 @@ def test_field_states_refuse_a_non_finite_component(bad, good, slot, imag):
         state(good, good)
         with pytest.raises(NonFinite):
             state(*components)
+
+
+BELOW_ONE_STEP_PER_UNIT = [0.1, 0.5, math.nextafter(1.0, 0.0)]
+
+
+@PROPERTY
+@given(spu=st.sampled_from(BELOW_ONE_STEP_PER_UNIT))
+def test_integrator_options_refuse_less_than_one_step_per_unit(spu):
+    with pytest.raises(DoubleLambdaError, match="steps_per_unit"):
+        IntegratorOptions(steps_per_unit=spu)
+
+
+@settings(PROPERTY, max_examples=150)  # about a millisecond per example
+@given(kind=st.sampled_from(["optimal", "constant", "adiabatic"]),
+       alpha=log_uniform(1e-3, 1e3),
+       spu=st.one_of(st.sampled_from([*BELOW_ONE_STEP_PER_UNIT, 1.0, 10.0]),
+                     log_uniform(0.01, 20.0)))
+@example(kind="constant", alpha=100.0, spu=0.1)  # eta = 4.7e16 if this were accepted
+def test_every_accepted_resolution_keeps_the_norm_from_rising(kind, alpha, spu):
+    # the dissipation identity: |Omega_p|^2 + |Omega_s|^2 never grows along zeta
+    try:
+        opts = IntegratorOptions(steps_per_unit=spu)
+    except DoubleLambdaError:
+        assert spu < 1.0
+        return
+    trajectory = propagate_reduced(build_profile(kind, alpha), opts=opts)
+    assert np.max(np.diff(trajectory.norm_sq)) <= 1e-12
+    assert trajectory.efficiency <= 1.0
+
+
+@PROPERTY
+@given(alpha=log_uniform(1e-3, 1e3),
+       bad=st.one_of(
+           st.tuples(st.sampled_from([-5, 0, MAX_SAMPLES + 1]), st.integers(0, 2**32)),
+           st.tuples(st.integers(1, 100), st.integers(max_value=-1))))
+@example(alpha=1.0, bad=(10, -1))
+def test_sampled_check_refuses_its_settings_before_allocating(alpha, bad):
+    n_profiles, seed = bad
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSearchSettings):
+            sampled_profile_efficiencies(alpha, n_profiles, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float per profile would already be 8 * MAX_SAMPLES bytes
+    assert peak < 8 * MAX_SAMPLES / 100

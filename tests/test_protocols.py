@@ -228,7 +228,7 @@ def test_adiabatic_max_slope_against_finite_differences():
     assert np.max(np.abs(fd)) == pytest.approx(1.0 / (4.0 * zbar), rel=1e-4)
     # analytic slope agrees with finite differences everywhere
     mid = 0.5 * (z[:-1] + z[1:])
-    assert np.max(np.abs(prof.slope(mid) - fd)) < 1e-6
+    assert np.max(np.abs(prof.interior_slope(mid) - fd)) < 1e-6
 
 
 def test_adiabatic_advisory_and_errors():
