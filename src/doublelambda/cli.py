@@ -69,9 +69,9 @@ from .propagation import (
     DEFAULT_OPTIONS,
     IntegratorOptions,
     dissipation_order,
-    propagate_exact_many,
+    propagate_exact_finals,
     propagate_reduced_chunks,
-    propagate_reduced_many,
+    propagate_reduced_finals,
 )
 from .protocols import (
     _check_alpha,
@@ -244,16 +244,26 @@ def cmd_efficiency(args) -> int:
     return 0
 
 
+def _check_stage_steps(stage: str, opts: IntegratorOptions, alpha: float) -> None:
+    """Raise unless ``opts`` keeps ``alpha``'s grid under the step cap; the
+    error names ``stage``, the ``verify`` stage that takes the grid."""
+    try:
+        opts.resolve_steps(alpha)
+    except DoubleLambdaError as exc:
+        raise DoubleLambdaError(f"{stage}: {exc}") from None
+
+
 def _verify_orders(alpha: float, opts: IntegratorOptions, args) -> list[int]:
     """The dissipation-order step counts at ``alpha``, after checking it,
     ``--samples`` and ``--seed`` by :func:`_check_sampled_inputs` and that
-    no grid passes the step cap."""
+    no stage's grid passes the step cap."""
     _check_sampled_inputs(alpha, args.samples, args.seed)
-    opts.resolve_steps(alpha)  # also keeps alpha * steps_per_unit finite for ``base``
-    ARC_OPTIONS.resolve_steps(alpha)
+    # also keeps alpha * steps_per_unit finite for ``base``
+    _check_stage_steps("the routes", opts, alpha)
     base = max(5, int(round(alpha * opts.steps_per_unit)))
     orders = [base, 2 * base, 4 * base, 8 * base]
-    IntegratorOptions(step_count=orders[-1]).resolve_steps(alpha)
+    _check_stage_steps("the dissipation order", IntegratorOptions(step_count=orders[-1]), alpha)
+    _check_stage_steps("the singular-arc check", ARC_OPTIONS, alpha)
     return orders
 
 
@@ -273,13 +283,12 @@ def _verify_one_alpha(alpha: float, orders: list[int], opts: IntegratorOptions, 
         )
 
     # Reduced vs microscopically closed propagation, all three protocols,
-    # each route one batch.  The exact batch runs first and keeps only its
-    # final states, so no two trajectories are held at once.
+    # each route one batch that keeps only each run's last sample.
     kinds = ("optimal", "constant", "adiabatic")
     profiles = [build_profile(kind, alpha) for kind in kinds]
-    exact = [tr.final_state for tr in propagate_exact_many(
+    exact = [tr.final_state for tr in propagate_exact_finals(
         (functools.partial(theta_to_controls, p), alpha, opts, p.breakpoints) for p in profiles)]
-    reduced = propagate_reduced_many((p, opts) for p in profiles)
+    reduced = propagate_reduced_finals((p, opts) for p in profiles)
     for kind, final, tr_reduced in zip(kinds, exact, reduced, strict=True):
         diff = max(
             abs(final.omega_p - tr_reduced.omega_p[-1]),

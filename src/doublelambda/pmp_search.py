@@ -9,7 +9,15 @@ multiplier normalized to ``mu = 1`` the costates are ``lambda_x = -1/(2y)``,
 
 :func:`verify_singular_arc` integrates the synthesized protocol with the
 generic fixed-step integrator and evaluates all of these conditions on the
-samples.  :func:`optimize_piecewise` attacks the same objective from the
+samples, and :func:`integrate_adjoint_along_arc` integrates the costates
+backward from the exit.  Both work in bounded memory at any ``alpha``: each
+condition is a running maximum taken block by block (2048 steps) as the RK4
+driver applies its chunks (1024 steps), and the arc keeps its forward states only
+over its last :data:`ARC_RETAINED_STEPS` steps (1 MiB), plus one state per
+chunk before them.  The backward run, which needs the forward state at
+every node, integrates those earlier chunks again from their kept states,
+with the bits of the first pass; an arc of at most that many steps
+(``alpha`` up to 655.36) is integrated once.  :func:`optimize_piecewise` attacks the same objective from the
 other side: a bounded quasi-Newton search (L-BFGS-B) over piecewise-linear
 angle profiles with free boundary jumps, evaluated through the closed-form
 segment propagator so that the comparison against the analytic optimum is
@@ -25,18 +33,28 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidSearchSettings, NonFinite
 from .propagation import (
+    _BLOCK,
     IntegratorOptions,
     _five_point_derivative,
+    _GridNodes,
+    _joined,
+    _ReversedNodes,
     _rk4,
+    _rk4_chunks,
+    _rotate,
+    _run_grid,
+    _running_max,
+    _schedule_matrices,
     _segment_exponential,
     _segment_exponential_array,
     _slope_matrices,
-    propagate_adiabatic,
+    _stencil_window,
     schedule_from_profile,
 )
 from .protocols import HALF_PI, _check_alpha, optimal_protocol
@@ -89,51 +107,137 @@ SAMPLE_CHUNK = 512
 MAX_SEGMENTS = 100_000
 
 
+#: Forward states of the arc kept for the adjoint's backward run, in steps:
+#: 64 chunks of the RK4 driver, 1 MiB of ``(y, x)`` pairs.  An arc of at most
+#: this many steps (``alpha`` up to 655.36) is kept whole and integrated
+#: once.  Of a longer one the last this many steps are kept, and the state
+#: at the start of each of the backward run's chunks before them; the
+#: backward run integrates those chunks' forward states again from there.
+ARC_RETAINED_STEPS = 64 * _BLOCK
+
+#: Residuals of the forward arc, in the order :func:`singular_arc_checks` reports them.
+_FORWARD_CHECKS = ("max_abs_phi", "hc_drift", "feedback_residual", "ratio_residual")
+
+
+def _costates(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form costates ``(lambda_x, lambda_y)`` at arc samples (mu = 1)."""
+    return -1.0 / (2.0 * y), 1.0 / (2.0 * x)
+
+
+def _arc_samples(z: np.ndarray, y: np.ndarray, x: np.ndarray, u_s: float) -> dict:
+    """Every sampled quantity of the arc at the nodes ``z``: the states, the
+    closed-form costates, the switching function ``phi`` and the control
+    Hamiltonian ``hc``, keyed by the names :class:`AdjointState` gives them."""
+    lambda_x, lambda_y = _costates(y, x)
+    phi = lambda_x * y - lambda_y * x + 1.0
+    hc = phi * u_s - 0.5 * lambda_x * x
+    return {"zeta": z, "x": x, "y": y, "lambda_x": lambda_x, "lambda_y": lambda_y,
+            "phi": phi, "hc": hc}
+
+
 @dataclass
 class AdjointState:
-    """Costate and switching-function samples along the singular arc (mu = 1)."""
+    """The integrated singular arc, held in bounded memory.
 
-    zeta: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    lambda_x: np.ndarray
-    lambda_y: np.ndarray
-    phi: np.ndarray
-    hc: np.ndarray
+    :func:`verify_singular_arc` fills it in one forward pass: ``residuals``
+    holds the forward checks of :func:`singular_arc_checks`; ``tail`` the
+    ``(y, x)`` states at the last :data:`ARC_RETAINED_STEPS` + 1 nodes of
+    ``grid`` (all of them on a shorter arc); and ``starts[j]`` the state at
+    node ``max(0, n - (j + 1) _BLOCK)`` of the ``n``-step arc, where the
+    backward run's chunk ``j`` reaches.  :meth:`states` gives the states at
+    any such chunk's nodes.  Reading ``zeta``, ``x``, ``y``, ``lambda_x``,
+    ``lambda_y``, ``phi`` or ``hc`` builds that whole array (for inspection
+    and tests; the checks never hold one).
+    """
+
     theta0: float
     u_s: float
+    residuals: dict[str, float]
+    grid: np.ndarray | _GridNodes
+    matrices: Callable[[np.ndarray], np.ndarray]
+    starts: np.ndarray
+    tail: np.ndarray
+
+    def states(self, lo: int, hi: int) -> np.ndarray:
+        """The ``(y, x)`` states at nodes ``lo`` to ``hi``, read from ``tail``
+        or integrated again from ``lo``, which is where a chunk of the
+        backward run starts its forward nodes (a kept start)."""
+        kept = self.grid.size - len(self.tail)  # the first node kept
+        if lo >= kept:
+            return self.tail[lo - kept : hi - kept + 1]
+        start = self.starts[-(-(self.grid.size - 1 - lo) // _BLOCK) - 1]
+        if hi == lo:  # node 0 alone, where a backward chunk of one step ends
+            return start[None]
+        ((_, _, v),) = _rk4(self.matrices, [(self.grid[lo : hi + 1], start, None)])
+        return v
+
+    def __getattr__(self, name):
+        if name not in ("zeta", "x", "y", "lambda_x", "lambda_y", "phi", "hc"):
+            raise AttributeError(name)
+        edges = sorted({0, *range(self.grid.size - len(self.tail), 0, -_BLOCK)})
+        v = np.concatenate([self.states(lo, hi - 1) for lo, hi in zip(edges, edges[1:])]
+                           + [self.tail])
+        return _arc_samples(self.grid[0 : self.grid.size], v[:, 0], v[:, 1], self.u_s)[name]
 
 
 def verify_singular_arc(alpha: float) -> AdjointState:
-    """Integrate the optimal arc and attach the closed-form costates.
+    """Integrate the optimal arc and evaluate its forward conditions.
 
     The arc is resolved by :data:`ARC_OPTIONS`, with at least
-    :data:`ARC_MIN_STEPS` steps.  The costates are evaluated on the open
-    interior of the arc (both rotated-frame components are strictly positive
-    there; they vanish only outside the boundary jumps).
+    :data:`ARC_MIN_STEPS` steps, and integrated as :func:`propagate_adiabatic`
+    integrates its schedule, on a grid of :func:`_run_grid` (computed chunk
+    by chunk beyond 65,536 steps).  The
+    closed-form costates are evaluated on the open interior of the arc (both
+    rotated-frame components are strictly positive there; they vanish only
+    outside the boundary jumps), and every forward residual of
+    :func:`singular_arc_checks` is a running maximum taken block by block
+    (:func:`_joined`) as the driver applies the chunks, the five-point
+    stencil carrying four samples across each block's edge.  A maximum does not depend on the
+    order its values come in, so each equals the maximum over the whole arc
+    bit for bit.  Beyond one chunk, only what :class:`AdjointState` keeps is
+    held: at most :data:`ARC_RETAINED_STEPS` + 1 states, and one state per
+    chunk before them.
     """
     profile = optimal_protocol(alpha)
     theta0 = profile.params["theta0"]
     u_s = profile.params["u_s"]
-    n_steps = max(ARC_MIN_STEPS, ARC_OPTIONS.resolve_steps(profile.alpha))
-    traj = propagate_adiabatic(schedule_from_profile(profile),
-                               opts=IntegratorOptions(step_count=n_steps))
-    x, y = traj.x, traj.y
-    lambda_x = -1.0 / (2.0 * y)
-    lambda_y = 1.0 / (2.0 * x)
-    phi = lambda_x * y - lambda_y * x + 1.0
-    hc = phi * u_s - 0.5 * lambda_x * x
-    return AdjointState(
-        zeta=traj.zeta,
-        x=x,
-        y=y,
-        lambda_x=lambda_x,
-        lambda_y=lambda_y,
-        phi=phi,
-        hc=hc,
-        theta0=theta0,
-        u_s=u_s,
-    )
+    n = max(ARC_MIN_STEPS, ARC_OPTIONS.resolve_steps(profile.alpha))
+    schedule = schedule_from_profile(profile)
+    grid, matrices = _run_grid(profile.alpha, (), n), _schedule_matrices(schedule)
+    kept = n - min(n, ARC_RETAINED_STEPS)  # the first node kept
+    tail, starts = np.empty((n + 1 - kept, 2)), np.empty((-(-n // _BLOCK), 2))
+    tan0 = math.tan(theta0)
+    worst = dict.fromkeys((*_FORWARD_CHECKS, "fd_x", "fd_y"))
+    hc0 = h = carry = None
+    v0 = np.array(_rotate(1.0, 0.0, schedule.entry_rotation))  # the unit input (y, x) = (1, 0)
+    for _, i, z, v in _joined(_rk4_chunks(matrices, [(grid, v0, None)])):
+        end = i + len(v)
+        if end > kept:
+            tail[max(i, kept) - kept : end - kept] = v[max(0, kept - i) :]
+        # the backward run's chunks reach back to nodes n - _BLOCK, n - 2 _BLOCK, ... and 0
+        for t in range(i + (n - i) % _BLOCK, min(end, n), _BLOCK):
+            starts[(n - t) // _BLOCK - 1] = v[t - i]
+        if i == 0:
+            starts[-1] = v[0]
+        y, x = v[:, 0], v[:, 1]
+        s = _arc_samples(z, y, x, u_s)
+        if hc0 is None:
+            h, hc0 = z[1] - z[0], s["hc"][0]
+        for name, values in (
+            ("max_abs_phi", s["phi"]),
+            ("hc_drift", s["hc"] - hc0),
+            ("feedback_residual", x * y / (2.0 * (x * x + y * y)) - u_s),
+            ("ratio_residual", y / x - tan0),
+        ):
+            worst[name] = _running_max(worst[name], values)
+        (lx, ly), carry = _stencil_window(carry, (s["lambda_x"], s["lambda_y"]))
+        rhs_lx = u_s * ly[2:-2] + 0.5 * lx[2:-2]
+        rhs_ly = -u_s * lx[2:-2]
+        worst["fd_x"] = _running_max(worst["fd_x"], _five_point_derivative(lx, h) - rhs_lx)
+        worst["fd_y"] = _running_max(worst["fd_y"], _five_point_derivative(ly, h) - rhs_ly)
+    residuals = {name: float(worst[name]) for name in _FORWARD_CHECKS}
+    residuals["adjoint_fd_residual"] = float(max(worst["fd_x"], worst["fd_y"]))
+    return AdjointState(theta0, u_s, residuals, grid, matrices, starts, tail)
 
 
 def singular_arc_checks(arc: AdjointState) -> dict[str, float]:
@@ -151,31 +255,15 @@ def singular_arc_checks(arc: AdjointState) -> dict[str, float]:
       the costates vs the adjoint equations (fourth-order in the grid step)
     * ``adjoint_integration_error`` -- backward integration of the adjoint
       equations from the closed-form exit costate vs the closed form
+
+    The first five are the running maxima :func:`verify_singular_arc` took;
+    the last is :func:`integrate_adjoint_along_arc`.
     """
-    x, y, z = arc.x, arc.y, arc.zeta
-    u = arc.u_s
-    checks = {
-        "max_abs_phi": float(np.max(np.abs(arc.phi))),
-        "hc_drift": float(np.max(np.abs(arc.hc - arc.hc[0]))),
-        "feedback_residual": float(np.max(np.abs(x * y / (2.0 * (x * x + y * y)) - u))),
-        "ratio_residual": float(np.max(np.abs(y / x - math.tan(arc.theta0)))),
-    }
-
-    h = z[1] - z[0]
-    dlx = _five_point_derivative(arc.lambda_x, h)
-    dly = _five_point_derivative(arc.lambda_y, h)
-    rhs_lx = u * arc.lambda_y[2:-2] + 0.5 * arc.lambda_x[2:-2]
-    rhs_ly = -u * arc.lambda_x[2:-2]
-    checks["adjoint_fd_residual"] = float(
-        max(np.max(np.abs(dlx - rhs_lx)), np.max(np.abs(dly - rhs_ly)))
-    )
-
     # The adjoint pair carries a growing mode ~exp(zeta/2), so rounding
     # amplifies by exp(alpha/2) when integrated forward; the backward
     # direction is the contraction and gives a meaningful residual at any
     # optical density.
-    checks["adjoint_integration_error"] = integrate_adjoint_along_arc(arc)
-    return checks
+    return {**arc.residuals, "adjoint_integration_error": integrate_adjoint_along_arc(arc)}
 
 
 def integrate_adjoint_along_arc(arc: AdjointState) -> float:
@@ -183,15 +271,28 @@ def integrate_adjoint_along_arc(arc: AdjointState) -> float:
 
     The integration starts from the closed-form costate at the exit end and
     runs backward, against the lossy mode, which is numerically stable for
-    any ``alpha``.
+    any ``alpha``.  It is one run of the RK4 driver over the arc's grid
+    reversed, taken block by block (:func:`_joined`); each block's forward
+    states come from :meth:`AdjointState.states`, integrated again from the
+    kept start of its last chunk beyond the retained tail, and the
+    deviation is a running maximum.  A step's matrix depends on its ``A`` and its step size alone,
+    so the forward states integrated again are those of the forward run,
+    bit for bit, and the working memory is one chunk beside what the arc
+    keeps.
     """
+    n = arc.grid.size - 1
+    lambda_x, lambda_y = _costates(arc.tail[-1:, 0], arc.tail[-1:, 1])
+    run = (_ReversedNodes(arc.grid), np.concatenate((lambda_y, lambda_x)), None)
+    worst = None
     # (lambda_y, lambda_x)' = [[0, -u], [u, 1/2]] (lambda_y, lambda_x)
-    v0 = np.array([arc.lambda_y[-1], arc.lambda_x[-1]])
-    ((_, _, lam),) = _rk4(lambda zz: _slope_matrices(arc.u_s, 0.5), [(arc.zeta[::-1], v0, None)])
-    # column by column, so no (n, 2) copy of the closed form is held beside lam
-    dev = np.abs(lam[:, 0] - arc.lambda_y[::-1])
-    np.maximum(dev, np.abs(lam[:, 1] - arc.lambda_x[::-1]), out=dev)
-    return float(dev.max())
+    for _, i, _, v in _joined(_rk4_chunks(lambda zz: _slope_matrices(arc.u_s, 0.5), [run])):
+        fwd = arc.states(n - i - len(v) + 1, n - i)[::-1]  # the forward nodes of these rows
+        lambda_x, lambda_y = _costates(fwd[:, 0], fwd[:, 1])
+        # column by column, so no (n, 2) copy of the closed form is held
+        dev = np.abs(v[:, 0] - lambda_y)
+        np.maximum(dev, np.abs(v[:, 1] - lambda_x), out=dev)
+        worst = _running_max(worst, dev)
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,11 @@ chunk of the trajectory at a time.  Independent propagations are batched
 through the driver, their steps walked in chunks that may span several of
 them, with results equal bit for bit to propagating each alone:
 :func:`propagate_reduced_many` and :func:`propagate_exact_many`, whose
-chunks make one steady-state solve each.  The rotated-frame matrix holds
-the slope, which jumps at a knot, so that route takes continuous slopes
-only.
+chunks make one steady-state solve each; :func:`propagate_reduced_finals`
+and :func:`propagate_exact_finals` keep only each run's last sample, and
+compute a long grid chunk by chunk instead of building it.  The
+rotated-frame matrix holds the slope, which jumps at a knot, so that route
+takes continuous slopes only.
 For piecewise-linear profiles the rotated-frame system has a closed-form
 matrix exponential, exposed as :func:`segment_step` /
 :func:`propagate_piecewise_exact`; exact to rounding, it is an independent
@@ -46,6 +48,8 @@ oracle for the Runge-Kutta routes.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -227,31 +231,104 @@ def adiabatic_initial(profile: ThetaProfile, initial: FieldState) -> AdiabaticSt
     return to_adiabatic(profile.theta_pre, initial)
 
 
-def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> np.ndarray:
-    """Grid on [0, alpha] with a node at every breakpoint, uniform in between.
-
-    Each piece takes its share ``n_steps * (b - a) / alpha`` of the steps; a
-    share whose product overflows raises :class:`NonFinite`.  A grid of one
-    piece is that piece's ``linspace`` (numpy's formula, bit for bit), never
-    copied.
-    """
+def _grid_pieces(alpha: float, breakpoints: Sequence[float],
+                 n_steps: int) -> list[tuple[float, float, int]]:
+    """The pieces ``(a, b, n)`` of a grid on [0, alpha], ``n`` steps from ``a``
+    to ``b``, between the breakpoints.  Each takes its share ``n_steps * (b -
+    a) / alpha`` of the steps; a share whose product overflows raises
+    :class:`NonFinite`."""
     cuts = [0.0, *sorted({float(b) for b in breakpoints if 0.0 < b < alpha}), alpha]
     pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         share = n_steps * (b - a)
         if share == math.inf:
             raise NonFinite(f"{n_steps} steps over a span of {b - a!r} overflow the grid")
-        n = max(1, round(share / alpha))
-        # np.linspace(a, b, n + 1) by its own arithmetic, without its argument
-        # handling.  Its branch for a step that underflows to 0 is left out: the
-        # cuts are distinct, so b - a > 0 is the step of a one-step piece, and
-        # any other piece steps at least about alpha / MAX_STEPS, which is far
-        # above the smallest subnormal since alpha is at least the smallest normal
-        piece = np.arange(n + 1, dtype=float) * ((b - a) / n) + a
-        piece[-1] = b
-        # each piece after the first starts on the node that ends the one before
-        pieces.append(piece[1 if pieces else 0 :])
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        pieces.append((a, b, max(1, round(share / alpha))))
+    return pieces
+
+
+def _piece_nodes(a: float, b: float, n: int, lo: int, hi: int) -> np.ndarray:
+    """Nodes ``lo`` to ``hi`` of ``np.linspace(a, b, n + 1)``, by its own arithmetic.
+
+    numpy's argument handling is left out, and so is its branch for a step
+    that underflows to 0: the cuts of a grid are distinct, so ``b - a > 0``
+    is the step of a one-step piece, and any other piece steps at least
+    about ``alpha / MAX_STEPS``, which is far above the smallest subnormal
+    since ``alpha`` is at least the smallest normal.  Node ``i`` is
+    ``i * ((b - a) / n) + a`` for any ``lo``, and the last one is ``b``.
+    """
+    nodes = np.arange(lo, hi + 1, dtype=float) * ((b - a) / n) + a
+    if hi == n:
+        nodes[-1] = b
+    return nodes
+
+
+def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> np.ndarray:
+    """Grid on [0, alpha] with a node at every breakpoint, uniform in between.
+
+    The pieces of :func:`_grid_pieces`, each its ``linspace`` (numpy's
+    formula, bit for bit, :func:`_piece_nodes`); each piece after the first
+    starts on the node that ends the one before.  A grid of one piece is
+    that piece, never copied.
+    """
+    pieces = [_piece_nodes(a, b, n, 0, n) for a, b, n in _grid_pieces(alpha, breakpoints, n_steps)]
+    return pieces[0] if len(pieces) == 1 else np.concatenate(
+        [pieces[0], *(piece[1:] for piece in pieces[1:])])
+
+
+class _GridNodes:
+    """The grid of :func:`_segment_grid`, its nodes computed slice by slice.
+
+    ``grid[lo:hi]`` (a forward slice with both ends given) equals the same
+    slice of :func:`_segment_grid`'s array bit for bit, and only the
+    pieces' ends are held, so an :func:`_rk4_chunks` run on it holds one
+    chunk of its grid at a time.  Pieces share their end nodes; each is
+    taken from the piece it ends, as :func:`_segment_grid` takes it.
+    """
+
+    def __init__(self, alpha: float, breakpoints: Sequence[float], n_steps: int):
+        self.pieces = _grid_pieces(alpha, breakpoints, n_steps)
+        self.first = [0, *itertools.accumulate(n for _, _, n in self.pieces)]
+        self.size = self.first[-1] + 1
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi = rows.start, rows.stop - 1
+        k = max(0, bisect.bisect_left(self.first, lo) - 1)  # the piece node lo ends or lies in
+        parts = []
+        while lo <= hi:
+            a, b, n = self.pieces[k]
+            top = min(hi, self.first[k] + n)
+            parts.append(_piece_nodes(a, b, n, lo - self.first[k], top - self.first[k]))
+            lo, k = top + 1, k + 1
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0)
+
+
+#: Most steps of a grid that a run whose trajectory is not kept builds whole
+#: (:func:`_run_grid`): 512 KiB of nodes.  Slicing a built grid costs less
+#: per chunk than computing the chunk's nodes, so short grids are built.
+_WHOLE_GRID_STEPS = 64 * 1024
+
+
+def _run_grid(alpha: float, breakpoints: Sequence[float], n_steps: int):
+    """The grid of a run whose trajectory is not kept: :func:`_segment_grid`'s
+    array up to :data:`_WHOLE_GRID_STEPS` steps, a :class:`_GridNodes`
+    beyond.  Either is sliced ``grid[lo:hi]`` to the same bits."""
+    if n_steps <= _WHOLE_GRID_STEPS:
+        return _segment_grid(alpha, breakpoints, n_steps)
+    return _GridNodes(alpha, breakpoints, n_steps)
+
+
+class _ReversedNodes:
+    """A grid of :func:`_run_grid` walked from its end: rows ``[lo:hi]`` are
+    its nodes ``size - 1 - lo`` down to ``size - hi``."""
+
+    def __init__(self, grid):
+        self.grid, self.size = grid, grid.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.grid[self.size - rows.stop : self.size - rows.start][::-1]
 
 
 #: Steps whose RK4 step matrices are built and applied at once, and handed
@@ -460,6 +537,50 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple],
             yield grid, nodes, states
 
 
+#: Rows a streamed check evaluates at once (:func:`_joined`).  Checked chunk
+#: by chunk, the arc and dissipation checks of ``verify`` took 4-10 % longer
+#: than on whole arrays at alpha = 40 and 150 (a shared 2-core x86-64 host);
+#: in blocks of two chunks they took as long, and their temporaries (16 KiB
+#: a column) stay below what the sampled dominance check allocates.
+_JOIN_ROWS = 2 * _BLOCK
+
+
+def _joined(pieces: Iterable[tuple], rows: int = _JOIN_ROWS) -> Iterator[tuple]:
+    """The pieces of :func:`_rk4_chunks` joined, run by run, into blocks.
+
+    Yields ``(grid, lo, nodes, states)`` as the driver does, but each of at
+    least ``rows`` rows, and so fewer than ``rows`` + :data:`_BLOCK`,
+    except a run's last, which ends where the run ends.  A check that
+    evaluates each block whole makes its numpy calls once per block instead
+    of once per chunk, with the same values.
+    """
+    held, count = [], 0
+    for piece in pieces:
+        grid, lo, x, v = piece
+        held.append(piece)
+        count += len(v)
+        if count >= rows or lo + len(v) == grid.size:
+            if len(held) > 1:
+                piece = (grid, held[0][1], np.concatenate([h[2] for h in held], axis=-1),
+                         np.concatenate([h[3] for h in held]))
+            yield piece
+            held, count = [], 0
+
+
+def _last_samples(matrices: Callable[[np.ndarray], np.ndarray],
+                  runs: Iterable[tuple]) -> Iterator[Trajectory]:
+    """The last sample of each run of :func:`_rk4_chunks`, in order.
+
+    Each is a :class:`Trajectory` of one node, the last row of the run's
+    trajectory bit for bit; nothing else of a run is kept, so the working
+    memory is one chunk and the grids of the runs it holds.
+    """
+    for grid, lo, _, v in _rk4_chunks(matrices, runs):
+        if lo + len(v) == grid.size:
+            yield Trajectory(zeta=grid[grid.size - 1 : grid.size],
+                             omega_p=v[-1:, 0].copy(), omega_s=v[-1:, 1].copy())
+
+
 def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
     """``[[0, -u], [u, decay]]`` for every slope in ``u``, acting on ``(y, x)``."""
     u = np.asarray(u, dtype=float)
@@ -485,9 +606,11 @@ def _lab_matrices(theta: np.ndarray) -> np.ndarray:
     return m
 
 
-def _lab_run(profile: ThetaProfile, opts: IntegratorOptions, initial: FieldState) -> tuple:
-    """The :func:`_rk4_chunks` run of a reduced propagation."""
-    grid = _segment_grid(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
+def _lab_run(profile: ThetaProfile, opts: IntegratorOptions, initial: FieldState,
+             grid_of=_segment_grid) -> tuple:
+    """The :func:`_rk4_chunks` run of a reduced propagation, on the grid that
+    ``grid_of`` (:func:`_segment_grid` or :func:`_run_grid`) builds."""
+    grid = grid_of(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
     v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
     return grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float)
 
@@ -513,6 +636,23 @@ def propagate_reduced_many(
     lab_runs = (_lab_run(profile, opts, initial) for profile, opts in runs)
     for grid, theta, v in _rk4(_lab_matrices, lab_runs, keep_nodes=True):
         yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1], theta=theta)
+
+
+def propagate_reduced_finals(
+    runs: Iterable[tuple[ThetaProfile, IntegratorOptions]],
+    initial: FieldState = FieldState(1.0, 0.0),
+) -> Iterator[Trajectory]:
+    """The last sample of each trajectory of :func:`propagate_reduced_many`.
+
+    Each is a one-node :class:`Trajectory` (with no angle), bit for bit the
+    last row of the trajectory the batch yields, so ``final_state`` and
+    ``efficiency`` read as there.  No trajectory is collected, and a long
+    grid is computed chunk by chunk (:func:`_run_grid`), so the working
+    memory is one chunk and at most :data:`_WHOLE_GRID_STEPS` nodes at any
+    grid length.
+    """
+    return _last_samples(_lab_matrices, (_lab_run(profile, opts, initial, _run_grid)
+                                         for profile, opts in runs))
 
 
 def propagate_reduced_chunks(
@@ -557,6 +697,18 @@ def _rotate(y: float, x: float, delta: float) -> tuple[float, float]:
     return c * y + s * x, -s * y + c * x
 
 
+def _schedule_matrices(schedule: ControlSchedule) -> Callable[[np.ndarray], np.ndarray]:
+    """The rotated-frame ``A`` of :func:`propagate_adiabatic` for :func:`_rk4_chunks`."""
+
+    def matrices(z):
+        u = np.asarray(schedule.u(z), dtype=float)
+        bits = u.view(np.uint64)
+        # one matrix for a chunk whose slope is the same, bit for bit, throughout
+        return _slope_matrices(u.flat[0] if (bits == bits.flat[0]).all() else u, -0.5)
+
+    return matrices
+
+
 def propagate_adiabatic(
     schedule: ControlSchedule,
     initial: AdiabaticState = AdiabaticState(x=0.0, y=1.0),
@@ -570,14 +722,7 @@ def propagate_adiabatic(
     """
     grid = _segment_grid(schedule.alpha, (), opts.resolve_steps(schedule.alpha))
     v0 = np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation))
-
-    def matrices(z):
-        u = np.asarray(schedule.u(z), dtype=float)
-        bits = u.view(np.uint64)
-        # one matrix for a chunk whose slope is the same, bit for bit, throughout
-        return _slope_matrices(u.flat[0] if (bits == bits.flat[0]).all() else u, -0.5)
-
-    ((_, _, v),) = _rk4(matrices, [(grid, v0, None)])
+    ((_, _, v),) = _rk4(_schedule_matrices(schedule), [(grid, v0, None)])
     y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
     return AdiabaticTrajectory(
         zeta=grid,
@@ -607,6 +752,28 @@ def propagate_exact_many(
     so the working memory is one chunk, the short runs it holds, and the
     trajectory being yielded.
     """
+    matrices, exact_runs = _exact_batch(runs, rates, initial, _segment_grid)
+    for grid, _, v in _rk4(matrices, exact_runs):
+        yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
+
+
+def propagate_exact_finals(
+    runs: Iterable[tuple[Callable, float, IntegratorOptions, Sequence[float]]],
+    rates: Rates = Rates(),
+    initial: FieldState = FieldState(1.0, 0.0),
+) -> Iterator[Trajectory]:
+    """The last sample of each trajectory of :func:`propagate_exact_many`.
+
+    As :func:`propagate_reduced_finals` is to :func:`propagate_reduced_many`:
+    one-node trajectories, bit for bit, on the grids of :func:`_run_grid`.
+    """
+    return _last_samples(*_exact_batch(runs, rates, initial, _run_grid))
+
+
+def _exact_batch(runs, rates: Rates, initial: FieldState, grid_of) -> tuple:
+    """``matrices`` and the :func:`_rk4_chunks` runs of an exact-route batch,
+    on the grids that ``grid_of`` (:func:`_segment_grid` or
+    :func:`_run_grid`) builds."""
     g31, g41 = rates.gamma31, rates.gamma41
     # unit probe and unit signal, one row each, against the controls' points
     unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
@@ -627,11 +794,10 @@ def propagate_exact_many(
     def exact_runs():
         for controls, alpha, opts, breakpoints in runs:
             alpha = _check_alpha(alpha)
-            grid = _segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
-            yield grid, v0, lambda z, f=controls: controls_at(z, f)
+            yield (grid_of(alpha, breakpoints, opts.resolve_steps(alpha)), v0,
+                   lambda z, f=controls: controls_at(z, f))
 
-    for grid, _, v in _rk4(matrices, exact_runs()):
-        yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
+    return matrices, exact_runs()
 
 
 def propagate_exact(
@@ -785,6 +951,54 @@ def _five_point_derivative(f: np.ndarray, h: float) -> np.ndarray:
     return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
 
 
+def _stencil_window(carry, cols: tuple) -> tuple[tuple, tuple]:
+    """A piece of sampled columns behind the samples carried from before it.
+
+    ``cols`` are the columns' samples in one piece of a stream, ``carry``
+    (``None`` at the first piece) the last four samples of the pieces
+    before it, which the five-point stencil reaches back to.  Returns the
+    columns with the carried samples in front, and the last four samples of
+    those to carry on.  A stencil over each window yields the values it
+    yields over the whole stream, in order, each once.
+    """
+    if carry is not None:
+        cols = tuple(np.concatenate(pair) for pair in zip(carry, cols))
+    return cols, tuple(c[-4:].copy() for c in cols)
+
+
+def _running_max(worst, values: np.ndarray):
+    """``worst`` raised to the largest ``|values|``; ``None`` before any value.
+
+    Fed a stream piece by piece, it ends on ``np.max(np.abs(...))`` of the
+    whole stream bit for bit, a NaN included: a maximum does not depend on
+    the order its values come in.  An empty piece leaves ``worst`` as it is.
+    """
+    if not values.size:
+        return worst
+    m = np.max(np.abs(values))
+    return m if worst is None else np.maximum(worst, m)
+
+
+def _check_uniform(z: np.ndarray, h: float) -> None:
+    """Raise unless every step of the nodes ``z`` is ``h``, to rounding."""
+    # np.allclose(np.diff(z), h, rtol=1e-9, atol=1e-12) written out: the same
+    # decision on a finite grid, without the broadcasting and inf handling that
+    # make np.allclose cost about three times the comparison itself
+    if not np.all(np.abs(np.diff(z) - h) <= 1e-12 + 1e-9 * abs(h)):
+        raise DoubleLambdaError("dissipation residual requires a uniform grid")
+
+
+def _dissipation_terms(omega_p, omega_s, theta) -> tuple[np.ndarray, np.ndarray]:
+    """The norm ``Omega_p^2 + Omega_s^2`` and the lossy amplitude at each sample."""
+    x = np.real(omega_p) * np.cos(theta) - np.real(omega_s) * np.sin(theta)
+    return np.abs(omega_p) ** 2 + np.abs(omega_s) ** 2, x
+
+
+def _dissipation_window(norm_sq: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """The residual on the interior of a window of :func:`_dissipation_terms`."""
+    return _five_point_derivative(norm_sq, h) + x[2:-2] ** 2
+
+
 def dissipation_residual(traj: Trajectory) -> np.ndarray:
     """Pointwise residual of d(norm)/dzeta = -(lossy amplitude)^2.
 
@@ -794,15 +1008,10 @@ def dissipation_residual(traj: Trajectory) -> np.ndarray:
     """
     z = traj.zeta
     h = z[1] - z[0]
-    # np.allclose(np.diff(z), h, rtol=1e-9, atol=1e-12) written out: the same
-    # decision on a finite grid, without the broadcasting and inf handling that
-    # make np.allclose cost about three times the comparison itself
-    if not np.all(np.abs(np.diff(z) - h) <= 1e-12 + 1e-9 * abs(h)):
-        raise DoubleLambdaError("dissipation residual requires a uniform grid")
+    _check_uniform(z, h)
     if traj.theta is None:
         raise DoubleLambdaError("trajectory carries no mixing angle")
-    x = np.real(traj.omega_p) * np.cos(traj.theta) - np.real(traj.omega_s) * np.sin(traj.theta)
-    return _five_point_derivative(traj.norm_sq, h) + x[2:-2] ** 2
+    return _dissipation_window(*_dissipation_terms(traj.omega_p, traj.omega_s, traj.theta), h)
 
 
 def dissipation_order(
@@ -811,12 +1020,29 @@ def dissipation_order(
     """Observed convergence order of the dissipation-identity residual.
 
     Returns the log-log slope of max residual versus step size over the
-    given step counts, together with the residual maxima.  The runs are
-    one batch of :func:`propagate_reduced_many`.
+    given step counts, together with the residual maxima.  The runs are one
+    batch of :func:`propagate_reduced_many`'s integrator, and each run's
+    maximum is taken block by block (:func:`_joined`) as the chunks are
+    applied (the stencil carries four samples across a block's edge, the
+    uniform-grid test one node), on the grids of :func:`_run_grid`: the maxima of
+    :func:`dissipation_residual` over the whole trajectories, bit for bit,
+    in the working memory of one chunk and at most
+    :data:`_WHOLE_GRID_STEPS` grid nodes.
     """
-    runs = [(profile, IntegratorOptions(step_count=int(n))) for n in steps_list]
-    res = [float(np.max(np.abs(dissipation_residual(traj))))
-           for traj in propagate_reduced_many(runs)]
+    opts = [IntegratorOptions(step_count=int(n)) for n in steps_list]
+    runs = (_lab_run(profile, o, FieldState(1.0, 0.0), _run_grid) for o in opts)
+    res = []
+    for grid, lo, theta, v in _joined(_rk4_chunks(_lab_matrices, runs)):
+        z = grid[max(0, lo - 1) : lo + len(v)]  # and the node before the piece
+        if lo == 0:  # a run's first piece
+            h, worst, carry = z[1] - z[0], None, None
+        _check_uniform(z, h)
+        terms, carry = _stencil_window(carry, _dissipation_terms(v[:, 0], v[:, 1], theta))
+        worst = _running_max(worst, _dissipation_window(*terms, h))
+        if lo + len(v) == grid.size:
+            if worst is None:
+                raise DoubleLambdaError("dissipation residual needs at least five grid nodes")
+            res.append(float(worst))
     hs = [profile.alpha / n for n in steps_list]
     slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
     return slope, np.asarray(res)

@@ -602,9 +602,27 @@ def test_verify_step_cap_exits_two_before_any_propagation(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("propagated before checking the step cap")
 
-    monkeypatch.setattr(cli, "propagate_exact_many", unreachable)
+    monkeypatch.setattr(cli, "propagate_exact_finals", unreachable)
     assert main(["verify", "--alpha", "1.3e5", "--samples", "2"]) == 2
     assert "RK4 steps requested" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha, resolution, stage", [
+    ("1.01e5", "10", "the singular-arc check"),  # 1.01e7 arc steps
+    ("2000", "1000", "the dissipation order"),   # 1.6e7 steps in its finest run
+    ("2000", "1e4", "the routes"),               # 2e7 steps per route
+])
+def test_verify_step_cap_names_the_stage(monkeypatch, capsys, alpha, resolution, stage):
+    import doublelambda.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("propagated before checking the step cap")
+
+    monkeypatch.setattr(cli, "propagate_exact_finals", unreachable)
+    assert main(["verify", "--alpha", alpha, "--steps-per-unit", resolution]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: DoubleLambdaError: {stage}: ") and "RK4 steps requested" in err
 
 
 @pytest.mark.parametrize("command", [["verify", "--alpha", "1"],
@@ -617,7 +635,7 @@ def test_negative_seed_exits_two_before_any_work(monkeypatch, capsys, command):
     def unreachable(*args, **kwargs):
         raise AssertionError("worked before checking the seed")
 
-    monkeypatch.setattr(cli, "propagate_exact_many", unreachable)
+    monkeypatch.setattr(cli, "propagate_exact_finals", unreachable)
     # the search's objective: the seed is checked inside optimize_piecewise
     monkeypatch.setattr(pmp_search, "piecewise_efficiency_and_grad", unreachable)
     assert main([*command, "--seed", "-1"]) == 2
@@ -633,7 +651,7 @@ def test_verify_overflowing_samples_exit_two_before_any_work(monkeypatch, capsys
     def unreachable(*args, **kwargs):
         raise AssertionError("worked before checking the sample bound")
 
-    for name in ("propagate_exact_many", "propagate_reduced_many", "dissipation_order",
+    for name in ("propagate_exact_finals", "propagate_reduced_finals", "dissipation_order",
                  "verify_singular_arc", "sampled_profile_efficiencies"):
         monkeypatch.setattr(cli, name, unreachable)
     assert main(["verify", "--alpha", alpha, "--samples", "2"]) == 2
@@ -653,7 +671,7 @@ def test_verify_checks_every_alpha_before_any_work(monkeypatch, capsys, second, 
     def unreachable(*args, **kwargs):
         raise AssertionError("verified a density before checking them all")
 
-    monkeypatch.setattr(cli, "propagate_exact_many", unreachable)
+    monkeypatch.setattr(cli, "propagate_exact_finals", unreachable)
     assert main(["verify", "--alpha", "1", "--alpha", second, "--samples", "2"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
@@ -869,6 +887,29 @@ def test_simulate_peak_memory_does_not_follow_the_trajectory(tmp_path):
         return int(result.stdout)
 
     assert peak_kib("3e4") - peak_kib("100") < 4 * 1024
+
+
+def test_verify_peak_memory_does_not_follow_alpha(tmp_path):
+    # Each verify stage streams its runs and keeps at most
+    # pmp_search.ARC_RETAINED_STEPS forward arc states (1 MiB); at 3e3 the
+    # arc's 3e5 steps pass that, so its backward run integrates the chunks
+    # before them again.  Holding whole trajectories, the 3e3 run peaked
+    # about 31 MiB above the run at 100.  The launcher is that of
+    # test_simulate_peak_memory_does_not_follow_the_trajectory.
+    # The verify child may exit 1 (dissipation_order fails from alpha = 1e3).
+    launcher = ("import resource, subprocess, sys\n"
+                "child = subprocess.run([sys.executable, '-m', 'doublelambda', *sys.argv[1:]],"
+                " stdout=subprocess.DEVNULL)\n"
+                "print(child.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+    def peak_kib(alpha):
+        result = run_python("-c", launcher, "verify", "--alpha", alpha, "--samples", "10",
+                            "--out", str(tmp_path / "report.json"))
+        code, peak = map(int, result.stdout.split())
+        assert code in (0, 1) and result.stderr == "", result.stderr
+        return peak
+
+    assert peak_kib("3e3") - peak_kib("100") < 4 * 1024
 
 
 def test_a_warning_raised_as_an_error_exits_two(tmp_path):

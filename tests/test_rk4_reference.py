@@ -188,15 +188,18 @@ def test_adjoint_route_matches_reference(alpha):
     z = arc.zeta[::-1]
     exact = np.column_stack([arc.lambda_y, arc.lambda_x])[::-1]
     lam = reference_rk4(lambda zz: _slope_matrices(np.full(zz.shape, arc.u_s), 0.5), z, exact[0])
-    states, integrate = [], pmp_search._rk4
+    # the backward run is handed out chunk by chunk: one run, whose pieces
+    # together are its states
+    starts, states, chunks = [], [], pmp_search._rk4_chunks
 
     def recording(matrices, runs):
-        for grid, nodes, v in integrate(matrices, runs):
+        for grid, lo, nodes, v in chunks(matrices, runs):
+            starts.append(lo)
             states.append(v)
-            yield grid, nodes, v
+            yield grid, lo, nodes, v
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pmp_search, "_rk4", recording)
+        mp.setattr(pmp_search, "_rk4_chunks", recording)
         deviation = integrate_adjoint_along_arc(arc)
-    assert len(states) == 1 and np.array_equal(states[0], lam)
+    assert starts.count(0) == 1 and np.array_equal(np.concatenate(states), lam)
     assert deviation == float(np.max(np.abs(lam - exact)))
