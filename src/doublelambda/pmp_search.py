@@ -48,7 +48,6 @@ from .propagation import (
     _rk4,
     _rk4_chunks,
     _rotate,
-    _run_grid,
     _running_max,
     _schedule_matrices,
     _segment_exponential,
@@ -185,9 +184,8 @@ def verify_singular_arc(alpha: float) -> AdjointState:
 
     The arc is resolved by :data:`ARC_OPTIONS`, with at least
     :data:`ARC_MIN_STEPS` steps, and integrated as :func:`propagate_adiabatic`
-    integrates its schedule, on a grid of :func:`_run_grid` (computed chunk
-    by chunk beyond 65,536 steps).  The
-    closed-form costates are evaluated on the open interior of the arc (both
+    integrates its schedule, on a grid whose nodes are computed chunk by
+    chunk (:class:`_GridNodes`).  The closed-form costates are evaluated on the open interior of the arc (both
     rotated-frame components are strictly positive there; they vanish only
     outside the boundary jumps), and every forward residual of
     :func:`singular_arc_checks` is a running maximum taken block by block
@@ -203,7 +201,7 @@ def verify_singular_arc(alpha: float) -> AdjointState:
     u_s = profile.params["u_s"]
     n = max(ARC_MIN_STEPS, ARC_OPTIONS.resolve_steps(profile.alpha))
     schedule = schedule_from_profile(profile)
-    grid, matrices = _run_grid(profile.alpha, (), n), _schedule_matrices(schedule)
+    grid, matrices = _GridNodes(profile.alpha, (), n), _schedule_matrices(schedule)
     kept = n - min(n, ARC_RETAINED_STEPS)  # the first node kept
     tail, starts = np.empty((n + 1 - kept, 2)), np.empty((-(-n // _BLOCK), 2))
     tan0 = math.tan(theta0)

@@ -305,23 +305,8 @@ class _GridNodes:
         return np.concatenate(parts) if parts else np.empty(0)
 
 
-#: Most steps of a grid that a run whose trajectory is not kept builds whole
-#: (:func:`_run_grid`): 512 KiB of nodes.  Slicing a built grid costs less
-#: per chunk than computing the chunk's nodes, so short grids are built.
-_WHOLE_GRID_STEPS = 64 * 1024
-
-
-def _run_grid(alpha: float, breakpoints: Sequence[float], n_steps: int):
-    """The grid of a run whose trajectory is not kept: :func:`_segment_grid`'s
-    array up to :data:`_WHOLE_GRID_STEPS` steps, a :class:`_GridNodes`
-    beyond.  Either is sliced ``grid[lo:hi]`` to the same bits."""
-    if n_steps <= _WHOLE_GRID_STEPS:
-        return _segment_grid(alpha, breakpoints, n_steps)
-    return _GridNodes(alpha, breakpoints, n_steps)
-
-
 class _ReversedNodes:
-    """A grid of :func:`_run_grid` walked from its end: rows ``[lo:hi]`` are
+    """A :class:`_GridNodes` grid walked from its end: rows ``[lo:hi]`` are
     its nodes ``size - 1 - lo`` down to ``size - hi``."""
 
     def __init__(self, grid):
@@ -545,21 +530,21 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple],
 _JOIN_ROWS = 2 * _BLOCK
 
 
-def _joined(pieces: Iterable[tuple], rows: int = _JOIN_ROWS) -> Iterator[tuple]:
+def _joined(pieces: Iterable[tuple]) -> Iterator[tuple]:
     """The pieces of :func:`_rk4_chunks` joined, run by run, into blocks.
 
     Yields ``(grid, lo, nodes, states)`` as the driver does, but each of at
-    least ``rows`` rows, and so fewer than ``rows`` + :data:`_BLOCK`,
-    except a run's last, which ends where the run ends.  A check that
-    evaluates each block whole makes its numpy calls once per block instead
-    of once per chunk, with the same values.
+    least :data:`_JOIN_ROWS` rows, and so fewer than :data:`_JOIN_ROWS` +
+    :data:`_BLOCK`, except a run's last, which ends where the run ends.  A
+    check that evaluates each block whole makes its numpy calls once per
+    block instead of once per chunk, with the same values.
     """
     held, count = [], 0
     for piece in pieces:
         grid, lo, x, v = piece
         held.append(piece)
         count += len(v)
-        if count >= rows or lo + len(v) == grid.size:
+        if count >= _JOIN_ROWS or lo + len(v) == grid.size:
             if len(held) > 1:
                 piece = (grid, held[0][1], np.concatenate([h[2] for h in held], axis=-1),
                          np.concatenate([h[3] for h in held]))
@@ -609,7 +594,7 @@ def _lab_matrices(theta: np.ndarray) -> np.ndarray:
 def _lab_run(profile: ThetaProfile, opts: IntegratorOptions, initial: FieldState,
              grid_of=_segment_grid) -> tuple:
     """The :func:`_rk4_chunks` run of a reduced propagation, on the grid that
-    ``grid_of`` (:func:`_segment_grid` or :func:`_run_grid`) builds."""
+    ``grid_of`` (:func:`_segment_grid` or :class:`_GridNodes`) builds."""
     grid = grid_of(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
     v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
     return grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float)
@@ -647,11 +632,10 @@ def propagate_reduced_finals(
     Each is a one-node :class:`Trajectory` (with no angle), bit for bit the
     last row of the trajectory the batch yields, so ``final_state`` and
     ``efficiency`` read as there.  No trajectory is collected, and a long
-    grid is computed chunk by chunk (:func:`_run_grid`), so the working
-    memory is one chunk and at most :data:`_WHOLE_GRID_STEPS` nodes at any
-    grid length.
+    grid's nodes are computed chunk by chunk (:class:`_GridNodes`), so the
+    working memory is one chunk at any grid length.
     """
-    return _last_samples(_lab_matrices, (_lab_run(profile, opts, initial, _run_grid)
+    return _last_samples(_lab_matrices, (_lab_run(profile, opts, initial, _GridNodes)
                                          for profile, opts in runs))
 
 
@@ -765,15 +749,15 @@ def propagate_exact_finals(
     """The last sample of each trajectory of :func:`propagate_exact_many`.
 
     As :func:`propagate_reduced_finals` is to :func:`propagate_reduced_many`:
-    one-node trajectories, bit for bit, on the grids of :func:`_run_grid`.
+    one-node trajectories, bit for bit, on :class:`_GridNodes` grids.
     """
-    return _last_samples(*_exact_batch(runs, rates, initial, _run_grid))
+    return _last_samples(*_exact_batch(runs, rates, initial, _GridNodes))
 
 
 def _exact_batch(runs, rates: Rates, initial: FieldState, grid_of) -> tuple:
     """``matrices`` and the :func:`_rk4_chunks` runs of an exact-route batch,
     on the grids that ``grid_of`` (:func:`_segment_grid` or
-    :func:`_run_grid`) builds."""
+    :class:`_GridNodes`) builds."""
     g31, g41 = rates.gamma31, rates.gamma41
     # unit probe and unit signal, one row each, against the controls' points
     unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
@@ -1024,13 +1008,12 @@ def dissipation_order(
     batch of :func:`propagate_reduced_many`'s integrator, and each run's
     maximum is taken block by block (:func:`_joined`) as the chunks are
     applied (the stencil carries four samples across a block's edge, the
-    uniform-grid test one node), on the grids of :func:`_run_grid`: the maxima of
+    uniform-grid test one node), on :class:`_GridNodes` grids: the maxima of
     :func:`dissipation_residual` over the whole trajectories, bit for bit,
-    in the working memory of one chunk and at most
-    :data:`_WHOLE_GRID_STEPS` grid nodes.
+    in the working memory of one chunk.
     """
     opts = [IntegratorOptions(step_count=int(n)) for n in steps_list]
-    runs = (_lab_run(profile, o, FieldState(1.0, 0.0), _run_grid) for o in opts)
+    runs = (_lab_run(profile, o, FieldState(1.0, 0.0), _GridNodes) for o in opts)
     res = []
     for grid, lo, theta, v in _joined(_rk4_chunks(_lab_matrices, runs)):
         z = grid[max(0, lo - 1) : lo + len(v)]  # and the node before the piece

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublelambda import propagation
 from doublelambda.errors import DoubleLambdaError
 from doublelambda.pmp_search import (
     ARC_MIN_STEPS,
@@ -141,24 +140,13 @@ def test_dissipation_order_matches_whole_trajectories(alpha):
     assert hexed([slope, *res]) == hexed([ref_slope, *ref_res])
 
 
-# short grids are built whole and long ones computed chunk by chunk; 0 computes every one
-WHOLE_GRID_STEPS = pytest.mark.parametrize("whole_grid_steps", [None, 0], ids=["built", "computed"])
-
-
-def set_whole_grid_steps(monkeypatch, steps):
-    if steps is not None:
-        monkeypatch.setattr(propagation, "_WHOLE_GRID_STEPS", steps)
-
-
-@WHOLE_GRID_STEPS
 @pytest.mark.parametrize("steps", [
     [_BLOCK - 4, 6, _BLOCK + 1, 2 * _BLOCK - 1],  # a chunk ends 4 steps into a run, then 2 after
     [4, 5, 6, 7],                                 # shortest runs with a residual, one chunk
     [_BLOCK, _BLOCK, 2 * _BLOCK, 4],              # runs end on chunk edges
     [20_000, 10],                                 # a run of several blocks of checks
 ])
-def test_dissipation_order_across_chunk_edges(steps, whole_grid_steps, monkeypatch):
-    set_whole_grid_steps(monkeypatch, whole_grid_steps)
+def test_dissipation_order_across_chunk_edges(steps):
     profile = build_profile("adiabatic", 7.0)
     slope, res = dissipation_order(profile, steps)
     ref_slope, ref_res = reference_dissipation_order(profile, steps)
@@ -207,11 +195,9 @@ def batch_profiles(alpha):
     return profiles
 
 
-@WHOLE_GRID_STEPS
 @pytest.mark.parametrize("alpha", [0.3, 30.0, 150.0])
-def test_final_samples_are_the_last_rows(alpha, whole_grid_steps, monkeypatch):
+def test_final_samples_are_the_last_rows(alpha):
     # runs sharing a chunk, spanning chunks, and kinked: grids of several pieces
-    set_whole_grid_steps(monkeypatch, whole_grid_steps)
     profiles = batch_profiles(alpha)
     opts = IntegratorOptions()
     reduced = list(propagate_reduced_many((p, opts) for p in profiles))
