@@ -51,11 +51,9 @@ from .propagation import (
     from_adiabatic,
     propagate_adiabatic,
     propagate_exact,
-    propagate_exact_many,
     propagate_piecewise_exact,
     propagate_reduced,
     propagate_reduced_chunks,
-    propagate_reduced_many,
     schedule_from_profile,
     segment_step,
     to_adiabatic,
@@ -114,11 +112,9 @@ __all__ = [
     "projector_matrix",
     "propagate_adiabatic",
     "propagate_exact",
-    "propagate_exact_many",
     "propagate_piecewise_exact",
     "propagate_reduced",
     "propagate_reduced_chunks",
-    "propagate_reduced_many",
     "sampled_profile_efficiencies",
     "schedule_from_profile",
     "segment_step",

@@ -151,6 +151,9 @@ def _artefact(path, mode: str):
 #: row per protocol, so the cap bounds the rows held before the CSV is written.
 MAX_ALPHA_STEPS = 100_000
 
+#: Optical densities of an ``efficiency`` range without ``--alpha-steps``.
+DEFAULT_ALPHA_STEPS = 200
+
 
 def cmd_simulate(args) -> int:
     """Write one protocol's trajectory as CSV, one row per grid point.
@@ -205,8 +208,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    if args.alpha and (args.alpha_min is not None or args.alpha_max is not None):
-        raise DoubleLambdaError("give --alpha or --alpha-min/--alpha-max, not both")
+    range_flags = (args.alpha_min, args.alpha_max, args.alpha_steps)
+    if args.alpha and any(flag is not None for flag in range_flags):
+        raise DoubleLambdaError("give --alpha or --alpha-min/--alpha-max/--alpha-steps, not both")
     if args.alpha:
         alphas = [_check_alpha(a) for a in args.alpha]
     else:
@@ -214,14 +218,15 @@ def cmd_efficiency(args) -> int:
             raise DoubleLambdaError("give --alpha or --alpha-min/--alpha-max/--alpha-steps")
         _check_alpha(args.alpha_min, "--alpha-min")
         _check_alpha(args.alpha_max, "--alpha-max")
-        if not 1 <= args.alpha_steps <= MAX_ALPHA_STEPS:
+        steps = DEFAULT_ALPHA_STEPS if args.alpha_steps is None else args.alpha_steps
+        if not 1 <= steps <= MAX_ALPHA_STEPS:
             raise DoubleLambdaError(f"--alpha-steps must be in [1, {MAX_ALPHA_STEPS}]")
-        if args.alpha_steps == 1 and args.alpha_min != args.alpha_max:
+        if steps == 1 and args.alpha_min != args.alpha_max:
             raise DoubleLambdaError(
                 "--alpha-steps 1 would drop --alpha-max; give it equal to --alpha-min")
         # near the largest float, linspace overflows its last point, then sets it
         with np.errstate(over="ignore"):
-            alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
+            alphas = list(np.linspace(args.alpha_min, args.alpha_max, steps))
     protocols = args.protocol or ["optimal", "constant"]
     _check_adiabatic_flags(args, "adiabatic" in protocols and args.method != "closed")
     opts = IntegratorOptions(steps_per_unit=args.steps_per_unit)
@@ -417,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit optical density (repeatable)")
     p_eff.add_argument("--alpha-min", type=float, default=None)
     p_eff.add_argument("--alpha-max", type=float, default=None)
-    p_eff.add_argument("--alpha-steps", type=int, default=200)
+    p_eff.add_argument("--alpha-steps", type=int, default=None,
+                       help=f"densities of a range (default {DEFAULT_ALPHA_STEPS})")
     p_eff.add_argument("--method", choices=("closed", "numeric", "both"), default="both")
     p_eff.add_argument("--out", required=True)
 

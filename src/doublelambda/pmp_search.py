@@ -11,15 +11,16 @@ multiplier normalized to ``mu = 1`` the costates are ``lambda_x = -1/(2y)``,
 generic fixed-step integrator and evaluates all of these conditions on the
 samples, and :func:`integrate_adjoint_along_arc` integrates the costates
 backward from the exit.  Both work in bounded memory at any ``alpha``: each
-condition is a running maximum taken block by block (2048 steps) as the RK4
-driver applies its chunks (1024 steps), and the arc keeps its forward states only
-over its last :data:`ARC_RETAINED_STEPS` steps (1 MiB), plus one state per
-chunk before them.  The backward run, which needs the forward state at
-every node, integrates those earlier chunks again from their kept states,
-with the bits of the first pass; an arc of at most that many steps
-(``alpha`` up to 655.36) is integrated once.  :func:`optimize_piecewise` attacks the same objective from the
-other side: a bounded quasi-Newton search (L-BFGS-B) over piecewise-linear
-angle profiles with free boundary jumps, evaluated through the closed-form
+condition is a running maximum taken block by block (2048 steps) as the
+RK4 driver applies its chunks (1024 steps), and the arc keeps its forward
+states only over its last :data:`ARC_RETAINED_STEPS` steps (1 MiB), plus
+one state per chunk before them.  The backward run, which needs the
+forward state at every node, integrates those earlier chunks again from
+their kept states, with the bits of the first pass; an arc of at most that
+many steps (``alpha`` up to 655.36) is integrated once.
+:func:`optimize_piecewise` attacks the same objective from the other side:
+a bounded quasi-Newton search (L-BFGS-B) over piecewise-linear angle
+profiles with free boundary jumps, evaluated through the closed-form
 segment propagator so that the comparison against the analytic optimum is
 exact to rounding.  Its gradient is the exact discrete adjoint of that
 propagator (:func:`piecewise_efficiency_and_grad`), not the PMP costates, so
@@ -152,7 +153,7 @@ class AdjointState:
     theta0: float
     u_s: float
     residuals: dict[str, float]
-    grid: np.ndarray | _GridNodes
+    grid: _GridNodes
     matrices: Callable[[np.ndarray], np.ndarray]
     starts: np.ndarray
     tail: np.ndarray
@@ -185,16 +186,17 @@ def verify_singular_arc(alpha: float) -> AdjointState:
     The arc is resolved by :data:`ARC_OPTIONS`, with at least
     :data:`ARC_MIN_STEPS` steps, and integrated as :func:`propagate_adiabatic`
     integrates its schedule, on a grid whose nodes are computed chunk by
-    chunk (:class:`_GridNodes`).  The closed-form costates are evaluated on the open interior of the arc (both
-    rotated-frame components are strictly positive there; they vanish only
-    outside the boundary jumps), and every forward residual of
-    :func:`singular_arc_checks` is a running maximum taken block by block
-    (:func:`_joined`) as the driver applies the chunks, the five-point
-    stencil carrying four samples across each block's edge.  A maximum does not depend on the
-    order its values come in, so each equals the maximum over the whole arc
-    bit for bit.  Beyond one chunk, only what :class:`AdjointState` keeps is
-    held: at most :data:`ARC_RETAINED_STEPS` + 1 states, and one state per
-    chunk before them.
+    chunk (:class:`_GridNodes`).  The closed-form costates are evaluated on
+    the open interior of the arc (both rotated-frame components are strictly
+    positive there; they vanish only outside the boundary jumps), and every
+    forward residual of :func:`singular_arc_checks` is a running maximum
+    taken block by block (:func:`_joined`) as the driver applies the
+    chunks, the five-point stencil carrying four samples across each
+    block's edge.  A maximum does not depend on the order its values come
+    in, so each equals the maximum over the whole arc bit for bit.  Beyond
+    one chunk, only what :class:`AdjointState` keeps is held: at most
+    :data:`ARC_RETAINED_STEPS` + 1 states, and one state per chunk before
+    them.
     """
     profile = optimal_protocol(alpha)
     theta0 = profile.params["theta0"]
@@ -208,7 +210,7 @@ def verify_singular_arc(alpha: float) -> AdjointState:
     worst = dict.fromkeys((*_FORWARD_CHECKS, "fd_x", "fd_y"))
     hc0 = h = carry = None
     v0 = np.array(_rotate(1.0, 0.0, schedule.entry_rotation))  # the unit input (y, x) = (1, 0)
-    for _, i, z, v in _joined(_rk4_chunks(matrices, [(grid, v0, None)])):
+    for _, i, z, _, v in _joined(_rk4_chunks(matrices, [(grid, v0, None)])):
         end = i + len(v)
         if end > kept:
             tail[max(i, kept) - kept : end - kept] = v[max(0, kept - i) :]
@@ -273,17 +275,17 @@ def integrate_adjoint_along_arc(arc: AdjointState) -> float:
     reversed, taken block by block (:func:`_joined`); each block's forward
     states come from :meth:`AdjointState.states`, integrated again from the
     kept start of its last chunk beyond the retained tail, and the
-    deviation is a running maximum.  A step's matrix depends on its ``A`` and its step size alone,
-    so the forward states integrated again are those of the forward run,
-    bit for bit, and the working memory is one chunk beside what the arc
-    keeps.
+    deviation is a running maximum.  A step's matrix depends on its ``A``
+    and its step size alone, so the forward states integrated again are
+    those of the forward run, bit for bit, and the working memory is one
+    chunk beside what the arc keeps.
     """
     n = arc.grid.size - 1
     lambda_x, lambda_y = _costates(arc.tail[-1:, 0], arc.tail[-1:, 1])
     run = (_ReversedNodes(arc.grid), np.concatenate((lambda_y, lambda_x)), None)
     worst = None
     # (lambda_y, lambda_x)' = [[0, -u], [u, 1/2]] (lambda_y, lambda_x)
-    for _, i, _, v in _joined(_rk4_chunks(lambda zz: _slope_matrices(arc.u_s, 0.5), [run])):
+    for _, i, _, _, v in _joined(_rk4_chunks(lambda zz: _slope_matrices(arc.u_s, 0.5), [run])):
         fwd = arc.states(n - i - len(v) + 1, n - i)[::-1]  # the forward nodes of these rows
         lambda_x, lambda_y = _costates(fwd[:, 0], fwd[:, 1])
         # column by column, so no (n, 2) copy of the closed form is held
@@ -367,7 +369,8 @@ def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[flo
         k2 = 0.0625 - u * u
         q = k2 * dz * dz
         if abs(q) < 0.5:
-            des = -u * e * dz3 * ((((((c6 * q + c5) * q + c4) * q + c3) * q + c2) * q + c1) * q + c0)
+            des = -u * e * dz3 * (
+                (((((c6 * q + c5) * q + c4) * q + c3) * q + c2) * q + c1) * q + c0)
         else:
             des = -u * (dz * ec - es) / k2
         dec = -u * dz * es

@@ -2,8 +2,7 @@
 
 Three routes integrate the same physics at different levels of reduction:
 
-* :func:`propagate_reduced` (with :func:`propagate_reduced_many`, its batch
-  over several profiles, and :func:`propagate_reduced_chunks`, its
+* :func:`propagate_reduced` (with :func:`propagate_reduced_chunks`, its
   trajectory handed out chunk by chunk) -- the two-field lab-frame system
   ``d(Omega_p, Omega_s)/dzeta = -1/2 P(theta) (Omega_p, Omega_s)`` with
   ``P`` the rank-one projector of the mixing angle.  On resonance the system
@@ -11,35 +10,32 @@ Three routes integrate the same physics at different levels of reduction:
 * :func:`propagate_adiabatic` -- the rotated-frame system
   ``dy/dzeta = -u x``, ``dx/dzeta = u y - x/2`` where ``u = -dtheta/dzeta``;
   boundary jumps of the angle become instantaneous rotations of ``(y, x)``.
-* :func:`propagate_exact` (and :func:`propagate_exact_many`, its batch
-  over several control maps sharing the decay rates) -- the field equations
-  closed microscopically through the exact steady-state coherence solve, for
-  general decay rates.
+* :func:`propagate_exact` -- the field equations closed microscopically
+  through the exact steady-state coherence solve, for general decay rates.
 
 Each route is the linear system ``dv/dzeta = A(zeta) v`` with a 2x2 matrix
 ``A`` and supplies only that matrix to one shared fixed-step classical
 fourth-order Runge-Kutta driver, :func:`_rk4_chunks`, on one grid per
 propagation with a node at every interior knot of the profile;
-deterministic output is preferred over adaptivity.  The driver builds the
-step matrices of a chunk of :data:`_BLOCK` steps at once
-(:func:`_rk4_step_matrices`; one per distinct step size where ``A`` is the
-same throughout the chunk) and applies them in order on Python scalars
-(:func:`_apply_steps`, reading a real chunk's matrices straight from their
-buffer and a complex one's from a list), evaluating the parameters of
-``A`` (the angle, or the controls) chunk by chunk, and hands each chunk's
-states and parameters at the grid nodes to its consumer as soon as the
-chunk is applied.
-:func:`_rk4` collects them into the whole trajectories the routes return;
-:func:`propagate_reduced_chunks` passes them on, so that a writer holds one
-chunk of the trajectory at a time.  Independent propagations are batched
-through the driver, their steps walked in chunks that may span several of
-them, with results equal bit for bit to propagating each alone:
-:func:`propagate_reduced_many` and :func:`propagate_exact_many`, whose
-chunks make one steady-state solve each; :func:`propagate_reduced_finals`
-and :func:`propagate_exact_finals` keep only each run's last sample, and
-compute a long grid chunk by chunk instead of building it.  The
-rotated-frame matrix holds the slope, which jumps at a knot, so that route
-takes continuous slopes only.
+deterministic output is preferred over adaptivity.  The grid is a
+:class:`_GridNodes`, which computes its nodes chunk by chunk and holds
+only its pieces' ends.  The driver builds the step matrices of a chunk of
+:data:`_BLOCK` steps at once (:func:`_rk4_step_matrices`; one per distinct
+step size where ``A`` is the same throughout the chunk) and applies them in
+order on Python scalars (:func:`_apply_steps`, reading a real chunk's
+matrices straight from their buffer and a complex one's from a list),
+evaluating the parameters of ``A`` (the angle, or the controls) chunk by
+chunk, and hands each chunk's grid nodes, parameters and states to its
+consumer as soon as the chunk is applied.  :func:`_rk4` collects them into
+the whole trajectories the routes return; :func:`propagate_reduced_chunks`
+passes them on, so that a writer holds one chunk of the trajectory at a
+time.  Independent propagations are batched through the driver, their
+steps walked in chunks that may span several of them, with results equal
+bit for bit to propagating each alone: :func:`propagate_reduced_finals` and
+:func:`propagate_exact_finals` keep only each run's last sample, and the
+exact batch's chunks make one steady-state solve each.  The rotated-frame
+matrix holds the slope, which jumps at a knot, so that route takes
+continuous slopes only.
 For piecewise-linear profiles the rotated-frame system has a closed-form
 matrix exponential, exposed as :func:`segment_step` /
 :func:`propagate_piecewise_exact`; exact to rounding, it is an independent
@@ -263,27 +259,16 @@ def _piece_nodes(a: float, b: float, n: int, lo: int, hi: int) -> np.ndarray:
     return nodes
 
 
-def _segment_grid(alpha: float, breakpoints: Sequence[float], n_steps: int) -> np.ndarray:
-    """Grid on [0, alpha] with a node at every breakpoint, uniform in between.
-
-    The pieces of :func:`_grid_pieces`, each its ``linspace`` (numpy's
-    formula, bit for bit, :func:`_piece_nodes`); each piece after the first
-    starts on the node that ends the one before.  A grid of one piece is
-    that piece, never copied.
-    """
-    pieces = [_piece_nodes(a, b, n, 0, n) for a, b, n in _grid_pieces(alpha, breakpoints, n_steps)]
-    return pieces[0] if len(pieces) == 1 else np.concatenate(
-        [pieces[0], *(piece[1:] for piece in pieces[1:])])
-
-
 class _GridNodes:
-    """The grid of :func:`_segment_grid`, its nodes computed slice by slice.
+    """Grid on [0, alpha] with a node at every breakpoint, uniform in between,
+    its nodes computed slice by slice.
 
-    ``grid[lo:hi]`` (a forward slice with both ends given) equals the same
-    slice of :func:`_segment_grid`'s array bit for bit, and only the
-    pieces' ends are held, so an :func:`_rk4_chunks` run on it holds one
-    chunk of its grid at a time.  Pieces share their end nodes; each is
-    taken from the piece it ends, as :func:`_segment_grid` takes it.
+    The pieces are those of :func:`_grid_pieces`, each numpy's
+    ``linspace`` of it bit for bit (:func:`_piece_nodes`); pieces share
+    their end nodes, each taken from the piece it ends.  ``grid[lo:hi]`` (a
+    forward slice with both ends given) is an array of those nodes, and
+    only the pieces' ends are held, so an :func:`_rk4_chunks` run on it
+    holds one chunk of its grid at a time.
     """
 
     def __init__(self, alpha: float, breakpoints: Sequence[float], n_steps: int):
@@ -374,7 +359,7 @@ class _Run:
     """One propagation in flight through :func:`_rk4_chunks`: its grid, the
     map to the parameters of ``A``, and the state at its last applied node."""
 
-    def __init__(self, grid: np.ndarray, v0: np.ndarray, at):
+    def __init__(self, grid, v0: np.ndarray, at):
         self.grid = grid
         self.at = at
         self.dtype = np.result_type(v0, float)
@@ -387,15 +372,17 @@ def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tup
     """Classical RK4 for ``dv/dzeta = A v`` over a stream of independent runs,
     handed out chunk by chunk.
 
-    Each run is ``(grid, v0, at)``: a grid, the initial state, and the map
-    ``at`` from positions to the parameters of ``A`` (``None`` when they are
-    the positions themselves), as an array whose last axis runs over the
-    positions.  ``matrices(x)`` returns ``A`` for the parameters ``x`` as an
-    ``(n, 2, 2)`` array and serves every run.  Where ``A`` is the same at
-    every point ``x`` holds, ``matrices`` may return that one ``(2, 2)``
-    matrix instead; the chunk then builds one step matrix per distinct step
-    size, with the bits of the ``(n, 2, 2)`` form, since a step's matrix
-    depends on its ``A`` values and its step size alone.
+    Each run is ``(grid, v0, at)``: a grid (a :class:`_GridNodes`, or
+    anything with a ``size`` and forward slices of its nodes, such as an
+    array), the initial state, and the map ``at`` from positions to the
+    parameters of ``A`` (``None`` when they are the positions themselves),
+    as an array whose last axis runs over the positions.  ``matrices(x)``
+    returns ``A`` for the parameters ``x`` as an ``(n, 2, 2)`` array and
+    serves every run.  Where ``A`` is the same at every point ``x`` holds,
+    ``matrices`` may return that one ``(2, 2)`` matrix instead; the chunk
+    then builds one step matrix per distinct step size, with the bits of
+    the ``(n, 2, 2)`` form, since a step's matrix depends on its ``A``
+    values and its step size alone.
 
     The runs' steps are walked in order, in chunks of up to :data:`_BLOCK`
     steps that may span several runs.  Each chunk evaluates ``at`` on each
@@ -411,16 +398,18 @@ def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tup
     part is built real, and a run is applied in real arithmetic until its
     ``v0`` or a chunk is not real, with the bits of the complex kernel.
 
-    Yields ``(grid, lo, nodes, states)`` for each run a chunk holds, in
-    order, as soon as the chunk has applied that run's steps: the states at
-    the grid rows from ``lo`` on, and ``nodes``, the parameters of ``A`` at
-    those rows.  A run's first piece starts at row 0 with ``v0``, and each
-    later one at the row after the last one handed out, so a run's pieces
-    are its whole trajectory once, and the run has ended when
-    ``lo + len(states) == grid.size``.  Runs are pulled only as the chunks
-    reach them, and a run that spans chunks ends before the next run's grid
-    is built; nothing is held beyond the chunk in flight and the grids of
-    the runs it holds.
+    Yields ``(size, lo, zeta, nodes, states)`` for each run a chunk holds,
+    in order, as soon as the chunk has applied that run's steps: the states
+    at the grid rows from ``lo`` on, ``zeta`` the grid's nodes there, and
+    ``nodes`` the parameters of ``A`` at them (``zeta`` itself where ``at``
+    is ``None``).  ``size`` is the run's node count.  A run's first piece
+    starts at row 0 with ``v0``, and each later one at the row after the
+    last one handed out, so a run's pieces are its whole trajectory once,
+    and the run has ended when ``lo + len(states) == size``.  No reader
+    needs the grid itself.  Runs are pulled only as the chunks reach them,
+    and a run that spans chunks ends before the next run's grid is built;
+    nothing is held beyond the chunk in flight and the grids of the runs it
+    holds.
     """
     chunk = []  # (run, lo, hi): steps lo..hi of a run
     room = _BLOCK
@@ -442,11 +431,12 @@ def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tup
 
 def _rk4_chunk(matrices, chunk):
     """Build and apply one chunk of :func:`_rk4_chunks`; yield its pieces."""
-    nodes, mids, steps = [], [], []
+    zetas, nodes, mids, steps = [], [], [], []
     for run, lo, hi in chunk:
         z = run.grid[lo : hi + 1]
         z_mid = 0.5 * (z[:-1] + z[1:])
         steps.append(z[1:] - z[:-1])
+        zetas.append(z)
         x = None
         if run.at is not None:
             x = run.at(np.concatenate((z, z_mid)))
@@ -478,7 +468,7 @@ def _rk4_chunk(matrices, chunk):
             a0, a1 = a.take(start, axis=0), a.take(start + 1, axis=0)
         r = _rk4_step_matrices(a0, a[n + len(chunk) :], a1, h)
     i = 0
-    for (run, lo, hi), x in zip(chunk, nodes):
+    for (run, lo, hi), z, x in zip(chunk, zetas, nodes):
         m = hi - lo
         v = run.v.real if run.real else run.v
         piece = r[i : i + m]
@@ -496,30 +486,32 @@ def _rk4_chunk(matrices, chunk):
         states = rows.astype(run.dtype, copy=False).reshape(-1, 2)
         run.v = states[-1].copy()
         skip = int(lo > 0)  # node lo ended the run's previous piece
-        yield run.grid, lo + skip, x[..., skip:], states
+        yield run.grid.size, lo + skip, z[skip:], x[..., skip:], states
 
 
 def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple],
          keep_nodes: bool = False):
     """The runs of :func:`_rk4_chunks`, each collected whole.
 
-    Yields ``(grid, nodes, states)`` for each run, in order, as soon as its
-    last chunk is applied: the ``(len(grid), 2)`` states, starting with
-    ``v0``, and with ``keep_nodes`` the parameters of ``A`` at the grid
-    nodes (else ``None``), each in one array allocated at the run's first
-    chunk and filled chunk by chunk.  The working memory is one chunk, the
-    short runs it holds, and the run being collected.
+    Yields ``(zeta, nodes, states)`` for each run, in order, as soon as its
+    last chunk is applied: the grid nodes, the ``(len(zeta), 2)`` states,
+    starting with ``v0``, and with ``keep_nodes`` the parameters of ``A`` at
+    the grid nodes (else ``None``), each in one array allocated at the run's
+    first chunk and filled chunk by chunk.  The working memory is one chunk,
+    the short runs it holds, and the run being collected.
     """
-    for grid, lo, x, v in _rk4_chunks(matrices, runs):
+    for size, lo, z, x, v in _rk4_chunks(matrices, runs):
         if lo == 0:
-            states = np.empty((grid.size, 2), v.dtype)
-            nodes = np.empty(x.shape[:-1] + grid.shape, x.dtype) if keep_nodes else None
+            zeta = np.empty(size)
+            states = np.empty((size, 2), v.dtype)
+            nodes = np.empty(x.shape[:-1] + (size,), x.dtype) if keep_nodes else None
         hi = lo + len(v)
+        zeta[lo:hi] = z
         states[lo:hi] = v
         if keep_nodes:
             nodes[..., lo:hi] = x
-        if hi == grid.size:
-            yield grid, nodes, states
+        if hi == size:
+            yield zeta, nodes, states
 
 
 #: Rows a streamed check evaluates at once (:func:`_joined`).  Checked chunk
@@ -533,21 +525,22 @@ _JOIN_ROWS = 2 * _BLOCK
 def _joined(pieces: Iterable[tuple]) -> Iterator[tuple]:
     """The pieces of :func:`_rk4_chunks` joined, run by run, into blocks.
 
-    Yields ``(grid, lo, nodes, states)`` as the driver does, but each of at
-    least :data:`_JOIN_ROWS` rows, and so fewer than :data:`_JOIN_ROWS` +
-    :data:`_BLOCK`, except a run's last, which ends where the run ends.  A
+    Yields ``(size, lo, zeta, nodes, states)`` as the driver does, but each
+    of at least :data:`_JOIN_ROWS` rows, and so fewer than :data:`_JOIN_ROWS`
+    + :data:`_BLOCK`, except a run's last, which ends where the run ends.  A
     check that evaluates each block whole makes its numpy calls once per
     block instead of once per chunk, with the same values.
     """
     held, count = [], 0
     for piece in pieces:
-        grid, lo, x, v = piece
+        size, lo, _, _, v = piece
         held.append(piece)
         count += len(v)
-        if count >= _JOIN_ROWS or lo + len(v) == grid.size:
+        if count >= _JOIN_ROWS or lo + len(v) == size:
             if len(held) > 1:
-                piece = (grid, held[0][1], np.concatenate([h[2] for h in held], axis=-1),
-                         np.concatenate([h[3] for h in held]))
+                _, starts, zs, xs, vs = zip(*held)
+                piece = (size, starts[0], np.concatenate(zs), np.concatenate(xs, axis=-1),
+                         np.concatenate(vs))
             yield piece
             held, count = [], 0
 
@@ -560,10 +553,10 @@ def _last_samples(matrices: Callable[[np.ndarray], np.ndarray],
     trajectory bit for bit; nothing else of a run is kept, so the working
     memory is one chunk and the grids of the runs it holds.
     """
-    for grid, lo, _, v in _rk4_chunks(matrices, runs):
-        if lo + len(v) == grid.size:
-            yield Trajectory(zeta=grid[grid.size - 1 : grid.size],
-                             omega_p=v[-1:, 0].copy(), omega_s=v[-1:, 1].copy())
+    for size, lo, z, _, v in _rk4_chunks(matrices, runs):
+        if lo + len(v) == size:
+            yield Trajectory(zeta=z[-1:].copy(), omega_p=v[-1:, 0].copy(),
+                             omega_s=v[-1:, 1].copy())
 
 
 def _slope_matrices(u: np.ndarray, decay: float) -> np.ndarray:
@@ -591,51 +584,29 @@ def _lab_matrices(theta: np.ndarray) -> np.ndarray:
     return m
 
 
-def _lab_run(profile: ThetaProfile, opts: IntegratorOptions, initial: FieldState,
-             grid_of=_segment_grid) -> tuple:
-    """The :func:`_rk4_chunks` run of a reduced propagation, on the grid that
-    ``grid_of`` (:func:`_segment_grid` or :class:`_GridNodes`) builds."""
-    grid = grid_of(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
+def _lab_run(profile: ThetaProfile, opts: IntegratorOptions, initial: FieldState) -> tuple:
+    """The :func:`_rk4_chunks` run of a reduced propagation."""
+    grid = _GridNodes(profile.alpha, profile.breakpoints, opts.resolve_steps(profile.alpha))
     v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
     return grid, v0, lambda z, f=profile.interior: np.asarray(f(z), dtype=float)
-
-
-def propagate_reduced_many(
-    runs: Iterable[tuple[ThetaProfile, IntegratorOptions]],
-    initial: FieldState = FieldState(1.0, 0.0),
-) -> Iterator[Trajectory]:
-    """:func:`propagate_reduced` of each ``(profile, opts)`` pair, batched.
-
-    The propagations share one RK4 integrator: their steps are built and applied
-    in chunks of :data:`_BLOCK` that may span several of them, each chunk
-    with one evaluation of ``-1/2 P(theta)`` and one step-matrix build.
-    Each profile's angle is evaluated chunk by chunk at its step nodes and
-    midpoints, and its values at the grid nodes are collected into
-    ``Trajectory.theta``.  Trajectories are yielded in order as they finish
-    and equal those of :func:`propagate_reduced`, bit for bit.  Pairs are
-    read from ``runs`` only as the chunks reach them, and a run longer than
-    what is left of a chunk is yielded before the next pair is read, so the
-    working memory is one chunk, the short runs it holds, and the trajectory
-    being yielded.
-    """
-    lab_runs = (_lab_run(profile, opts, initial) for profile, opts in runs)
-    for grid, theta, v in _rk4(_lab_matrices, lab_runs, keep_nodes=True):
-        yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1], theta=theta)
 
 
 def propagate_reduced_finals(
     runs: Iterable[tuple[ThetaProfile, IntegratorOptions]],
     initial: FieldState = FieldState(1.0, 0.0),
 ) -> Iterator[Trajectory]:
-    """The last sample of each trajectory of :func:`propagate_reduced_many`.
+    """The last sample of :func:`propagate_reduced` of each ``(profile, opts)`` pair, batched.
 
-    Each is a one-node :class:`Trajectory` (with no angle), bit for bit the
-    last row of the trajectory the batch yields, so ``final_state`` and
-    ``efficiency`` read as there.  No trajectory is collected, and a long
-    grid's nodes are computed chunk by chunk (:class:`_GridNodes`), so the
-    working memory is one chunk at any grid length.
+    The propagations share one RK4 integrator: their steps are built and
+    applied in chunks of :data:`_BLOCK` that may span several of them, each
+    chunk with one evaluation of ``-1/2 P(theta)`` and one step-matrix
+    build.  Each is a one-node :class:`Trajectory` (with no angle), bit for
+    bit the last row of the trajectory :func:`propagate_reduced` returns, so
+    ``final_state`` and ``efficiency`` read as there.  Pairs are read from
+    ``runs`` only as the chunks reach them and no trajectory is collected,
+    so the working memory is one chunk at any grid length.
     """
-    return _last_samples(_lab_matrices, (_lab_run(profile, opts, initial, _GridNodes)
+    return _last_samples(_lab_matrices, (_lab_run(profile, opts, initial)
                                          for profile, opts in runs))
 
 
@@ -646,17 +617,17 @@ def propagate_reduced_chunks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The trajectory of :func:`propagate_reduced`, handed out chunk by chunk.
 
-    The grid is built at once, with the errors of :func:`propagate_reduced`;
-    nothing is integrated until the returned iterator is read.  It yields
-    ``(zeta, theta, states)`` for each RK4 chunk as soon as the chunk is
-    applied: the grid nodes, the angle there and the ``(n, 2)`` probe and
-    signal amplitudes.  The first chunk also holds the initial row, so it
-    has up to ``_BLOCK + 1`` rows and the others up to :data:`_BLOCK`;
-    together they are the rows of :func:`propagate_reduced`, bit for bit.
-    Only the grid is held whole.
+    The profile, the grid and the step cap are checked at once, with the
+    errors of :func:`propagate_reduced`; nothing is integrated until the
+    returned iterator is read.  It yields ``(zeta, theta, states)`` for each
+    RK4 chunk as soon as the chunk is applied: the grid nodes, the angle
+    there and the ``(n, 2)`` probe and signal amplitudes.  The first chunk
+    also holds the initial row, so it has up to ``_BLOCK + 1`` rows and the
+    others up to :data:`_BLOCK`; together they are the rows of
+    :func:`propagate_reduced`, bit for bit.  Nothing is held whole.
     """
     chunks = _rk4_chunks(_lab_matrices, [_lab_run(profile, opts, initial)])
-    return ((grid[lo : lo + len(v)], theta, v) for grid, lo, theta, v in chunks)
+    return ((z, theta, v) for _, _, z, theta, v in chunks)
 
 
 def propagate_reduced(
@@ -668,11 +639,13 @@ def propagate_reduced(
 
     The grid has a node at each of the profile's breakpoints (its interior
     knots), where the slope changes, so kinked tables keep fourth order.
-    Boundary jumps leave the fields untouched.  This is the batch of one of
-    :func:`propagate_reduced_many`.
+    Boundary jumps leave the fields untouched.  The angle is evaluated
+    chunk by chunk at the step nodes and midpoints, and its values at the
+    grid nodes are collected into ``Trajectory.theta``.
     """
-    (traj,) = propagate_reduced_many([(profile, opts)], initial)
-    return traj
+    ((zeta, theta, v),) = _rk4(_lab_matrices, [_lab_run(profile, opts, initial)],
+                               keep_nodes=True)
+    return Trajectory(zeta=zeta, omega_p=v[:, 0], omega_s=v[:, 1], theta=theta)
 
 
 def _rotate(y: float, x: float, delta: float) -> tuple[float, float]:
@@ -704,41 +677,16 @@ def propagate_adiabatic(
     ``final_state`` is the state after the exit rotation.  With ``u == 0``
     the ``y`` component is exactly conserved and ``x`` decays at rate 1/2.
     """
-    grid = _segment_grid(schedule.alpha, (), opts.resolve_steps(schedule.alpha))
+    grid = _GridNodes(schedule.alpha, (), opts.resolve_steps(schedule.alpha))
     v0 = np.array(_rotate(float(initial.y), float(initial.x), schedule.entry_rotation))
-    ((_, _, v),) = _rk4(_schedule_matrices(schedule), [(grid, v0, None)])
+    ((zeta, _, v),) = _rk4(_schedule_matrices(schedule), [(grid, v0, None)])
     y_out, x_out = _rotate(*v[-1].tolist(), schedule.exit_rotation)
     return AdiabaticTrajectory(
-        zeta=grid,
+        zeta=zeta,
         x=v[:, 1],
         y=v[:, 0],
         final_state=AdiabaticState(x=x_out, y=y_out),
     )
-
-
-def propagate_exact_many(
-    runs: Iterable[tuple[Callable, float, IntegratorOptions, Sequence[float]]],
-    rates: Rates = Rates(),
-    initial: FieldState = FieldState(1.0, 0.0),
-) -> Iterator[Trajectory]:
-    """:func:`propagate_exact` of each ``(controls, alpha, opts, breakpoints)``, batched.
-
-    The propagations share one RK4 integrator, as in
-    :func:`propagate_reduced_many`: their steps are built and applied in
-    chunks of :data:`_BLOCK` that may span several of them.  Each chunk
-    evaluates every run's controls at its step nodes and midpoints in the
-    chunk and makes one steady-state solve over all of them and one
-    step-matrix build.  Trajectories are yielded in order as they finish and
-    equal those of :func:`propagate_exact`, bit for bit; a real run that
-    shares a chunk with a complex one is applied in complex arithmetic from
-    there on, which gives the bits of the real kernel.  Runs are read only
-    as the chunks reach them, and no run keeps its controls beyond a chunk,
-    so the working memory is one chunk, the short runs it holds, and the
-    trajectory being yielded.
-    """
-    matrices, exact_runs = _exact_batch(runs, rates, initial, _segment_grid)
-    for grid, _, v in _rk4(matrices, exact_runs):
-        yield Trajectory(zeta=grid, omega_p=v[:, 0], omega_s=v[:, 1])
 
 
 def propagate_exact_finals(
@@ -746,18 +694,22 @@ def propagate_exact_finals(
     rates: Rates = Rates(),
     initial: FieldState = FieldState(1.0, 0.0),
 ) -> Iterator[Trajectory]:
-    """The last sample of each trajectory of :func:`propagate_exact_many`.
+    """The last sample of :func:`propagate_exact` of each ``(controls, alpha,
+    opts, breakpoints)``, batched.
 
-    As :func:`propagate_reduced_finals` is to :func:`propagate_reduced_many`:
-    one-node trajectories, bit for bit, on :class:`_GridNodes` grids.
+    As in :func:`propagate_reduced_finals`, the runs share one RK4
+    integrator and each yields a one-node :class:`Trajectory`, bit for bit.
+    Each chunk evaluates every run's controls at its step nodes and
+    midpoints in the chunk and makes one steady-state solve over all of
+    them and one step-matrix build.  A real run that shares a chunk with a
+    complex one is applied in complex arithmetic from there on, which gives
+    the bits of the real kernel.
     """
-    return _last_samples(*_exact_batch(runs, rates, initial, _GridNodes))
+    return _last_samples(*_exact_batch(runs, rates, initial))
 
 
-def _exact_batch(runs, rates: Rates, initial: FieldState, grid_of) -> tuple:
-    """``matrices`` and the :func:`_rk4_chunks` runs of an exact-route batch,
-    on the grids that ``grid_of`` (:func:`_segment_grid` or
-    :class:`_GridNodes`) builds."""
+def _exact_batch(runs, rates: Rates, initial: FieldState) -> tuple:
+    """``matrices`` and the :func:`_rk4_chunks` runs of an exact-route batch."""
     g31, g41 = rates.gamma31, rates.gamma41
     # unit probe and unit signal, one row each, against the controls' points
     unit_p, unit_s = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
@@ -778,7 +730,7 @@ def _exact_batch(runs, rates: Rates, initial: FieldState, grid_of) -> tuple:
     def exact_runs():
         for controls, alpha, opts, breakpoints in runs:
             alpha = _check_alpha(alpha)
-            yield (grid_of(alpha, breakpoints, opts.resolve_steps(alpha)), v0,
+            yield (_GridNodes(alpha, breakpoints, opts.resolve_steps(alpha)), v0,
                    lambda z, f=controls: controls_at(z, f))
 
     return matrices, exact_runs()
@@ -807,11 +759,11 @@ def propagate_exact(
     the matrix is ``-1/2 P(theta)`` and this reproduces
     :func:`propagate_reduced` to rounding.  The trajectory is complex; real
     controls at ``gamma21 = 0`` make ``A`` real, and :func:`_rk4_chunks` then
-    integrates in real arithmetic.  This is the batch of one of
-    :func:`propagate_exact_many`.
+    integrates in real arithmetic.
     """
-    (traj,) = propagate_exact_many([(controls, alpha, opts, breakpoints)], rates, initial)
-    return traj
+    matrices, runs = _exact_batch([(controls, alpha, opts, breakpoints)], rates, initial)
+    ((zeta, _, v),) = _rk4(matrices, runs)
+    return Trajectory(zeta=zeta, omega_p=v[:, 0], omega_s=v[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -978,6 +930,12 @@ def _dissipation_terms(omega_p, omega_s, theta) -> tuple[np.ndarray, np.ndarray]
     return np.abs(omega_p) ** 2 + np.abs(omega_s) ** 2, x
 
 
+def _check_stencil_nodes(size: int) -> None:
+    """Raise unless a grid of ``size`` nodes leaves the five-point stencil a value."""
+    if size < 5:
+        raise DoubleLambdaError("dissipation residual needs at least five grid nodes")
+
+
 def _dissipation_window(norm_sq: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """The residual on the interior of a window of :func:`_dissipation_terms`."""
     return _five_point_derivative(norm_sq, h) + x[2:-2] ** 2
@@ -988,9 +946,11 @@ def dissipation_residual(traj: Trajectory) -> np.ndarray:
 
     The derivative of ``Omega_p^2 + Omega_s^2`` is estimated with the
     five-point central stencil (fourth-order accurate, matching the
-    integrator order) on the interior of a uniform grid.
+    integrator order) on the interior of a uniform grid of at least five
+    nodes.
     """
     z = traj.zeta
+    _check_stencil_nodes(len(z))
     h = z[1] - z[0]
     _check_uniform(z, h)
     if traj.theta is None:
@@ -1005,26 +965,26 @@ def dissipation_order(
 
     Returns the log-log slope of max residual versus step size over the
     given step counts, together with the residual maxima.  The runs are one
-    batch of :func:`propagate_reduced_many`'s integrator, and each run's
-    maximum is taken block by block (:func:`_joined`) as the chunks are
-    applied (the stencil carries four samples across a block's edge, the
-    uniform-grid test one node), on :class:`_GridNodes` grids: the maxima of
-    :func:`dissipation_residual` over the whole trajectories, bit for bit,
-    in the working memory of one chunk.
+    batch of :func:`propagate_reduced`'s integrator, and each run's maximum
+    is taken block by block (:func:`_joined`) as the chunks are applied (the
+    stencil carries four samples across a block's edge, the uniform-grid
+    test one node): the maxima of :func:`dissipation_residual` over the
+    whole trajectories, bit for bit, in the working memory of one chunk.
     """
     opts = [IntegratorOptions(step_count=int(n)) for n in steps_list]
-    runs = (_lab_run(profile, o, FieldState(1.0, 0.0), _GridNodes) for o in opts)
+    runs = (_lab_run(profile, o, FieldState(1.0, 0.0)) for o in opts)
     res = []
-    for grid, lo, theta, v in _joined(_rk4_chunks(_lab_matrices, runs)):
-        z = grid[max(0, lo - 1) : lo + len(v)]  # and the node before the piece
+    for size, lo, z, theta, v in _joined(_rk4_chunks(_lab_matrices, runs)):
         if lo == 0:  # a run's first piece
+            _check_stencil_nodes(size)
             h, worst, carry = z[1] - z[0], None, None
+        else:  # and the node before the piece
+            z = np.concatenate((before, z))
+        before = z[-1:]
         _check_uniform(z, h)
         terms, carry = _stencil_window(carry, _dissipation_terms(v[:, 0], v[:, 1], theta))
         worst = _running_max(worst, _dissipation_window(*terms, h))
-        if lo + len(v) == grid.size:
-            if worst is None:
-                raise DoubleLambdaError("dissipation residual needs at least five grid nodes")
+        if lo + len(v) == size:
             res.append(float(worst))
     hs = [profile.alpha / n for n in steps_list]
     slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])

@@ -487,6 +487,26 @@ def test_efficiency_invalid_range_bound_exits_two(tmp_path, capsys, bounds, flag
     assert err.count("\n") == 1 and "InvalidAlpha" in err and flag in err
 
 
+@pytest.mark.parametrize("steps", ["5", "0"])
+def test_efficiency_alpha_steps_beside_explicit_alpha_exits_two(tmp_path, capsys, steps):
+    # --alpha-steps sizes a range only: beside --alpha it is refused, not
+    # ignored, whether or not it is in range
+    out = tmp_path / "eff.csv"
+    assert main(["efficiency", "--alpha", "1", "--alpha-steps", steps, "--method", "closed",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--alpha-steps" in err and "not both" in err
+
+
+def test_efficiency_range_defaults_to_two_hundred_densities(tmp_path):
+    out = tmp_path / "eff.csv"
+    assert main(["efficiency", "--alpha-min", "1", "--alpha-max", "2", "--method", "closed",
+                 "--protocol", "constant", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 200 and (rows[0][0], rows[-1][0]) == ("1.0", "2.0")
+
+
 def test_efficiency_range_up_to_the_largest_float(tmp_path, capsys):
     # linspace's last product overflows here before it is set to the bound;
     # that must not reach stderr as a numpy warning

@@ -47,12 +47,11 @@ from doublelambda import propagation
 from doublelambda.propagation import (
     _BLOCK,
     MAX_STEPS,
+    _GridNodes,
     adiabatic_initial,
-    propagate_exact_many,
     propagate_reduced_chunks,
-    propagate_reduced_many,
 )
-from test_rk4_reference import reference_rk4
+from test_rk4_reference import exact_batch, linspace_grid, reduced_batch, reference_rk4
 
 HALF_PI = np.pi / 2
 
@@ -458,7 +457,7 @@ def _complex_exact_run(controls, alpha, opts, breakpoints=()):
         sol = steady_coherences(DriveFields(unit_p, unit_s, oc, od), Rates())
         return np.moveaxis(np.stack([0.5j * sol.rho31, 0.5j * sol.rho41]), -1, 0)
 
-    grid = propagation._segment_grid(alpha, breakpoints, opts.resolve_steps(alpha))
+    grid = linspace_grid(alpha, breakpoints, opts.resolve_steps(alpha))
     return reference_rk4(matrices, grid, np.array([1.0, 0.0], dtype=complex))
 
 
@@ -508,7 +507,7 @@ def test_exact_route_real_system_matches_complex_kernel(monkeypatch):
 
 
 def test_exact_system_matrix_is_a_rank_one_step_from_minus_half():
-    # A of the exact route, built as propagate_exact_many builds it: one
+    # A of the exact route, built as the exact batch builds it: one
     # steady-state solve at unit probe and unit signal over a block of
     # points.  Eliminating rho31 and rho41 gives M = I + 2A =
     # w c^H / (D + Gamma21) with w = (Omega_c, Omega_d),
@@ -636,18 +635,16 @@ def test_grid_step_share_overflow_raises_non_finite(route):
         route(build_profile("constant", 1e308), IntegratorOptions(step_count=10))
 
 
+def whole_grid(alpha, breakpoints, n_steps):
+    """Every node of a propagation's grid, as one array."""
+    grid = _GridNodes(alpha, breakpoints, n_steps)
+    return grid[0 : grid.size]
+
+
 def test_grid_of_overflowing_depth_keeps_pieces_that_fit():
     # n_steps * alpha overflows, but each piece's share does not: grid unchanged
-    grid = propagation._segment_grid(1e308, [5e307], 2)
+    grid = whole_grid(1e308, [5e307], 2)
     assert grid.tolist() == [0.0, 5e307, 1e308]
-
-
-def linspace_grid(alpha, breakpoints, n_steps):
-    """The grid of ``_segment_grid`` built piece by piece with ``np.linspace``."""
-    cuts = [0.0, *sorted({b for b in breakpoints if 0.0 < b < alpha}), alpha]
-    pieces = [np.linspace(a, b, max(1, round(n_steps * (b - a) / alpha)) + 1)
-              for a, b in zip(cuts[:-1], cuts[1:])]
-    return np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
 
 
 @st.composite
@@ -683,7 +680,7 @@ def check_grid_pieces_are_linspace(segment_grid):
 
 
 def test_grid_pieces_are_numpy_linspace():
-    check_grid_pieces_are_linspace(propagation._segment_grid)
+    check_grid_pieces_are_linspace(whole_grid)
 
 
 def test_grid_property_fails_a_grid_whose_last_node_is_not_set():
@@ -706,6 +703,17 @@ def test_dissipation_residual_requires_uniform_grid():
     traj = propagate_reduced(prof)
     with pytest.raises(DoubleLambdaError, match="uniform grid"):
         dissipation_residual(traj)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 4])
+def test_dissipation_residual_requires_five_nodes(nodes):
+    # a one-node trajectory is what the final-sample batches yield
+    traj = propagate_reduced(constant_protocol(1.0), opts=IntegratorOptions(step_count=4))
+    short = dataclasses.replace(traj, **{name: getattr(traj, name)[-nodes:]
+                                         for name in ("zeta", "omega_p", "omega_s", "theta")})
+    with pytest.raises(DoubleLambdaError, match="at least five grid nodes"):
+        dissipation_residual(short)
+    assert dissipation_residual(traj).size == 1
 
 
 def test_dissipation_residual_requires_the_mixing_angle():
@@ -745,7 +753,7 @@ def test_batch_builds_step_matrices_per_chunk_not_per_run(monkeypatch):
     alphas = [0.07, 0.3, 1.1, 4.0, 13.0, 40.0, 110.0, 290.0]
     runs = [(build_profile(kind, alpha), IntegratorOptions())
             for kind in ("adiabatic", "constant", "optimal") for alpha in alphas]
-    trajectories = list(propagate_reduced_many(runs))
+    trajectories = list(reduced_batch(runs))
     assert [len(t.zeta) - 1 for t in trajectories[:8]] == [2, 3, 11, 40, 130, 400, 1100, 2900]
     assert builds == [1024, 662, 1024, 1024, 852] * 3
 
@@ -765,7 +773,7 @@ def test_batch_yields_run_spanning_chunks_before_pulling_the_next():
             pulled.append(i)
             yield build_profile("constant", 1.0 + i), IntegratorOptions(step_count=n)
 
-    batch = propagate_reduced_many(runs())
+    batch = reduced_batch(runs())
     assert len(next(batch).zeta) == 11 and pulled == [0, 1]
     assert len(next(batch).zeta) == 3 * _BLOCK + 1 and pulled == [0, 1]
     assert len(next(batch).zeta) == 11 and pulled == [0, 1, 2]
@@ -802,6 +810,22 @@ def test_chunk_stream_checks_before_it_is_read():
         propagate_reduced_chunks(build_profile("optimal", 1e7))
 
 
+def test_chunk_stream_holds_no_whole_grid():
+    # at the step cap the grid alone would take 76 MiB; each chunk computes
+    # its own nodes, so the first three chunks stay far below one MiB
+    profile, opts = constant_protocol(1e6), IntegratorOptions(steps_per_unit=10)
+    assert opts.resolve_steps(profile.alpha) == MAX_STEPS
+    tracemalloc.start()
+    try:
+        chunks = propagate_reduced_chunks(profile, opts=opts)
+        pieces = [len(z) for (z, _, _), _ in zip(chunks, range(3))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pieces == [_BLOCK + 1, _BLOCK, _BLOCK]
+    assert peak < 2**20
+
+
 def assert_same_bits(traj, alone):
     for name in ("zeta", "omega_p", "omega_s"):
         a, b = getattr(traj, name), getattr(alone, name)
@@ -810,7 +834,7 @@ def assert_same_bits(traj, alone):
 
 
 def _exact_runs(alpha):
-    """The three protocols and a kinked table, as ``propagate_exact_many`` runs."""
+    """The three protocols and a kinked table, as ``propagate_exact_finals`` runs."""
     profiles = [build_profile(kind, alpha) for kind in ("optimal", "constant", "adiabatic")]
     profiles.append(tabulated_protocol([0.0, 0.2 * alpha, 0.55 * alpha, alpha],
                                        [1.4, 1.0, 0.6, 0.2]))
@@ -825,7 +849,7 @@ def _exact_runs(alpha):
 def test_exact_batch_matches_each_run_alone(alpha, chunks, monkeypatch):
     builds = _count_builds(monkeypatch)
     runs = _exact_runs(alpha)
-    batch = list(propagate_exact_many(runs))
+    batch = list(exact_batch(runs))
     assert builds == chunks
     for traj, (controls, a, opts, breakpoints) in zip(batch, runs, strict=True):
         assert_same_bits(traj, propagate_exact(controls, a, opts=opts, breakpoints=breakpoints))
@@ -845,7 +869,7 @@ def test_exact_batch_with_a_phased_run_matches_each_run_alone(alpha, switch):
 
     real = _exact_runs(alpha)
     runs = [real[0], (phased, alpha, IntegratorOptions(), ()), *real[1:]]
-    batch = list(propagate_exact_many(runs, Rates(), FieldState(0.8, 0.6)))
+    batch = list(exact_batch(runs, Rates(), FieldState(0.8, 0.6)))
     for traj, (controls, a, opts, breakpoints) in zip(batch, runs, strict=True):
         alone = propagate_exact(controls, a, Rates(), FieldState(0.8, 0.6), opts, breakpoints)
         assert_same_bits(traj, alone)
@@ -862,7 +886,7 @@ def test_exact_batch_yields_run_spanning_chunks_before_pulling_the_next():
             pulled.append(i)
             yield controls_of(profile), 1.0, IntegratorOptions(step_count=n), ()
 
-    batch = propagate_exact_many(runs())
+    batch = exact_batch(runs())
     assert len(next(batch).zeta) == 11 and pulled == [0, 1]
     assert len(next(batch).zeta) == 3 * _BLOCK + 1 and pulled == [0, 1]
     assert len(next(batch).zeta) == 11 and pulled == [0, 1, 2]

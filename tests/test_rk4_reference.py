@@ -22,14 +22,17 @@ from doublelambda.propagation import (
     _BLOCK,
     FieldState,
     IntegratorOptions,
+    Trajectory,
+    _exact_batch,
+    _lab_matrices,
+    _lab_run,
+    _rk4,
     _rotate,
-    _segment_grid,
     _slope_matrices,
     adiabatic_initial,
     propagate_adiabatic,
     propagate_exact,
     propagate_reduced,
-    propagate_reduced_many,
     schedule_from_profile,
 )
 from doublelambda.protocols import build_profile, tabulated_protocol, theta_to_controls
@@ -63,12 +66,37 @@ def reference_rk4(matrices, grid, v0):
     return np.concatenate(blocks)
 
 
+def linspace_grid(alpha, breakpoints, n_steps):
+    """A propagation's grid built piece by piece with ``np.linspace``: a node
+    at every breakpoint, each piece its share of the steps."""
+    cuts = [0.0, *sorted({b for b in breakpoints if 0.0 < b < alpha}), alpha]
+    pieces = [np.linspace(a, b, max(1, round(n_steps * (b - a) / alpha)) + 1)
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    return np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
+
+
+def reduced_batch(runs, initial=FieldState(1.0, 0.0)):
+    """Whole trajectories of ``(profile, opts)`` runs batched through the
+    shared driver, as ``propagate_reduced`` collects a run of one."""
+    lab_runs = (_lab_run(profile, opts, initial) for profile, opts in runs)
+    for zeta, theta, v in _rk4(_lab_matrices, lab_runs, keep_nodes=True):
+        yield Trajectory(zeta=zeta, omega_p=v[:, 0], omega_s=v[:, 1], theta=theta)
+
+
+def exact_batch(runs, rates=Rates(), initial=FieldState(1.0, 0.0)):
+    """Whole trajectories of ``(controls, alpha, opts, breakpoints)`` runs
+    batched through the shared driver, as ``propagate_exact`` collects a run
+    of one."""
+    for zeta, _, v in _rk4(*_exact_batch(runs, rates, initial)):
+        yield Trajectory(zeta=zeta, omega_p=v[:, 0], omega_s=v[:, 1])
+
+
 def reference_reduced(profile, n_steps, initial=FieldState(1.0, 0.0)):
     def lab_matrices(z):
         theta = np.asarray(profile.interior(z), dtype=float)
         return -0.5 * np.moveaxis(projector_matrix(theta), -1, 0)
 
-    grid = _segment_grid(profile.alpha, profile.breakpoints, n_steps)
+    grid = linspace_grid(profile.alpha, profile.breakpoints, n_steps)
     v0 = np.array([float(initial.omega_p), float(initial.omega_s)])
     return grid, reference_rk4(lab_matrices, grid, v0)
 
@@ -115,8 +143,7 @@ def test_reduced_route_matches_reference(profile, n_steps, initial):
 @PROPERTY
 @given(runs=st.lists(st.tuples(profiles(), STEPS), min_size=2, max_size=5))
 def test_reduced_batches_match_reference(runs):
-    batch = propagate_reduced_many(
-        (profile, IntegratorOptions(step_count=n)) for profile, n in runs)
+    batch = reduced_batch((profile, IntegratorOptions(step_count=n)) for profile, n in runs)
     trajectories = list(batch)
     assert len(trajectories) == len(runs)
     for traj, (profile, n) in zip(trajectories, runs):
@@ -131,7 +158,7 @@ def test_reduced_batches_match_reference(runs):
 def test_batch_chunk_ends_inside_and_between_runs(counts):
     kinds = ("optimal", "constant", "adiabatic")
     runs = [(build_profile(kinds[i % 3], 0.5 + i), n) for i, n in enumerate(counts)]
-    batch = propagate_reduced_many((p, IntegratorOptions(step_count=n)) for p, n in runs)
+    batch = reduced_batch((p, IntegratorOptions(step_count=n)) for p, n in runs)
     for traj, (profile, n) in zip(batch, runs, strict=True):
         assert_reduced_matches(traj, profile, n)
 
@@ -172,7 +199,7 @@ def test_exact_route_with_complex_fields_matches_reference(profile, n_steps, rat
         return np.moveaxis(np.stack([0.5j * rates.gamma31 * sol.rho31,
                                      0.5j * rates.gamma41 * sol.rho41]), -1, 0)
 
-    grid = _segment_grid(profile.alpha, profile.breakpoints, n_steps)
+    grid = linspace_grid(profile.alpha, profile.breakpoints, n_steps)
     v = reference_rk4(matrices, grid, np.array([initial.omega_p, initial.omega_s], dtype=complex))
     assert np.array_equal(traj.zeta, grid)
     assert np.array_equal(traj.omega_p, v[:, 0])
@@ -193,10 +220,10 @@ def test_adjoint_route_matches_reference(alpha):
     starts, states, chunks = [], [], pmp_search._rk4_chunks
 
     def recording(matrices, runs):
-        for grid, lo, nodes, v in chunks(matrices, runs):
+        for size, lo, zeta, nodes, v in chunks(matrices, runs):
             starts.append(lo)
             states.append(v)
-            yield grid, lo, nodes, v
+            yield size, lo, zeta, nodes, v
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pmp_search, "_rk4_chunks", recording)

@@ -33,15 +33,12 @@ from doublelambda.propagation import (
     _five_point_derivative,
     _GridNodes,
     _ReversedNodes,
-    _segment_grid,
     _slope_matrices,
     _stencil_window,
     dissipation_order,
     propagate_adiabatic,
     propagate_exact_finals,
-    propagate_exact_many,
     propagate_reduced_finals,
-    propagate_reduced_many,
     schedule_from_profile,
 )
 from doublelambda.protocols import (
@@ -50,7 +47,13 @@ from doublelambda.protocols import (
     tabulated_protocol,
     theta_to_controls,
 )
-from test_rk4_reference import NEAR_BLOCKS, reference_rk4
+from test_rk4_reference import (
+    NEAR_BLOCKS,
+    exact_batch,
+    linspace_grid,
+    reduced_batch,
+    reference_rk4,
+)
 
 LOG_SPACED = [float(a) for a in np.geomspace(1e-3, 300.0, 9)]
 # one step past the tail, whose backward run ends on one node integrated
@@ -94,7 +97,7 @@ def reference_arc(alpha):
 def reference_dissipation_order(profile, steps_list):
     res = []
     runs = [(profile, IntegratorOptions(step_count=n)) for n in steps_list]
-    for traj in propagate_reduced_many(runs):
+    for traj in reduced_batch(runs):
         p, s, th = traj.omega_p, traj.omega_s, traj.theta
         x = p * np.cos(th) - s * np.sin(th)
         r = five_point(p * p + s * s, traj.zeta[1] - traj.zeta[0]) + x[2:-2] ** 2
@@ -180,7 +183,7 @@ def test_stencil_windows_give_the_whole_stencil_once(f, cuts):
        rows=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
 def test_grid_nodes_slice_the_segment_grid(alpha, n_steps, knots, rows):
     breakpoints = [alpha * k for k in knots]
-    whole = _segment_grid(alpha, breakpoints, n_steps)
+    whole = linspace_grid(alpha, breakpoints, n_steps)
     grid = _GridNodes(alpha, breakpoints, n_steps)
     lo, hi = sorted(round(r * whole.size) for r in rows)
     assert grid.size == whole.size
@@ -200,10 +203,10 @@ def test_final_samples_are_the_last_rows(alpha):
     # runs sharing a chunk, spanning chunks, and kinked: grids of several pieces
     profiles = batch_profiles(alpha)
     opts = IntegratorOptions()
-    reduced = list(propagate_reduced_many((p, opts) for p in profiles))
+    reduced = list(reduced_batch((p, opts) for p in profiles))
     exact_runs = [(functools.partial(theta_to_controls, p), alpha, opts, p.breakpoints)
                   for p in profiles]
-    exact = list(propagate_exact_many(exact_runs))
+    exact = list(exact_batch(exact_runs))
     for finals, whole in ((propagate_reduced_finals((p, opts) for p in profiles), reduced),
                           (propagate_exact_finals(exact_runs), exact)):
         finals = list(finals)
