@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import DoubleLambdaError
 from .propagation import IntegratorOptions, DEFAULT_OPTIONS, propagate_reduced
 from .protocols import HALF_PI, _check_alpha, build_profile, theta0_complement
 
@@ -78,12 +79,16 @@ def constant_efficiency_closed(alpha: float) -> float:
 
 
 def closed_efficiency(kind: str, alpha: float) -> float | None:
-    """Closed-form efficiency of a protocol kind; None where none exists."""
+    """Closed-form efficiency of a protocol kind; None for the kinds without
+    one (``adiabatic``, ``custom``).  Any other kind raises
+    :class:`DoubleLambdaError`, as in :func:`numerical_efficiency`."""
     if kind == "optimal":
         return optimal_efficiency_closed(alpha)
     if kind == "constant":
         return constant_efficiency_closed(alpha)
-    return None
+    if kind in ("adiabatic", "custom"):
+        return None
+    raise DoubleLambdaError(f"unknown protocol kind '{kind}'")
 
 
 def numerical_efficiency(

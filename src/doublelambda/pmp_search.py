@@ -11,13 +11,13 @@ multiplier normalized to ``mu = 1`` the costates are ``lambda_x = -1/(2y)``,
 generic fixed-step integrator and evaluates all of these conditions on the
 samples, and :func:`integrate_adjoint_along_arc` integrates the costates
 backward from the exit.  Both work in bounded memory at any ``alpha``: each
-condition is a running maximum taken block by block (2048 steps) as the
-RK4 driver applies its chunks (1024 steps), and the arc keeps its forward
-states only over its last :data:`ARC_RETAINED_STEPS` steps (1 MiB), plus
-one state per chunk before them.  The backward run, which needs the
-forward state at every node, integrates those earlier chunks again from
-their kept states, with the bits of the first pass; an arc of at most that
-many steps (``alpha`` up to 655.36) is integrated once.
+condition is a running maximum taken chunk by chunk as the RK4 driver
+applies its chunks (``_CHECK_BLOCK``, 2048 steps), and the arc keeps its
+forward states only over its last :data:`ARC_RETAINED_STEPS` steps
+(1 MiB), plus one state per backward chunk before them.  The backward run,
+which needs the forward state at every node, integrates those earlier
+chunks again from their kept states, with the bits of the first pass; an
+arc of at most that many steps (``alpha`` up to 655.36) is integrated once.
 :func:`optimize_piecewise` attacks the same objective from the other side:
 a bounded quasi-Newton search (L-BFGS-B) over piecewise-linear angle
 profiles with free boundary jumps, evaluated through the closed-form
@@ -40,11 +40,10 @@ import numpy as np
 
 from .errors import InvalidSearchSettings, NonFinite
 from .propagation import (
-    _BLOCK,
+    _CHECK_BLOCK,
     IntegratorOptions,
     _five_point_derivative,
     _GridNodes,
-    _joined,
     _ReversedNodes,
     _rk4,
     _rk4_chunks,
@@ -108,12 +107,12 @@ MAX_SEGMENTS = 100_000
 
 
 #: Forward states of the arc kept for the adjoint's backward run, in steps:
-#: 64 chunks of the RK4 driver, 1 MiB of ``(y, x)`` pairs.  An arc of at most
-#: this many steps (``alpha`` up to 655.36) is kept whole and integrated
+#: 1 MiB of ``(y, x)`` pairs, 32 chunks of the streamed checks.  An arc of at
+#: most this many steps (``alpha`` up to 655.36) is kept whole and integrated
 #: once.  Of a longer one the last this many steps are kept, and the state
 #: at the start of each of the backward run's chunks before them; the
 #: backward run integrates those chunks' forward states again from there.
-ARC_RETAINED_STEPS = 64 * _BLOCK
+ARC_RETAINED_STEPS = 65_536
 
 #: Residuals of the forward arc, in the order :func:`singular_arc_checks` reports them.
 _FORWARD_CHECKS = ("max_abs_phi", "hc_drift", "feedback_residual", "ratio_residual")
@@ -142,10 +141,10 @@ class AdjointState:
     :func:`verify_singular_arc` fills it in one forward pass: ``residuals``
     holds the forward checks of :func:`singular_arc_checks`; ``tail`` the
     ``(y, x)`` states at the last :data:`ARC_RETAINED_STEPS` + 1 nodes of
-    ``grid`` (all of them on a shorter arc); and ``starts[j]`` the state at
-    node ``max(0, n - (j + 1) _BLOCK)`` of the ``n``-step arc, where the
-    backward run's chunk ``j`` reaches.  :meth:`states` gives the states at
-    any such chunk's nodes.  Reading ``zeta``, ``x``, ``y``, ``lambda_x``,
+    ``grid`` (all of them on a shorter arc); and ``starts``, keyed by node,
+    the state at each node before the tail where a chunk of the backward
+    run starts its forward nodes.  :meth:`states` gives the states at any
+    such chunk's nodes.  Reading ``zeta``, ``x``, ``y``, ``lambda_x``,
     ``lambda_y``, ``phi`` or ``hc`` builds that whole array (for inspection
     and tests; the checks never hold one).
     """
@@ -155,7 +154,7 @@ class AdjointState:
     residuals: dict[str, float]
     grid: _GridNodes
     matrices: Callable[[np.ndarray], np.ndarray]
-    starts: np.ndarray
+    starts: dict[int, np.ndarray]
     tail: np.ndarray
 
     def states(self, lo: int, hi: int) -> np.ndarray:
@@ -165,7 +164,7 @@ class AdjointState:
         kept = self.grid.size - len(self.tail)  # the first node kept
         if lo >= kept:
             return self.tail[lo - kept : hi - kept + 1]
-        start = self.starts[-(-(self.grid.size - 1 - lo) // _BLOCK) - 1]
+        start = self.starts[lo]
         if hi == lo:  # node 0 alone, where a backward chunk of one step ends
             return start[None]
         ((_, _, v),) = _rk4(self.matrices, [(self.grid[lo : hi + 1], start, None)])
@@ -174,7 +173,7 @@ class AdjointState:
     def __getattr__(self, name):
         if name not in ("zeta", "x", "y", "lambda_x", "lambda_y", "phi", "hc"):
             raise AttributeError(name)
-        edges = sorted({0, *range(self.grid.size - len(self.tail), 0, -_BLOCK)})
+        edges = [*sorted(self.starts), self.grid.size - len(self.tail)]
         v = np.concatenate([self.states(lo, hi - 1) for lo, hi in zip(edges, edges[1:])]
                            + [self.tail])
         return _arc_samples(self.grid[0 : self.grid.size], v[:, 0], v[:, 1], self.u_s)[name]
@@ -190,13 +189,13 @@ def verify_singular_arc(alpha: float) -> AdjointState:
     the open interior of the arc (both rotated-frame components are strictly
     positive there; they vanish only outside the boundary jumps), and every
     forward residual of :func:`singular_arc_checks` is a running maximum
-    taken block by block (:func:`_joined`) as the driver applies the
-    chunks, the five-point stencil carrying four samples across each
-    block's edge.  A maximum does not depend on the order its values come
-    in, so each equals the maximum over the whole arc bit for bit.  Beyond
-    one chunk, only what :class:`AdjointState` keeps is held: at most
-    :data:`ARC_RETAINED_STEPS` + 1 states, and one state per chunk before
-    them.
+    taken as the driver applies its chunks of :data:`_CHECK_BLOCK` steps,
+    each evaluated whole, the five-point stencil carrying four samples
+    across each chunk's edge.  A maximum does not depend on the order its
+    values come in, so each equals the maximum over the whole arc bit for
+    bit.  Beyond one chunk, only what :class:`AdjointState` keeps is held:
+    at most :data:`ARC_RETAINED_STEPS` + 1 states, and one state per
+    backward chunk before them.
     """
     profile = optimal_protocol(alpha)
     theta0 = profile.params["theta0"]
@@ -205,20 +204,21 @@ def verify_singular_arc(alpha: float) -> AdjointState:
     schedule = schedule_from_profile(profile)
     grid, matrices = _GridNodes(profile.alpha, (), n), _schedule_matrices(schedule)
     kept = n - min(n, ARC_RETAINED_STEPS)  # the first node kept
-    tail, starts = np.empty((n + 1 - kept, 2)), np.empty((-(-n // _BLOCK), 2))
+    tail, starts = np.empty((n + 1 - kept, 2)), {}
+    # the backward run's chunks start their forward nodes at n - _CHECK_BLOCK,
+    # n - 2 _CHECK_BLOCK, ... and 0; those before the tail, popped ascending
+    pending = [t for t in (*range(n - _CHECK_BLOCK, 0, -_CHECK_BLOCK), 0) if t < kept]
     tan0 = math.tan(theta0)
     worst = dict.fromkeys((*_FORWARD_CHECKS, "fd_x", "fd_y"))
     hc0 = h = carry = None
     v0 = np.array(_rotate(1.0, 0.0, schedule.entry_rotation))  # the unit input (y, x) = (1, 0)
-    for _, i, z, _, v in _joined(_rk4_chunks(matrices, [(grid, v0, None)])):
+    for _, i, z, _, v in _rk4_chunks(matrices, [(grid, v0, None)], _CHECK_BLOCK):
         end = i + len(v)
         if end > kept:
             tail[max(i, kept) - kept : end - kept] = v[max(0, kept - i) :]
-        # the backward run's chunks reach back to nodes n - _BLOCK, n - 2 _BLOCK, ... and 0
-        for t in range(i + (n - i) % _BLOCK, min(end, n), _BLOCK):
-            starts[(n - t) // _BLOCK - 1] = v[t - i]
-        if i == 0:
-            starts[-1] = v[0]
+        while pending and pending[-1] < end:
+            t = pending.pop()
+            starts[t] = v[t - i].copy()
         y, x = v[:, 0], v[:, 1]
         s = _arc_samples(z, y, x, u_s)
         if hc0 is None:
@@ -272,20 +272,21 @@ def integrate_adjoint_along_arc(arc: AdjointState) -> float:
     The integration starts from the closed-form costate at the exit end and
     runs backward, against the lossy mode, which is numerically stable for
     any ``alpha``.  It is one run of the RK4 driver over the arc's grid
-    reversed, taken block by block (:func:`_joined`); each block's forward
-    states come from :meth:`AdjointState.states`, integrated again from the
-    kept start of its last chunk beyond the retained tail, and the
-    deviation is a running maximum.  A step's matrix depends on its ``A``
-    and its step size alone, so the forward states integrated again are
-    those of the forward run, bit for bit, and the working memory is one
-    chunk beside what the arc keeps.
+    reversed, in chunks of :data:`_CHECK_BLOCK` steps; each chunk's forward
+    states come from :meth:`AdjointState.states`, integrated again from its
+    kept start beyond the retained tail, and the deviation is a running
+    maximum.  A step's matrix depends on its ``A`` and its step size alone,
+    so the forward states integrated again are those of the forward run,
+    bit for bit, and the working memory is one chunk beside what the arc
+    keeps.
     """
     n = arc.grid.size - 1
     lambda_x, lambda_y = _costates(arc.tail[-1:, 0], arc.tail[-1:, 1])
     run = (_ReversedNodes(arc.grid), np.concatenate((lambda_y, lambda_x)), None)
     worst = None
     # (lambda_y, lambda_x)' = [[0, -u], [u, 1/2]] (lambda_y, lambda_x)
-    for _, i, _, _, v in _joined(_rk4_chunks(lambda zz: _slope_matrices(arc.u_s, 0.5), [run])):
+    a = _slope_matrices(arc.u_s, 0.5)  # the one A of every chunk
+    for _, i, _, _, v in _rk4_chunks(lambda zz: a, [run], _CHECK_BLOCK):
         fwd = arc.states(n - i - len(v) + 1, n - i)[::-1]  # the forward nodes of these rows
         lambda_x, lambda_y = _costates(fwd[:, 0], fwd[:, 1])
         # column by column, so no (n, 2) copy of the closed form is held
@@ -348,8 +349,14 @@ def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[flo
     value is the one :func:`piecewise_efficiency` returns.  Knots are clipped
     to [0, pi/2] like there; the gradient is that of the unclipped
     expression, which is the one-sided derivative into the box at a bound.
+    ``alpha`` must pass :func:`_check_alpha`, and ``thetas`` be one row of
+    at least two knots.
     """
-    th = np.clip(np.asarray(thetas, dtype=float), 0.0, HALF_PI).tolist()
+    alpha = _check_alpha(alpha)
+    th = np.clip(np.asarray(thetas, dtype=float), 0.0, HALF_PI)
+    if th.ndim != 1 or th.size < 2:
+        raise InvalidSearchSettings("thetas must be one row of at least two knots")
+    th = th.tolist()
     n_seg = len(th) - 1
     dz = alpha / n_seg
     e = math.exp(-0.25 * dz)

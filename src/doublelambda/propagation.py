@@ -19,23 +19,23 @@ fourth-order Runge-Kutta driver, :func:`_rk4_chunks`, on one grid per
 propagation with a node at every interior knot of the profile;
 deterministic output is preferred over adaptivity.  The grid is a
 :class:`_GridNodes`, which computes its nodes chunk by chunk and holds
-only its pieces' ends.  The driver builds the step matrices of a chunk of
-:data:`_BLOCK` steps at once (:func:`_rk4_step_matrices`; one per distinct
-step size where ``A`` is the same throughout the chunk) and applies them in
-order on Python scalars (:func:`_apply_steps`, reading a real chunk's
-matrices straight from their buffer and a complex one's from a list),
-evaluating the parameters of ``A`` (the angle, or the controls) chunk by
-chunk, and hands each chunk's grid nodes, parameters and states to its
-consumer as soon as the chunk is applied.  :func:`_rk4` collects them into
-the whole trajectories the routes return; :func:`propagate_reduced_chunks`
-passes them on, so that a writer holds one chunk of the trajectory at a
-time.  Independent propagations are batched through the driver, their
-steps walked in chunks that may span several of them, with results equal
-bit for bit to propagating each alone: :func:`propagate_reduced_finals` and
-:func:`propagate_exact_finals` keep only each run's last sample, and the
-exact batch's chunks make one steady-state solve each.  The rotated-frame
-matrix holds the slope, which jumps at a knot, so that route takes
-continuous slopes only.
+only its pieces' ends.  The driver builds the step matrices of a chunk
+(:data:`_BLOCK` steps, or :data:`_CHECK_BLOCK` for the streamed checks) at
+once (:func:`_rk4_step_matrices`; one per distinct step size where ``A`` is
+the same throughout the chunk) and applies them in order on Python scalars
+(:func:`_apply_steps`, reading a real chunk's matrices straight from their
+buffer and a complex one's from a list), evaluating the parameters of ``A``
+(the angle, or the controls) chunk by chunk, and hands each chunk's grid
+nodes, parameters and states to its consumer as soon as it is applied.
+:func:`_rk4` collects them into the whole trajectories the routes return;
+:func:`propagate_reduced_chunks` passes them on, so that a writer holds one
+chunk of the trajectory at a time.  Independent propagations are batched
+through the driver, their steps walked in chunks that may span several of
+them, with results equal bit for bit to propagating each alone:
+:func:`propagate_reduced_finals` and :func:`propagate_exact_finals` keep
+only each run's last sample, and the exact batch's chunks make one
+steady-state solve each.  The rotated-frame matrix holds the slope, which
+jumps at a knot, so that route takes continuous slopes only.
 For piecewise-linear profiles the rotated-frame system has a closed-form
 matrix exponential, exposed as :func:`segment_step` /
 :func:`propagate_piecewise_exact`; exact to rounding, it is an independent
@@ -47,6 +47,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -102,8 +103,9 @@ MAX_STEPS = 10_000_000
 class IntegratorOptions:
     """Fixed-step RK4 configuration.
 
-    ``step_count`` overrides the resolution directly; otherwise the step
-    count is ``ceil(alpha * steps_per_unit)``.  Either way it may not exceed
+    ``step_count`` overrides the resolution directly, an integer of at
+    least 2; otherwise the step count is ``ceil(alpha * steps_per_unit)``.
+    Either way it may not exceed
     :data:`MAX_STEPS`.  ``steps_per_unit`` is finite and at least 1: RK4 on
     the lossy mode (rate 1/2) diverges past a step of about 5.6, where
     ``eta`` can pass 1.  From one step per unit up, ``eta`` stayed at most
@@ -115,8 +117,9 @@ class IntegratorOptions:
     steps_per_unit: float = 10.0
 
     def __post_init__(self):
-        if self.step_count is not None and self.step_count < 2:
-            raise DoubleLambdaError("step_count must be at least 2")
+        n = self.step_count
+        if n is not None and not (isinstance(n, numbers.Integral) and n >= 2):
+            raise DoubleLambdaError(f"step_count must be an integer of at least 2, got {n!r}")
         if not (math.isfinite(self.steps_per_unit) and self.steps_per_unit >= 1):
             raise DoubleLambdaError("steps_per_unit must be finite and at least 1")
 
@@ -368,7 +371,8 @@ class _Run:
         self.real = not (np.iscomplexobj(self.v) and self.v.imag.any())
 
 
-def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple]):
+def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple],
+                block: int | None = None):
     """Classical RK4 for ``dv/dzeta = A v`` over a stream of independent runs,
     handed out chunk by chunk.
 
@@ -384,14 +388,15 @@ def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tup
     the ``(n, 2, 2)`` form, since a step's matrix depends on its ``A``
     values and its step size alone.
 
-    The runs' steps are walked in order, in chunks of up to :data:`_BLOCK`
-    steps that may span several runs.  Each chunk evaluates ``at`` on each
-    run's step nodes and midpoints in it, and makes one ``matrices`` call
-    over all of them and one :func:`_rk4_step_matrices` call;
-    :func:`_apply_steps` then applies the steps in order, restarting from
-    ``v0`` at each run's first step.  A step's matrix and its application
-    do not depend on the chunk it falls in, so the states are those of each
-    run integrated alone, bit for bit.
+    The runs' steps are walked in order, in chunks of up to ``block`` steps
+    (:data:`_BLOCK` where ``None``, read at the call) that may span several
+    runs.  Each chunk evaluates ``at`` on each run's step nodes and
+    midpoints in it, and makes one ``matrices`` call over all of them and
+    one :func:`_rk4_step_matrices` call; :func:`_apply_steps` then applies
+    the steps in order, restarting from ``v0`` at each run's first step.  A
+    step's matrix and its application do not depend on the chunk it falls
+    in, so the states are those of each run integrated alone, bit for bit,
+    at any ``block``; the streamed checks take :data:`_CHECK_BLOCK`.
 
     A run's states take the dtype of its ``v0``; a route whose ``A`` can be
     complex passes a complex ``v0``.  A chunk whose ``A`` has no imaginary
@@ -411,8 +416,9 @@ def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tup
     nothing is held beyond the chunk in flight and the grids of the runs it
     holds.
     """
+    block = _BLOCK if block is None else block
     chunk = []  # (run, lo, hi): steps lo..hi of a run
-    room = _BLOCK
+    room = block
     for grid, v0, at in runs:
         run = _Run(grid, v0, at)
         lo, n = 0, grid.size - 1
@@ -424,7 +430,7 @@ def _rk4_chunks(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tup
             # flush a full chunk, and one that ends a run begun in an earlier chunk
             if room == 0 or (hi == n and chunk[0][1] > 0):
                 yield from _rk4_chunk(matrices, chunk)
-                chunk, room = [], _BLOCK
+                chunk, room = [], block
     if chunk:
         yield from _rk4_chunk(matrices, chunk)
 
@@ -514,35 +520,13 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple],
             yield zeta, nodes, states
 
 
-#: Rows a streamed check evaluates at once (:func:`_joined`).  Checked chunk
-#: by chunk, the arc and dissipation checks of ``verify`` took 4-10 % longer
-#: than on whole arrays at alpha = 40 and 150 (a shared 2-core x86-64 host);
-#: in blocks of two chunks they took as long, and their temporaries (16 KiB
-#: a column) stay below what the sampled dominance check allocates.
-_JOIN_ROWS = 2 * _BLOCK
-
-
-def _joined(pieces: Iterable[tuple]) -> Iterator[tuple]:
-    """The pieces of :func:`_rk4_chunks` joined, run by run, into blocks.
-
-    Yields ``(size, lo, zeta, nodes, states)`` as the driver does, but each
-    of at least :data:`_JOIN_ROWS` rows, and so fewer than :data:`_JOIN_ROWS`
-    + :data:`_BLOCK`, except a run's last, which ends where the run ends.  A
-    check that evaluates each block whole makes its numpy calls once per
-    block instead of once per chunk, with the same values.
-    """
-    held, count = [], 0
-    for piece in pieces:
-        size, lo, _, _, v = piece
-        held.append(piece)
-        count += len(v)
-        if count >= _JOIN_ROWS or lo + len(v) == size:
-            if len(held) > 1:
-                _, starts, zs, xs, vs = zip(*held)
-                piece = (size, starts[0], np.concatenate(zs), np.concatenate(xs, axis=-1),
-                         np.concatenate(vs))
-            yield piece
-            held, count = [], 0
+#: Steps of the chunks a streamed check of ``verify`` takes from
+#: :func:`_rk4_chunks`.  In chunks of :data:`_BLOCK` steps, the arc and
+#: dissipation checks took 4-10 % longer than on whole arrays at alpha = 40
+#: and 150 (a shared 2-core x86-64 host); in chunks of 2048 they took as
+#: long, and their temporaries (16 KiB a column) stay below what the sampled
+#: dominance check allocates.
+_CHECK_BLOCK = 2048
 
 
 def _last_samples(matrices: Callable[[np.ndarray], np.ndarray],
@@ -964,25 +948,26 @@ def dissipation_order(
     """Observed convergence order of the dissipation-identity residual.
 
     Returns the log-log slope of max residual versus step size over the
-    given step counts, together with the residual maxima.  The runs are one
-    batch of :func:`propagate_reduced`'s integrator, and each run's maximum
-    is taken block by block (:func:`_joined`) as the chunks are applied (the
-    stencil carries four samples across a block's edge, the uniform-grid
-    test one node): the maxima of :func:`dissipation_residual` over the
-    whole trajectories, bit for bit, in the working memory of one chunk.
+    given step counts, integers with at least two distinct, together with
+    the residual maxima.  The runs are one batch of :func:`propagate_reduced`'s
+    integrator in chunks of :data:`_CHECK_BLOCK` steps, and each run's
+    maximum is taken as they are applied (the stencil carries four samples
+    and their nodes across a chunk's edge, for the uniform-grid test too):
+    the maxima of :func:`dissipation_residual` over the whole trajectories,
+    bit for bit, in the working memory of one chunk.
     """
-    opts = [IntegratorOptions(step_count=int(n)) for n in steps_list]
+    opts = [IntegratorOptions(step_count=n) for n in steps_list]
+    if len(set(steps_list)) < 2:
+        raise DoubleLambdaError("dissipation order needs at least two distinct step counts")
     runs = (_lab_run(profile, o, FieldState(1.0, 0.0)) for o in opts)
     res = []
-    for size, lo, z, theta, v in _joined(_rk4_chunks(_lab_matrices, runs)):
+    for size, lo, z, theta, v in _rk4_chunks(_lab_matrices, runs, _CHECK_BLOCK):
         if lo == 0:  # a run's first piece
             _check_stencil_nodes(size)
             h, worst, carry = z[1] - z[0], None, None
-        else:  # and the node before the piece
-            z = np.concatenate((before, z))
-        before = z[-1:]
+        cols = (z, *_dissipation_terms(v[:, 0], v[:, 1], theta))
+        (z, *terms), carry = _stencil_window(carry, cols)
         _check_uniform(z, h)
-        terms, carry = _stencil_window(carry, _dissipation_terms(v[:, 0], v[:, 1], theta))
         worst = _running_max(worst, _dissipation_window(*terms, h))
         if lo + len(v) == size:
             res.append(float(worst))

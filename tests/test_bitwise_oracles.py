@@ -26,6 +26,7 @@ from doublelambda.pmp_search import (
 )
 from doublelambda.propagation import (
     _BLOCK,
+    _CHECK_BLOCK,
     IntegratorOptions,
     _rk4,
     _segment_exponential_array,
@@ -231,7 +232,7 @@ def test_constant_slope_chunks_build_one_matrix_per_step_size(monkeypatch):
     counts = recorded_step_counts(monkeypatch)
     arc = verify_singular_arc(100.0)  # 10,000 steps at one slope
     integrate_adjoint_along_arc(arc)  # the same grid, reversed
-    assert len(counts) == 2 * math.ceil(10_000 / _BLOCK)
+    assert len(counts) == 2 * math.ceil(10_000 / _CHECK_BLOCK)
     assert max(counts) <= 15
 
 

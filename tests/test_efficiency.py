@@ -8,6 +8,7 @@ import pytest
 from doublelambda import (
     AdiabaticState,
     ControlSchedule,
+    DoubleLambdaError,
     IntegratorOptions,
     InvalidAlpha,
     closed_efficiency,
@@ -167,6 +168,13 @@ def test_numeric_adiabatic_reference():
     assert closed_efficiency("adiabatic", 100.0) is None
     eta = numerical_efficiency("adiabatic", 100.0, zeta0=50.0, zbar=5.0)
     assert eta == pytest.approx(0.8197, abs=5e-4)
+
+
+def test_unknown_kind_is_refused_by_both_routes():
+    assert closed_efficiency("custom", 1.0) is None
+    for route in (closed_efficiency, numerical_efficiency):
+        with pytest.raises(DoubleLambdaError, match="unknown protocol kind 'bogus'"):
+            route("bogus", 1.0)
 
 
 def test_numeric_constant_tiny_alpha():

@@ -243,6 +243,17 @@ def test_search_validation():
             optimize_piecewise(alpha, 4, seed=0, budget=100)
 
 
+@pytest.mark.parametrize("function", [piecewise_efficiency, piecewise_efficiency_and_grad])
+def test_piecewise_efficiency_refuses_bad_inputs(function):
+    # a depth _check_alpha refuses has no efficiency, and one knot no segment
+    for alpha in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(InvalidAlpha):
+            function([1.5, 0.2], alpha)
+    for thetas in ([], [1.0], 1.0, [[1.5, 0.2], [1.0, 0.1]]):
+        with pytest.raises(InvalidSearchSettings, match="at least two knots"):
+            function(thetas, 1.0)
+
+
 @pytest.mark.parametrize("budget, converged", [(20_000, True), (7, False)])
 def test_search_evaluates_once_per_counted_evaluation(monkeypatch, budget, converged):
     # L-BFGS-B takes the gradient from the objective's memo of the point it

@@ -610,6 +610,11 @@ def test_integrator_options_validation():
     # the CLI maps DoubleLambdaError, not a plain ValueError, to exit 2
     with pytest.raises(DoubleLambdaError, match="at least 2"):
         IntegratorOptions(step_count=1)
+    # a fractional count would take ceil(n) steps, which no caller asked for
+    for count in (5.7, 5.0, np.float64(6.0)):
+        with pytest.raises(DoubleLambdaError, match="must be an integer"):
+            IntegratorOptions(step_count=count)
+    assert IntegratorOptions(step_count=np.int64(6)).resolve_steps(1.0) == 6
 
 
 def test_resolved_step_count_is_capped():
@@ -756,6 +761,18 @@ def test_batch_builds_step_matrices_per_chunk_not_per_run(monkeypatch):
     trajectories = list(reduced_batch(runs))
     assert [len(t.zeta) - 1 for t in trajectories[:8]] == [2, 3, 11, 40, 130, 400, 1100, 2900]
     assert builds == [1024, 662, 1024, 1024, 852] * 3
+
+
+def test_dissipation_order_fits_the_steps_its_runs_take():
+    # the fit takes the step alpha/n of each count as given, so a count must
+    # be the steps its run takes, and two distinct counts give the slope
+    profile = constant_protocol(1.0)
+    with pytest.raises(DoubleLambdaError, match="must be an integer"):
+        dissipation_order(profile, [5.7, 8])
+    assert dissipation_order(profile, np.array([5, 8]))[0] == dissipation_order(profile, [5, 8])[0]
+    for steps in ([], [5], [5, 5]):
+        with pytest.raises(DoubleLambdaError, match="two distinct step counts"):
+            dissipation_order(profile, steps)
 
 
 def test_dissipation_order_runs_share_one_build(monkeypatch):

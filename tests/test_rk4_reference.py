@@ -219,8 +219,8 @@ def test_adjoint_route_matches_reference(alpha):
     # together are its states
     starts, states, chunks = [], [], pmp_search._rk4_chunks
 
-    def recording(matrices, runs):
-        for size, lo, zeta, nodes, v in chunks(matrices, runs):
+    def recording(matrices, runs, block=None):
+        for size, lo, zeta, nodes, v in chunks(matrices, runs, block):
             starts.append(lo)
             states.append(v)
             yield size, lo, zeta, nodes, v

@@ -5,10 +5,11 @@ maxima chunk by chunk, and the arc keeps its forward states over a bounded
 tail only, integrating earlier chunks again for the backward run.  Each
 reference here holds whole trajectories and evaluates every formula once
 over them, as the stages did before they streamed.  Densities run
-log-spaced over [1e-3, 300], with arc step counts at the RK4 driver's chunk
-edges (the arc takes 100 steps per unit, so alpha = n/100 puts n steps on
-it), and past :data:`ARC_RETAINED_STEPS`, where the backward run integrates
-forward states again.
+log-spaced over [1e-3, 300], with arc step counts at the edges of the RK4
+driver's chunks, of the routes' :data:`_BLOCK` and of the checks'
+:data:`_CHECK_BLOCK` steps (the arc takes 100 steps per unit, so alpha
+about n/100 puts n steps on it), and past :data:`ARC_RETAINED_STEPS`, where
+the backward run integrates forward states again.
 """
 
 import functools
@@ -29,10 +30,15 @@ from doublelambda.pmp_search import (
 )
 from doublelambda.propagation import (
     _BLOCK,
+    _CHECK_BLOCK,
+    FieldState,
     IntegratorOptions,
     _five_point_derivative,
     _GridNodes,
+    _lab_matrices,
+    _lab_run,
     _ReversedNodes,
+    _rk4_chunks,
     _slope_matrices,
     _stencil_window,
     dissipation_order,
@@ -55,12 +61,27 @@ from test_rk4_reference import (
     reference_rk4,
 )
 
+
+def arc_alpha(n):
+    """A density at which the arc takes ``n`` steps: n/100, or the float just
+    below it where ``n/100 * 100`` rounds above ``n``."""
+    alpha = n / 100.0
+    while ARC_OPTIONS.resolve_steps(alpha) > n:
+        alpha = math.nextafter(alpha, 0.0)
+    return alpha
+
+
 LOG_SPACED = [float(a) for a in np.geomspace(1e-3, 300.0, 9)]
+NEAR_CHECK_BLOCKS = [2 * _CHECK_BLOCK + d for d in (-1, 0, 1)]
 # one step past the tail, whose backward run ends on one node integrated
-# again; a tail and a chunk not whole; a tail and 64 chunks and one step
-RECOMPUTED = [(n + ARC_RETAINED_STEPS) / 100.0 for n in (1, 4464, ARC_RETAINED_STEPS + 1)]
-ALPHAS = (LOG_SPACED + [n / 100.0 for n in NEAR_BLOCKS] + [ARC_RETAINED_STEPS / 100.0]
-          + RECOMPUTED)
+# again; a tail and a chunk not whole; a tail and three whole chunks of the
+# checks and one step, whose backward run ends on a one-step chunk from node
+# 0; a tail and 32 chunks and one step
+RECOMPUTED_STEPS = [n + ARC_RETAINED_STEPS
+                    for n in (1, 4464, 3 * _CHECK_BLOCK + 1, ARC_RETAINED_STEPS + 1)]
+ARC_STEPS = NEAR_BLOCKS + NEAR_CHECK_BLOCKS + [ARC_RETAINED_STEPS] + RECOMPUTED_STEPS
+RECOMPUTED = [arc_alpha(n) for n in RECOMPUTED_STEPS]
+ALPHAS = LOG_SPACED + [arc_alpha(n) for n in ARC_STEPS]
 
 
 def five_point(f, h):
@@ -72,7 +93,8 @@ def reference_arc(alpha):
     profile = optimal_protocol(alpha)
     theta0, u = profile.params["theta0"], profile.params["u_s"]
     n = max(ARC_MIN_STEPS, ARC_OPTIONS.resolve_steps(alpha))
-    traj = propagate_adiabatic(schedule_from_profile(profile), opts=IntegratorOptions(step_count=n))
+    traj = propagate_adiabatic(schedule_from_profile(profile),
+                               opts=IntegratorOptions(step_count=n))
     z, x, y = traj.zeta, traj.x, traj.y
     lx, ly = -1.0 / (2.0 * y), 1.0 / (2.0 * x)
     phi = lx * y - ly * x + 1.0
@@ -86,8 +108,9 @@ def reference_arc(alpha):
         "hc_drift": np.max(np.abs(hc - hc[0])),
         "feedback_residual": np.max(np.abs(x * y / (2.0 * (x * x + y * y)) - u)),
         "ratio_residual": np.max(np.abs(y / x - math.tan(theta0))),
-        "adjoint_fd_residual": max(np.max(np.abs(five_point(lx, h) - (u * ly[2:-2] + 0.5 * lx[2:-2]))),
-                                   np.max(np.abs(five_point(ly, h) - (-u * lx[2:-2])))),
+        "adjoint_fd_residual": max(
+            np.max(np.abs(five_point(lx, h) - (u * ly[2:-2] + 0.5 * lx[2:-2]))),
+            np.max(np.abs(five_point(ly, h) - (-u * lx[2:-2])))),
         "adjoint_integration_error": np.max(np.maximum(np.abs(lam[:, 0] - ly[::-1]),
                                                        np.abs(lam[:, 1] - lx[::-1]))),
     }
@@ -111,6 +134,11 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 def hexed(values):
     return [float(v).hex() for v in values]
+
+
+def test_arc_densities_put_their_step_counts_on_the_arc():
+    steps = [ARC_OPTIONS.resolve_steps(alpha) for alpha in ALPHAS[len(LOG_SPACED):]]
+    assert steps == ARC_STEPS
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -147,13 +175,35 @@ def test_dissipation_order_matches_whole_trajectories(alpha):
     [_BLOCK - 4, 6, _BLOCK + 1, 2 * _BLOCK - 1],  # a chunk ends 4 steps into a run, then 2 after
     [4, 5, 6, 7],                                 # shortest runs with a residual, one chunk
     [_BLOCK, _BLOCK, 2 * _BLOCK, 4],              # runs end on chunk edges
-    [20_000, 10],                                 # a run of several blocks of checks
+    [20_000, 10],                                 # a run of several chunks of checks
+    # runs that end 4 steps into a chunk of the checks, 6 steps after, and on
+    # its next edge; a run whose first piece is one step; runs on its edges
+    [_CHECK_BLOCK + 4, 6, 2 * _CHECK_BLOCK - 10],
+    [_CHECK_BLOCK - 1, 5],
+    [_CHECK_BLOCK, _CHECK_BLOCK, 2 * _CHECK_BLOCK, 4],
 ])
 def test_dissipation_order_across_chunk_edges(steps):
     profile = build_profile("adiabatic", 7.0)
     slope, res = dissipation_order(profile, steps)
     ref_slope, ref_res = reference_dissipation_order(profile, steps)
     assert hexed([slope, *res]) == hexed([ref_slope, *ref_res])
+
+
+@pytest.mark.parametrize("block", [1, 7, _CHECK_BLOCK])
+def test_driver_pieces_of_any_block_have_the_default_bits(block):
+    # runs sharing a chunk, spanning chunks, and kinked, at 1 step a chunk too
+    def pieces(block):
+        runs = (_lab_run(p, IntegratorOptions(step_count=n), FieldState(0.6, -0.8))
+                for p, n in zip(batch_profiles(30.0), (5, 2100, 300, 2050)))
+        return list(_rk4_chunks(_lab_matrices, runs, block))
+
+    got, default = pieces(block), pieces(None)
+    assert [size for size, lo, *_ in got if lo == 0] == [6, 2101, 301, 2051]
+    for _, lo, z, theta, v in got:
+        assert len(z) == len(theta) == len(v) <= block + (lo == 0)
+    for column in (2, 3, 4):
+        whole = [np.concatenate([piece[column] for piece in p]) for p in (got, default)]
+        assert whole[0].tobytes() == whole[1].tobytes()
 
 
 def test_dissipation_order_refuses_a_run_without_a_residual():
