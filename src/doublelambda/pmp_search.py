@@ -350,7 +350,9 @@ def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[flo
     to [0, pi/2] like there; the gradient is that of the unclipped
     expression, which is the one-sided derivative into the box at a bound.
     ``alpha`` must pass :func:`_check_alpha`, and ``thetas`` be one row of
-    at least two knots.
+    at least two knots, none NaN (:class:`NonFinite`).  Clipped knots
+    always give a finite value, so a NaN knot is found from the value, once,
+    after the forward pass.
     """
     alpha = _check_alpha(alpha)
     th = np.clip(np.asarray(thetas, dtype=float), 0.0, HALF_PI)
@@ -388,6 +390,8 @@ def piecewise_efficiency_and_grad(thetas: np.ndarray, alpha: float) -> tuple[flo
         y, x = a * y - b * x, b * y + d * x
     cos_n, sin_n = math.cos(th[-1]), math.sin(th[-1])
     s = cos_n * y - sin_n * x
+    if math.isnan(s):
+        raise NonFinite("thetas must not be NaN")
 
     grad = [0.0] * (n_seg + 1)
     g_next = -2.0 * s * (sin_n * y + cos_n * x)

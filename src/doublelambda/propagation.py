@@ -21,9 +21,11 @@ deterministic output is preferred over adaptivity.  The grid is a
 :class:`_GridNodes`, which computes its nodes chunk by chunk and holds
 only its pieces' ends.  The driver builds the step matrices of a chunk
 (:data:`_BLOCK` steps, or :data:`_CHECK_BLOCK` for the streamed checks) at
-once (:func:`_rk4_step_matrices`; one per distinct step size where ``A`` is
-the same throughout the chunk) and applies them in order on Python scalars
-(:func:`_apply_steps`, reading a real chunk's matrices straight from their
+once (:func:`_rk4_step_matrices`, every elementwise operation one flat
+numpy loop over full ``(n, 2, 2)`` operands; one matrix per distinct step
+size where ``A`` is the same throughout the chunk) and applies them in
+order on Python scalars (:func:`_apply_steps`, a generator that
+``np.fromiter`` drains, reading a real chunk's matrices straight from their
 buffer and a complex one's from a list), evaluating the parameters of ``A``
 (the angle, or the controls) chunk by chunk, and hands each chunk's grid
 nodes, parameters and states to its consumer as soon as it is applied.
@@ -309,7 +311,18 @@ class _ReversedNodes:
 #: grid length and of the number of propagations in a batch.
 _BLOCK = 1024
 
-_EYE = np.eye(2)
+#: Steps of the chunks a streamed check of ``verify`` takes from
+#: :func:`_rk4_chunks`.  In chunks of :data:`_BLOCK` steps, the arc and
+#: dissipation checks took 4-10 % longer than on whole arrays at alpha = 40
+#: and 150 (a shared 2-core x86-64 host); in chunks of 2048 they took as
+#: long, and their temporaries (16 KiB a column) stay below what the sampled
+#: dominance check allocates.
+_CHECK_BLOCK = 2048
+
+#: The 2x2 identity once for each step of a :data:`_CHECK_BLOCK` chunk,
+#: read-only; :func:`_rk4_step_matrices` adds a slice of it.
+_EYES = np.tile(np.eye(2), (_CHECK_BLOCK, 1, 1))
+_EYES.flags.writeable = False
 
 
 def _rk4_step_matrices(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray,
@@ -323,39 +336,50 @@ def _rk4_step_matrices(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray,
     ``K2 = A(zeta + h/2) (I + h/2 K1)``, ``K3 = A(zeta + h/2) (I + h/2 K2)``
     and ``K4 = A(zeta + h) (I + h K3)``.  Each step's matrix depends on its
     own inputs only, so steps of independent propagations may share a call.
+
+    Every elementwise operand has the full ``(n, 2, 2)`` shape: the step
+    sizes are expanded once, and the identity is a slice of :data:`_EYES`
+    (made afresh past :data:`_CHECK_BLOCK` steps), so each operation runs as
+    one flat loop over ``4n`` entries rather than as ``n`` broadcast loops of
+    four; one stage buffer is reused through ``out=``.  The operations and
+    their operands' values are those of the broadcast form, and so are the
+    bits, signs of zeros included (``+ I`` turns an off-diagonal ``-0.0``
+    into ``+0.0`` in both).  The three ``@`` products are numpy's matmul,
+    whose fused multiply-add an elementwise form would not reproduce.
     """
-    h = h[:, None, None]
+    n = h.size
+    h = np.repeat(h, 4).reshape(n, 2, 2)
     half_h = 0.5 * h
+    eye = _EYES[:n] if n <= len(_EYES) else np.tile(_EYES[0], (n, 1, 1))
     r = a0.copy()
+    y = np.empty_like(r)
     k = a0
     for a_stage, frac_h, weight in ((a_mid, half_h, 2.0), (a_mid, half_h, 2.0), (a1, h, 1.0)):
-        y = frac_h * k
-        y += _EYE
+        np.multiply(frac_h, k, out=y)
+        y += eye
         k = a_stage @ y
-        r += weight * k
-    r *= h / 6.0
-    r += _EYE
+        r += np.multiply(weight, k, out=y) if weight != 1.0 else k  # 1.0 * k is k
+    h /= 6.0
+    r *= h
+    r += eye
     return r
 
 
-def _apply_steps(entries: Iterable, p, q) -> list:
+def _apply_steps(entries: Iterable, p, q) -> Iterator:
     """Apply step matrices in order to the state ``(p, q)``.
 
     ``entries`` is any iterable of the matrices' entries, flat, row by row
     (``r00, r01, r10, r11`` of each step in turn).  Runs on Python floats
     (or complex numbers), carrying one state, so rounding accumulates as in
     a stage-by-stage integration; a prefix-product scan would be faster but
-    loses accuracy at large ``alpha``.  Returns ``p`` and ``q`` after each
-    step, flat.
+    loses accuracy at large ``alpha``.  Yields ``p`` and ``q`` after each
+    step, flat, for ``np.fromiter`` to write straight into its array.
     """
-    out = []
-    append = out.append
     it = iter(entries)
     for a, b, c, d in zip(it, it, it, it):
         p, q = a * p + b * q, c * p + d * q
-        append(p)
-        append(q)
-    return out
+        yield p
+        yield q
 
 
 class _Run:
@@ -473,6 +497,7 @@ def _rk4_chunk(matrices, chunk):
             # take, not a[start]: numpy's fancy indexing of (n, 2, 2) is about 5x slower
             a0, a1 = a.take(start, axis=0), a.take(start + 1, axis=0)
         r = _rk4_step_matrices(a0, a[n + len(chunk) :], a1, h)
+    complex_r = r.dtype.kind == "c"
     i = 0
     for (run, lo, hi), z, x in zip(chunk, zetas, nodes):
         m = hi - lo
@@ -480,13 +505,12 @@ def _rk4_chunk(matrices, chunk):
         piece = r[i : i + m]
         # a real piece feeds the loop from its buffer, one float at a time; a
         # memoryview cannot yield complex numbers, so a complex one is a list
-        entries = (piece.ravel().tolist() if np.iscomplexobj(piece)
-                   else memoryview(piece).cast("B").cast("d"))
-        out = _apply_steps(entries, *v.tolist())
+        entries = piece.ravel().tolist() if complex_r else memoryview(piece).cast("B").cast("d")
         i += m
-        run.real = run.real and not np.iscomplexobj(r)
+        run.real = run.real and not complex_r
         # read as floats while real: fromiter converts floats to complex slowly
-        rows = np.fromiter(out, float if run.real else run.dtype, 2 * m)
+        rows = np.fromiter(_apply_steps(entries, *v.tolist()),
+                           float if run.real else run.dtype, 2 * m)
         if lo == 0:  # a run's first piece also holds v0
             rows = np.concatenate((run.v, rows))
         states = rows.astype(run.dtype, copy=False).reshape(-1, 2)
@@ -518,15 +542,6 @@ def _rk4(matrices: Callable[[np.ndarray], np.ndarray], runs: Iterable[tuple],
             nodes[..., lo:hi] = x
         if hi == size:
             yield zeta, nodes, states
-
-
-#: Steps of the chunks a streamed check of ``verify`` takes from
-#: :func:`_rk4_chunks`.  In chunks of :data:`_BLOCK` steps, the arc and
-#: dissipation checks took 4-10 % longer than on whole arrays at alpha = 40
-#: and 150 (a shared 2-core x86-64 host); in chunks of 2048 they took as
-#: long, and their temporaries (16 KiB a column) stay below what the sampled
-#: dominance check allocates.
-_CHECK_BLOCK = 2048
 
 
 def _last_samples(matrices: Callable[[np.ndarray], np.ndarray],

@@ -7,6 +7,10 @@
 * A ``matrices`` that returns one ``(2, 2)`` matrix makes the RK4 driver
   build one step matrix per distinct step size.  The states must be those
   of the same ``A`` broadcast to ``(n, 2, 2)``, bit for bit.
+* ``frozen_rk4_step_matrices`` builds the RK4 step matrices with broadcast
+  operands, ``(n, 1, 1)`` step sizes and the ``(2, 2)`` identity, and
+  ``frozen_apply_steps`` applies them into a list.  The flat-operand build
+  and the generator apply must give the same bits, signs of zeros included.
 """
 
 import math
@@ -28,7 +32,9 @@ from doublelambda.propagation import (
     _BLOCK,
     _CHECK_BLOCK,
     IntegratorOptions,
+    _apply_steps,
     _rk4,
+    _rk4_step_matrices,
     _segment_exponential_array,
     propagate_adiabatic,
     schedule_from_profile,
@@ -241,3 +247,107 @@ def test_varying_slope_chunks_build_every_step(monkeypatch):
     profile = build_profile("adiabatic", 30.0)
     propagate_adiabatic(schedule_from_profile(profile), opts=IntegratorOptions(step_count=3000))
     assert counts == [_BLOCK, _BLOCK, 3000 - 2 * _BLOCK]
+
+
+# ---------------------------------------------------------------------------
+# RK4 step matrices on flat operands, applied through a generator
+# ---------------------------------------------------------------------------
+
+def frozen_rk4_step_matrices(a0, a_mid, a1, h):
+    """The build with broadcast operands: ``(n, 1, 1)`` step sizes, the ``(2, 2)`` identity."""
+    eye = np.eye(2)
+    h = h[:, None, None]
+    half_h = 0.5 * h
+    r = a0.copy()
+    k = a0
+    for a_stage, frac_h, weight in ((a_mid, half_h, 2.0), (a_mid, half_h, 2.0), (a1, h, 1.0)):
+        y = frac_h * k
+        y += eye
+        k = a_stage @ y
+        r += weight * k
+    r *= h / 6.0
+    r += eye
+    return r
+
+
+def frozen_apply_steps(entries, p, q):
+    """The apply into a list of ``p`` and ``q`` after each step, flat."""
+    out = []
+    it = iter(entries)
+    for a, b, c, d in zip(it, it, it, it):
+        p, q = a * p + b * q, c * p + d * q
+        out.append(p)
+        out.append(q)
+    return out
+
+
+CACHED_EYES = len(propagation._EYES)
+STEP_COUNTS = st.one_of(
+    st.integers(1, 2 * _CHECK_BLOCK + 1),
+    st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, CACHED_EYES - 1, CACHED_EYES,
+                     CACHED_EYES + 1, 2 * _CHECK_BLOCK + 1]),
+)
+
+
+def signed_zero_entries(rng, shape):
+    """Entries of either sign over four decades, a fifth of them +0.0 and a fifth -0.0."""
+    e = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2.0, 2.0, shape)
+    pick = rng.uniform(size=shape)
+    e[pick < 0.2] = 0.0
+    e[pick > 0.8] = -0.0
+    return e
+
+
+def stage_matrices(rng, n, is_complex, shared):
+    """``(a0, a_mid, a1)`` for ``n`` steps; ``shared`` is one ``A`` broadcast to
+    all three, as the driver passes it where ``A`` is the same throughout a chunk."""
+    shape = (2, 2) if shared else (3, n, 2, 2)
+    a = signed_zero_entries(rng, shape)
+    if is_complex:
+        a = a + 1j * signed_zero_entries(rng, shape)
+    if shared:
+        a = np.broadcast_to(a, (n, 2, 2))
+        return a, a, a
+    return tuple(a)
+
+
+@PROPERTY
+@given(n=STEP_COUNTS, seed=st.integers(0, 2**32 - 1), is_complex=st.booleans(),
+       shared=st.booleans())
+def test_flat_operand_build_matches_broadcast_build(n, seed, is_complex, shared):
+    rng = np.random.default_rng(seed)
+    a0, a_mid, a1 = stage_matrices(rng, n, is_complex, shared)
+    h = 10.0 ** rng.uniform(-300.0, 3.0, n)
+    assert same_bits(_rk4_step_matrices(a0, a_mid, a1, h),
+                     frozen_rk4_step_matrices(a0, a_mid, a1, h))
+
+
+def test_flat_operand_build_keeps_signed_zeros():
+    # A = 0 with both signs: only + I decides the sign of each entry
+    for sign in (1.0, -1.0):
+        a = np.full((3, 2, 2, 2), sign * 0.0)
+        h = np.array([1e-300, 1e3])
+        assert same_bits(_rk4_step_matrices(*a, h), frozen_rk4_step_matrices(*a, h))
+
+
+def test_cached_identity_is_read_only():
+    assert not propagation._EYES.flags.writeable
+    with pytest.raises(ValueError):
+        propagation._EYES[0, 0, 0] = 2.0
+
+
+@PROPERTY
+@given(n=st.integers(1, 2 * _BLOCK + 1), seed=st.integers(0, 2**32 - 1))
+def test_generator_apply_matches_list_apply(n, seed):
+    rng = np.random.default_rng(seed)
+    a0, a_mid, a1 = stage_matrices(rng, n, True, False)
+    piece = _rk4_step_matrices(0.01 * a0, 0.01 * a_mid, 0.01 * a1, rng.uniform(0.0, 0.1, n))
+    p, q = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+    want = np.fromiter(frozen_apply_steps(piece.ravel().tolist(), p, q), complex, 2 * n)
+    got = np.fromiter(_apply_steps(piece.ravel().tolist(), p, q), complex, 2 * n)
+    assert same_bits(got, want)
+    real = np.ascontiguousarray(piece.real)
+    want = np.fromiter(frozen_apply_steps(real.ravel().tolist(), p.real, q.real), float, 2 * n)
+    got = np.fromiter(_apply_steps(memoryview(real).cast("B").cast("d"), p.real, q.real),
+                      float, 2 * n)
+    assert same_bits(got, want)

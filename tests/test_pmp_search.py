@@ -11,11 +11,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublelambda import (
     IntegratorOptions,
     InvalidAlpha,
     InvalidSearchSettings,
+    NonFinite,
     optimal_efficiency_closed,
     optimal_protocol,
     optimize_piecewise,
@@ -252,6 +255,26 @@ def test_piecewise_efficiency_refuses_bad_inputs(function):
     for thetas in ([], [1.0], 1.0, [[1.5, 0.2], [1.0, 0.1]]):
         with pytest.raises(InvalidSearchSettings, match="at least two knots"):
             function(thetas, 1.0)
+
+
+@pytest.mark.parametrize("function", [piecewise_efficiency, piecewise_efficiency_and_grad])
+def test_piecewise_efficiency_refuses_nan_knots(function):
+    for thetas in ([math.nan, 0.2], [1.5, math.nan, 0.2], [1.5, 0.2, math.nan]):
+        with pytest.raises(NonFinite, match="NaN"):
+            function(thetas, 1.0)
+    # finite knots outside [0, pi/2] are still clipped
+    value = function([-1.0, 0.7, 2.0], 3.0)
+    assert (value[0] if isinstance(value, tuple) else value) == \
+        piecewise_efficiency([0.0, 0.7, math.pi / 2], 3.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(thetas=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                       max_size=30),
+       alpha=st.floats(-300.0, 5.0).map(lambda e: 10.0**e))
+def test_finite_knots_give_a_finite_value(thetas, alpha):
+    # the NaN check reads the value, so finite knots, clipped, must give a finite one
+    assert math.isfinite(piecewise_efficiency(thetas, alpha))
 
 
 @pytest.mark.parametrize("budget, converged", [(20_000, True), (7, False)])
